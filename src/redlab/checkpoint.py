@@ -20,6 +20,14 @@ from .errors import ContractError
 from .rng import Rng
 
 FORMAT_VERSION = 1
+_ENTRY_KEYS = frozenset({"name", "shape", "dtype", "offset", "length"})
+_MODEL_META_KEYS = frozenset(
+    {"widths", "adr_blocks", "adr_dims", "dyn_candidates", "frozen"}
+)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _base(path: str) -> str:
@@ -73,17 +81,39 @@ def load_tensors(path: str) -> tuple:
     manifest_path, blob_path = base + ".json", base + ".bin"
     if not os.path.exists(manifest_path) or not os.path.exists(blob_path):
         raise ContractError(f"checkpoint {base!r} is missing manifest or blob")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    with open(manifest_path, "rb") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ContractError(f"manifest {manifest_path!r} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ContractError(f"manifest {manifest_path!r} is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ContractError(
             f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
         )
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise ContractError(f"manifest {manifest_path!r} has no 'tensors' list")
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ContractError(f"manifest {manifest_path!r} meta is not an object")
     with open(blob_path, "rb") as fh:
         blob = fh.read()
     tensors = {}
     expected = 0
-    for entry in manifest["tensors"]:
+    for entry in entries:
+        if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
+            raise ContractError(
+                f"manifest entry {entry!r} needs {', '.join(sorted(_ENTRY_KEYS))}"
+            )
+        if not (
+            isinstance(entry["name"], str)
+            and all(_is_count(v) for v in (entry["offset"], entry["length"]))
+            and isinstance(entry["shape"], list)
+            and all(_is_count(v) for v in entry["shape"])
+        ):
+            raise ContractError(f"malformed manifest entry {entry!r}")
         if entry["dtype"] != "f64":
             raise ContractError(f"unsupported dtype {entry['dtype']!r}")
         offset, length = entry["offset"], entry["length"]
@@ -103,7 +133,7 @@ def load_tensors(path: str) -> tuple:
         tensors[entry["name"]] = arr.astype(np.float64).reshape(shape)
     if expected != len(blob):
         raise ContractError("blob is longer than the manifest describes")
-    return tensors, manifest.get("meta", {})
+    return tensors, meta
 
 
 def save_model(model, path: str) -> tuple:
@@ -127,6 +157,9 @@ def load_model(model_path: str):
     tensors, meta = load_tensors(model_path)
     if meta.get("kind") != "toy_enhancer":
         raise ContractError(f"not an enhancer checkpoint: kind={meta.get('kind')!r}")
+    missing = _MODEL_META_KEYS - meta.keys()
+    if missing:
+        raise ContractError(f"enhancer checkpoint meta lacks {sorted(missing)}")
     model = ToyEnhancer(
         Rng(0),
         widths=tuple(meta["widths"]),

@@ -121,12 +121,23 @@ def load_pairs(dirpath: str) -> list:
     tensors, meta = load_tensors(os.path.join(dirpath, "corpus"))
     if meta.get("kind") != "corpus":
         raise ContractError(f"not a corpus directory: {dirpath!r}")
+    entries = meta.get("pairs")
+    if not isinstance(entries, list):
+        raise ContractError(f"corpus index in {dirpath!r} has no 'pairs' list")
     pairs = []
-    for i, entry in enumerate(meta["pairs"]):
+    for i, entry in enumerate(entries):
+        clean, low = f"pair{i:04d}.clean", f"pair{i:04d}.low"
+        if not (
+            isinstance(entry, dict)
+            and {"seed", "record"} <= entry.keys()
+            and clean in tensors
+            and low in tensors
+        ):
+            raise ContractError(f"corpus pair {i} in {dirpath!r} is incomplete")
         pairs.append(
             ScenePair(
-                clean=Tensor(tensors[f"pair{i:04d}.clean"]),
-                low=Tensor(tensors[f"pair{i:04d}.low"]),
+                clean=Tensor(tensors[clean]),
+                low=Tensor(tensors[low]),
                 seed=entry["seed"],
                 record=entry["record"],
             )

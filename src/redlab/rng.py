@@ -1,10 +1,28 @@
 """Deterministic pseudo-random numbers.
 
-The generator is xoshiro256** seeded through splitmix64, implemented on
-Python integers so the draw sequence is bit-identical for a given seed on
-every platform and interpreter.  All stochastic behaviour in the library
-(initialization, data synthesis, parameter resets, shuffling) flows through
-this module; nothing uses ``random`` or ``numpy.random``.
+The generator is xoshiro256** seeded through splitmix64.  The scalar
+methods run the recurrence on Python integers, so the draw sequence is
+bit-identical for a given seed on every platform and interpreter.  All
+stochastic behaviour in the library (initialization, data synthesis,
+parameter resets, shuffling) flows through this module; nothing uses
+``random`` or ``numpy.random``.
+
+Array fills draw the same stream as repeated scalar calls, but in bulk.
+Small fills run the scalar recurrence inlined on local variables.  Larger
+fills split their n draws into K lanes of L consecutive draws each and step
+every lane at once with ``uint64`` array operations.  This gives the same
+bits because the xoshiro state update is linear over GF(2): one step is a
+fixed 256x256 bit matrix M acting on the 256-bit state, so the state m
+steps ahead is M^m times the current one.  L is a power of two, and lane k
+starts at M^(k L) applied to the current state.  The lane starts are
+seeded by doubling: lanes [2^t, 2^(t+1)) are M^(L 2^t) applied to lanes
+[0, 2^t), and each M^(2^j) is squared from the one before on first use and
+kept as 256 packed 4-word rows (8 KB each).  Lane-major order of the
+outputs is then exactly the scalar order, the state after draw n is read
+off the lane that holds it, and the floating-point transforms use the
+scalar methods' operations in the scalar order (``math.log`` and
+``math.cos`` element by element, because NumPy's versions may round
+differently).
 """
 
 from __future__ import annotations
@@ -15,6 +33,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Fills of fewer draws than this run the inlined scalar recurrence: below
+# it, the lane kernel's fixed cost per step and per jump is the larger.
+_LANE_MIN_DRAWS = 512
 
 
 def splitmix64(x: int) -> int:
@@ -37,6 +59,64 @@ def child_seed(parent: int, index: int) -> int:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _step_lanes(s: np.ndarray, t: np.ndarray) -> None:
+    """One xoshiro256** state update of every lane of s (4, K), in place.
+
+    ``t`` is a (K,) scratch buffer.
+    """
+    s0, s1, s2, s3 = s
+    np.left_shift(s1, 17, out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.left_shift(s3, 45, out=t)
+    s3 >>= 19
+    s3 |= t
+
+
+def _apply(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """GF(2) product of a packed bit matrix with each of B packed states.
+
+    ``rows`` is (256, 4) little-endian words, row r holding the input bits
+    that output bit r sums; ``states`` is (B, 4).  Returns (B, 4).
+    """
+    acc = states[:, None, 0] & rows[:, 0]
+    for w in range(1, 4):
+        acc ^= states[:, None, w] & rows[:, w]
+    parity = np.bitwise_count(acc) & 1
+    return np.packbits(parity, axis=1, bitorder="little").view("<u8")
+
+
+def _transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose a 256x256 bit matrix held as (256, 4) packed words."""
+    bits = np.unpackbits(m.view(np.uint8), axis=1, bitorder="little")
+    return np.packbits(bits.T.copy(), axis=1, bitorder="little").view("<u8")
+
+
+# _JUMP_ROWS[j] holds M^(2^j) as packed rows.  Entries are pure functions of
+# j, so filling the cache concurrently can only store equal values.
+_JUMP_ROWS: dict = {}
+
+
+def _jump_rows(j: int) -> np.ndarray:
+    rows = _JUMP_ROWS.get(j)
+    if rows is None:
+        if j == 0:
+            # Column i of M is one step applied to the unit state e_i.
+            cols = np.zeros((4, 256), dtype="<u8")
+            for i in range(256):
+                cols[i // 64, i] = 1 << (i % 64)
+            _step_lanes(cols, np.empty(256, dtype="<u8"))
+            rows = _transpose(np.ascontiguousarray(cols.T))
+        else:
+            half = _jump_rows(j - 1)
+            rows = _transpose(_apply(half, _transpose(half)))
+        _JUMP_ROWS[j] = rows
+    return rows
 
 
 class Rng:
@@ -69,6 +149,70 @@ class Rng:
         self._s = [s0, s1, s2, s3]
         return result
 
+    def _doubles(self, n: int) -> np.ndarray:
+        """The next n ``next_double`` values, drawn in bulk."""
+        if n < 0:
+            raise ValueError("negative dimensions are not allowed")
+        if n < _LANE_MIN_DRAWS:
+            u = np.array(self._scalar_u64(n), dtype=np.uint64)
+        else:
+            u = self._lane_u64(n)
+        return (u >> 11).astype(np.float64) * (2.0 ** -53)
+
+    def _scalar_u64(self, n: int) -> list:
+        """The next n ``next_u64`` values from the recurrence on locals."""
+        mask = _MASK64
+        s0, s1, s2, s3 = self._s
+        out = [0] * n
+        for i in range(n):
+            r = (s1 * 5) & mask
+            out[i] = ((((r << 7) | (r >> 57)) & mask) * 9) & mask
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        self._s = [s0, s1, s2, s3]
+        return out
+
+    def _lane_u64(self, n: int) -> np.ndarray:
+        """The next n ``next_u64`` values from K lanes of L steps each."""
+        # L near sqrt(n)/2 balances the fixed cost of each array step
+        # against the cost of jumping each lane to its start.
+        log_l = max(4, (n.bit_length() - 3) // 2)
+        steps = 1 << log_l
+        lanes = -(-n // steps)
+        starts = np.empty((lanes, 4), dtype="<u8")
+        starts[0] = self._s
+        filled, t = 1, 0
+        while filled < lanes:
+            count = min(filled, lanes - filled)
+            starts[filled : filled + count] = _apply(
+                _jump_rows(log_l + t), starts[:count]
+            )
+            filled += count
+            t += 1
+        s = np.ascontiguousarray(starts.T)
+        tmp = np.empty(lanes, dtype=np.uint64)
+        rot = np.empty(lanes, dtype=np.uint64)
+        out = np.empty((steps, lanes), dtype=np.uint64)
+        last, at = divmod(n, steps)
+        if at == 0:
+            # The state after draw n is where the last lane ends.
+            last, at = lanes - 1, steps
+        for step in range(steps):
+            np.multiply(s[1], 5, out=tmp)
+            np.left_shift(tmp, 7, out=rot)
+            tmp >>= 57
+            tmp |= rot
+            np.multiply(tmp, 9, out=out[step])
+            _step_lanes(s, rot)
+            if step + 1 == at:
+                self._s = [int(x) for x in s[:, last]]
+        return out.T.ravel()[:n]
+
     def next_double(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
@@ -77,12 +221,13 @@ class Rng:
         return lo + (hi - lo) * self.next_double()
 
     def fill_uniform(self, shape, lo: float, hi: float) -> np.ndarray:
-        """Row-major array of i.i.d. uniforms in [lo, hi)."""
+        """Row-major array of i.i.d. uniforms in [lo, hi).
+
+        Equal to ``uniform(lo, hi)`` called once per element in row-major
+        order, and leaves the stream where those calls would.
+        """
         n = int(np.prod(shape)) if shape else 1
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = lo + (hi - lo) * self.next_double()
-        return out.reshape(shape)
+        return (lo + (hi - lo) * self._doubles(n)).reshape(shape)
 
     def normal(self, sigma: float = 1.0) -> float:
         """One N(0, sigma^2) draw via Box-Muller (two uniforms per draw)."""
@@ -91,11 +236,14 @@ class Rng:
         return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def fill_normal(self, shape, sigma: float = 1.0) -> np.ndarray:
+        """Row-major array of ``normal(sigma)`` draws, as repeated calls give."""
         n = int(np.prod(shape)) if shape else 1
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.normal(sigma)
-        return out.reshape(shape)
+        d = self._doubles(2 * n)
+        log_u1 = np.fromiter(map(math.log, (1.0 - d[0::2]).tolist()), np.float64, n)
+        cos_u2 = np.fromiter(
+            map(math.cos, (2.0 * math.pi * d[1::2]).tolist()), np.float64, n
+        )
+        return (sigma * np.sqrt(-2.0 * log_u1) * cos_u2).reshape(shape)
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""

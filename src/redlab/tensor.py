@@ -631,10 +631,13 @@ def finite_diff_check(
     uses max(|analytic|, |numeric|, 1e-8) in the denominator.
 
     ``sample`` limits the check to that many coordinates, chosen by a
-    deterministic shuffle of all coordinates with ``rng``.
+    deterministic shuffle of all coordinates with ``rng``; it must be at
+    least 1, and ``None`` checks every coordinate.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ContractError("eps must lie in [1e-7, 1e-3]")
+    if sample is not None and sample < 1:
+        raise ContractError(f"sample must be at least 1 coordinate, got {sample}")
     for p in params:
         p.grad = None
     tape = Tape()

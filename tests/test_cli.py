@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redlab.checkpoint import load_model
+from redlab.checkpoint import load_model, save_model
 from redlab.cli import run
 from redlab.datagen import load_pairs, make_corpus, save_pairs
 from redlab.redundancy import (
@@ -22,6 +22,7 @@ from redlab.redundancy import (
     dmr_summary,
     probe_sweep,
 )
+from redlab.enhancer import ToyEnhancer
 from redlab.rng import Rng
 
 
@@ -279,6 +280,95 @@ class TestGradcheck:
         cfg = tmp_path / "run.json"
         cfg.write_text("{}")
         assert run(["gradcheck", "--config", str(cfg), "--samples", "60"]) == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_coordinates_exits_two(self, tmp_path, capsys, samples):
+        """A check of no coordinates is refused rather than passed."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text("{}")
+        assert run(["gradcheck", "--config", str(cfg), "--samples", samples]) == 2
+        assert "sample must be at least 1" in capsys.readouterr().err
+
+
+def _rewrite_json(change):
+    """Corruption that loads a manifest, edits the document, and writes it back."""
+    def corrupt(path):
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    return corrupt
+
+
+def _edit(change):
+    """A document edit written as a statement: change(doc), then doc."""
+    def edited(doc):
+        change(doc)
+        return doc
+    return edited
+
+
+# (case, file under the probe inputs, corruption, expected error text)
+BAD_PROBE_INPUTS = [
+    ("truncated_manifest", "model.json",
+     lambda p: p.write_text(p.read_text()[:40]), "is not JSON"),
+    ("undecodable_manifest", "model.json",
+     lambda p: p.write_bytes(b"\xff\xfe{\x00"), "is not JSON"),
+    ("manifest_not_object", "model.json",
+     _rewrite_json(lambda doc: [doc]), "is not a JSON object"),
+    ("manifest_without_tensors", "model.json",
+     _rewrite_json(lambda doc: {k: v for k, v in doc.items() if k != "tensors"}),
+     "no 'tensors' list"),
+    ("meta_not_object", "model.json",
+     _rewrite_json(_edit(lambda doc: doc.update(meta=[]))), "meta is not an object"),
+] + [
+    (f"entry_without_{key}", "model.json",
+     _rewrite_json(_edit(lambda doc, key=key: doc["tensors"][0].pop(key))),
+     "needs dtype, length, name, offset, shape")
+    for key in ("name", "shape", "dtype", "offset", "length")
+] + [
+    ("entry_with_text_offset", "model.json",
+     _rewrite_json(_edit(lambda doc: doc["tensors"][0].update(offset="0"))),
+     "malformed manifest entry"),
+    ("model_meta_without_widths", "model.json",
+     _rewrite_json(_edit(lambda doc: doc["meta"].pop("widths"))),
+     "meta lacks ['widths']"),
+    ("corpus_without_pairs", "data/corpus.json",
+     _rewrite_json(_edit(lambda doc: doc["meta"].pop("pairs"))), "no 'pairs' list"),
+    ("corpus_pair_without_record", "data/corpus.json",
+     _rewrite_json(_edit(lambda doc: doc["meta"]["pairs"][1].pop("record"))),
+     "corpus pair 1"),
+]
+
+
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory):
+    """An untrained checkpoint and a two-pair corpus that probe accepts."""
+    root = tmp_path_factory.mktemp("probe_inputs")
+    save_model(ToyEnhancer(Rng(0)), str(root / "model"))
+    save_pairs(str(root / "data"), make_corpus(9, 2, 8, 8))
+    return root
+
+
+class TestMalformedInputs:
+    """Damaged checkpoints and corpora exit 2 with an error line, not a traceback."""
+
+    def probe(self, root, out):
+        return run(["probe", "--ckpt", str(root / "model"), "--data", str(root / "data"),
+                    "--selectors", "auto", "--seeds", "0", "--out", str(out)])
+
+    def test_intact_inputs_exit_zero(self, probe_inputs, tmp_path):
+        assert self.probe(probe_inputs, tmp_path / "p.csv") == 0
+
+    @pytest.mark.parametrize("relpath,corrupt,message",
+                             [case[1:] for case in BAD_PROBE_INPUTS],
+                             ids=[case[0] for case in BAD_PROBE_INPUTS])
+    def test_probe_exits_two(self, probe_inputs, tmp_path, capsys,
+                             relpath, corrupt, message):
+        root = tmp_path / "in"
+        shutil.copytree(probe_inputs, root)
+        corrupt(root / relpath)
+        assert self.probe(root, tmp_path / "p.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestDispatch:

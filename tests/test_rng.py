@@ -1,9 +1,36 @@
 """Determinism and distribution checks for the pseudorandom generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redlab.rng import Rng, child_seed, splitmix64
+from redlab.rng import Rng, _apply, _jump_rows, child_seed, splitmix64
+
+# Fill sizes around the lane kernel's edges: tiny fills, lane-width
+# boundaries, powers of two +-1 on both sides of the scalar/lane crossover,
+# and one 64x64 RGB normal fill's worth of draws.
+FILL_SIZES = sorted(
+    {0, 1, 2, 3, 63, 64, 65, 24576}
+    | {2**k + d for k in range(2, 15) for d in (-1, 1)}
+)
+
+
+@st.composite
+def fill_shapes(draw):
+    """A shape whose element count is one of FILL_SIZES."""
+    n = draw(st.sampled_from(FILL_SIZES))
+    if n == 0:
+        return draw(st.sampled_from([(0,), (0, 3), (3, 0), (2, 0, 4)]))
+    if n == 1:
+        return draw(st.sampled_from([(), (1,), (1, 1)]))
+    lead = draw(st.sampled_from([d for d in (1, 2, 3, 4, 8) if n % d == 0]))
+    return (n,) if lead == 1 else (lead, n // lead)
+
+
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 class TestSplitmix64:
@@ -111,3 +138,75 @@ class TestRngStreams:
         Rng(99).shuffle(a)
         Rng(99).shuffle(b)
         assert a == b
+
+    def test_large_fill_goldens(self):
+        """Regression pins for 64x64 RGB fills and the draw that follows."""
+        r = Rng(0)
+        arr = r.fill_uniform((3, 64, 64), -0.02, 0.02)
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == (
+            "2b64cb2564484f58cdc79a165e6516afc00562c0a7b59f74085bd5b63662fb25"
+        )
+        assert r.next_u64() == 0x90268AD0F89D1F6E
+        r = Rng(1)
+        arr = r.fill_normal((3, 64, 64), 0.03)
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == (
+            "969732e32b99ece35d7656a2189a2b05877ee027694ab53b0ef17cc70ead3823"
+        )
+        assert r.next_u64() == 0x1C679DB0D0B2425D
+
+
+class TestLaneKernel:
+    """Bulk fills against the scalar stream they must reproduce."""
+
+    def test_jump_tables_match_stepping(self):
+        """M^(2^j) applied to a state equals 2^j scalar steps."""
+        for j in range(11):
+            r = Rng(j + 5)
+            state = np.array([r._s], dtype="<u8")
+            for _ in range(2**j):
+                r.next_u64()
+            assert [int(x) for x in _apply(_jump_rows(j), state)[0]] == r._s
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        shape=fill_shapes(),
+        lo=st.floats(-10.0, 10.0),
+        width=st.floats(1e-3, 10.0),
+    )
+    def test_fill_uniform_equals_scalar_draws(self, seed, shape, lo, width):
+        hi = lo + width
+        bulk, twin = Rng(seed), Rng(seed)
+        got = bulk.fill_uniform(shape, lo, hi)
+        n = int(np.prod(shape))
+        want = [lo + (hi - lo) * twin.next_double() for _ in range(n)]
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert bulk.next_u64() == twin.next_u64()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, shape=fill_shapes(), sigma=st.floats(1e-3, 10.0))
+    def test_fill_normal_equals_scalar_draws(self, seed, shape, sigma):
+        bulk, twin = Rng(seed), Rng(seed)
+        got = bulk.fill_normal(shape, sigma)
+        n = int(np.prod(shape))
+        want = [twin.normal(sigma) for _ in range(n)]
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert bulk.next_u64() == twin.next_u64()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0, 2)])
+    def test_zero_size_fill_leaves_stream_untouched(self, shape):
+        r = Rng(13)
+        assert r.fill_uniform(shape, 0.0, 1.0).shape == shape
+        assert r.fill_normal(shape, 1.0).shape == shape
+        assert r.next_u64() == Rng(13).next_u64()
+
+    @pytest.mark.parametrize("shape", [(-1,), (2, -3), (-600,)])
+    def test_negative_shape_rejected(self, shape):
+        r = Rng(13)
+        with pytest.raises(ValueError):
+            r.fill_uniform(shape, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            r.fill_normal(shape, 1.0)
+        assert r.next_u64() == Rng(13).next_u64()

@@ -487,6 +487,19 @@ class TestFiniteDiffCheck:
         with pytest.raises(ContractError):
             T.finite_diff_check(f, [x], eps=1e-8)
 
+    def test_sample_of_no_coordinates_rejected(self):
+        """sample below 1 would check nothing; None still checks them all."""
+        x = T.Tensor(np.ones(2), requires_grad=True)
+
+        def f(params):
+            return T.sum_all(params[0])
+
+        for sample in (0, -1):
+            with pytest.raises(ContractError):
+                T.finite_diff_check(f, [x], sample=sample)
+        assert T.finite_diff_check(f, [x], sample=None) < 1e-6
+        assert T.finite_diff_check(f, [x], sample=1) < 1e-6
+
     def test_detects_wrong_gradient(self):
         """A deliberately broken gradient is flagged, not silently passed."""
 
