@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from redlab.rng import Rng  # noqa: E402
+from redlab.rng import _LANE_MIN_DRAWS, Rng  # noqa: E402
 
 # Fill sizes around the lane kernel's edges: tiny fills, lane-width
 # boundaries, powers of two +-1 on both sides of the scalar/lane crossover,
@@ -19,6 +19,7 @@ from redlab.rng import Rng  # noqa: E402
 FILL_SIZES = sorted(
     {0, 1, 2, 3, 63, 64, 65, 24576}
     | {2**k + d for k in range(2, 15) for d in (-1, 1)}
+    | {_LANE_MIN_DRAWS + d for d in (-1, 0, 1)}
 )
 
 
