@@ -7,6 +7,7 @@ import pytest
 
 from redlab.rng import (
     _FILL_CHUNK,
+    _LANE_MIN_DRAWS,
     Rng,
     _apply,
     _jump_rows,
@@ -148,6 +149,19 @@ class TestLaneKernel:
             for _ in range(2**j):
                 r.next_u64()
             assert [int(x) for x in _apply(_jump_rows(j), state)[0]] == r._s
+
+    @pytest.mark.parametrize("draws", [-1, 0, 1])
+    def test_fills_at_crossover_equal_scalar_draws(self, draws):
+        """Fills just under, at and over the scalar/lane crossover."""
+        n = _LANE_MIN_DRAWS + draws
+        bulk, twin = Rng(n), Rng(n)
+        got = bulk.fill_uniform((n,), 0.0, 1.0)
+        want = [twin.next_double() for _ in range(n)]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        got = bulk.fill_normal((n // 2,), 1.0)
+        want = [twin.normal(1.0) for _ in range(n // 2)]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert bulk.next_u64() == twin.next_u64()
 
     def test_fill_across_chunks_equals_scalar_draws(self):
         """A fill longer than one chunk continues the stream across chunks."""
