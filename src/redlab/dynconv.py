@@ -57,12 +57,8 @@ class DynamicConv:
         return T.reshape(mixed, (self.c_out, self.c_in, self.d_k, self.d_k))
 
     def forward(self, x: Tensor) -> Tensor:
-        return dyn_forward(self, x)
-
-
-def dyn_forward(dc: DynamicConv, x: Tensor) -> Tensor:
-    """Convolve with the input's effective kernel."""
-    return T.conv2d(x, dc.generate(x))
+        """Convolve with the input's effective kernel."""
+        return T.conv2d(x, self.generate(x))
 
 
 def candidate_similarity(dc: DynamicConv) -> np.ndarray:

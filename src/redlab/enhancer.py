@@ -183,6 +183,13 @@ class ToyEnhancer:
             rng, w1, w1, adr_dims if self.adr_blocks[1] else None, dyn_candidates
         )
         self.head = Conv2dLayer(rng, w1, 3, 3)
+        # (path, stage) for every stage carrying channel attention, in forward
+        # order: the one place these parameter paths are spelled out
+        self.stages = (
+            ("latent.attn", self.latent),
+            ("decoder.block1", self.dec1),
+            ("decoder.block2", self.dec2),
+        )
         self.frozen = False
 
     def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
@@ -191,40 +198,39 @@ class ToyEnhancer:
         h, w = x.data.shape[1], x.data.shape[2]
         if h % 4 or w % 4:
             raise DimensionError(f"H and W must be divisible by 4, got {h}x{w}")
-        y = self.enc1.forward(x)
-        y = self.enc2.forward(y)
-        y = self.latent.forward(y, capture, "latent.attn")
-        y = self.dec1.forward(y, capture, "decoder.block1")
-        y = self.dec2.forward(y, capture, "decoder.block2")
+        y = self.enc2.forward(self.enc1.forward(x))
+        for path, stage in self.stages:
+            y = stage.forward(y, capture, path)
         return T.clamp01(self.head.forward(y))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = self.enc1.named_parameters("encoder.stage1")
         out += self.enc2.named_parameters("encoder.stage2")
-        out += self.latent.named_parameters("latent.attn")
-        out += self.dec1.named_parameters("decoder.block1")
-        out += self.dec2.named_parameters("decoder.block2")
+        for path, stage in self.stages:
+            out += stage.named_parameters(path)
         out += self.head.named_parameters("head")
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+    def reallocation_blocks(self) -> dict:
+        """Attached :class:`AdrBlock`s keyed by parameter path, in forward order."""
+        found = {}
+        for path, stage in self.stages:
+            if isinstance(stage, DecoderStage):
+                path, stage = f"{path}.attn", stage.attn
+            if stage.adr is not None:
+                found[f"{path}.adr"] = stage.adr
+        return found
 
     def freeze(self) -> None:
-        for stage in (self.latent, self.dec1.attn, self.dec2.attn):
-            if stage.adr is not None:
-                stage.adr.freeze()
+        for adr in self.reallocation_blocks().values():
+            adr.freeze()
         self.frozen = True
 
     def refresh_caches(self) -> None:
         """Re-derive any frozen-generator caches from current parameters."""
-        for stage in (self.latent, self.dec1.attn, self.dec2.attn):
-            if stage.adr is not None and stage.adr.frozen:
-                stage.adr.freeze()
-
-
-def forward(model: ToyEnhancer, x: Tensor, capture: dict | None = None) -> Tensor:
-    return model.forward(x, capture)
+        for adr in self.reallocation_blocks().values():
+            if adr.frozen:
+                adr.freeze()
 
 
 def collect_adr_inputs(model: ToyEnhancer, x: Tensor) -> dict:

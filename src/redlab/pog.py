@@ -96,7 +96,7 @@ class PogGenerator:
     consumes the rng in that order, so equal seeds rebuild equal generators.
 
     ``freeze()`` caches the normalized embeddings and stops gradients to
-    them; a frozen generator is immutable and safe to call concurrently.
+    them; a frozen generator is immutable.
     """
 
     def __init__(self, rng: Rng, d_c: int, d_e: int, target_shape: tuple):
@@ -120,11 +120,6 @@ class PogGenerator:
         self.target_shape = (c_in, c_out, d_k)
         self.frozen = False
         self._cached_norm = None
-
-    @property
-    def n_params(self) -> int:
-        c_in, c_out, d_k = self.target_shape
-        return c_in * c_out * d_k * d_k
 
     def parameters(self) -> list[Tensor]:
         return [self.embeddings] + self.weight_mlp.tensors() + self.decode_mlp.tensors()

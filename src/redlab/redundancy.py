@@ -8,16 +8,12 @@ over (selector, image) pairs is the redundancy metric; the fraction of
 images that actually *improve* under a reset is the POI.
 
 The probed model is never mutated: every reset operates on a deep copy.
-Per-image forwards may run on a small thread pool (REDLAB_THREADS, default
-1); reductions always happen in fixed index order regardless.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,24 +131,6 @@ def reset_layer(model, selector: LayerSelector, rng: Rng):
     return probe
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("REDLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"REDLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _forward_all(model, images: list) -> list:
-    """Per-image forwards, optionally threaded; results in input order."""
-    workers = _thread_count()
-    if workers == 1 or len(images) <= 1:
-        return [model.forward(x) for x in images]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(model.forward, images))
-
-
 def dmr(
     model,
     selectors: list,
@@ -172,12 +150,12 @@ def dmr(
         raise ContractError("dmr needs at least one image")
     if not getattr(model, "frozen", False):
         raise ContractError("dmr probes a frozen model; call freeze() first")
-    base = _forward_all(model, images)
+    base = [model.forward(x) for x in images]
     n, m = len(selectors), len(images)
     terms = np.empty((n, m))
     for i, sel in enumerate(selectors):
         probe = reset_layer(model, sel, Rng(child_seed(seed, i)))
-        outs = _forward_all(probe, images)
+        outs = [probe.forward(x) for x in images]
         for j in range(m):
             terms[i, j] = psnr(base[j], outs[j], i_max, cap)
     return DmrReport(
@@ -200,21 +178,8 @@ def poi(
     seed: int,
     i_max: float = 1.0,
 ) -> float:
-    """Fraction of images scoring strictly better after the reset."""
-    if len(low_images) != len(ref_images):
-        raise ContractError(
-            f"paired lists differ in length: {len(low_images)} vs {len(ref_images)}"
-        )
-    if not low_images:
-        raise ContractError("poi needs at least one image pair")
-    probe = reset_layer(model, selector, Rng(child_seed(seed, 0)))
-    wins = 0
-    for low, ref in zip(low_images, ref_images):
-        before = psnr(model.forward(low), ref, i_max)
-        after = psnr(probe.forward(low), ref, i_max)
-        if after > before:
-            wins += 1
-    return wins / len(low_images)
+    """Fraction of images scoring strictly better after the reset (child stream 0)."""
+    return probe_sweep(model, [selector], low_images, ref_images, [seed], i_max)[0].poi
 
 
 def probe_sweep(
@@ -230,13 +195,13 @@ def probe_sweep(
         raise ContractError("probe_sweep needs selectors and seeds")
     if len(low_images) != len(ref_images) or not low_images:
         raise ContractError("probe_sweep needs nonempty paired image lists")
-    base_out = _forward_all(model, low_images)
+    base_out = [model.forward(x) for x in low_images]
     before = [psnr(out, ref, i_max) for out, ref in zip(base_out, ref_images)]
     rows = []
     for seed in seeds:
         for i, sel in enumerate(selectors):
             probe = reset_layer(model, sel, Rng(child_seed(seed, i)))
-            outs = _forward_all(probe, low_images)
+            outs = [probe.forward(x) for x in low_images]
             after = [psnr(out, ref, i_max) for out, ref in zip(outs, ref_images)]
             wins = sum(1 for b, a in zip(before, after) if a > b)
             rows.append(

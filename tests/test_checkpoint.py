@@ -63,6 +63,29 @@ class TestTensorRoundTrip:
         assert tensors["s"][0] == 0.25
 
 
+class TestAtomicSave:
+    """A failed save leaves no file behind; a repeated save rewrites the same bytes."""
+
+    @pytest.mark.parametrize("blocked", ["ck.bin", "ck.json"])
+    def test_unreplaceable_target_leaves_no_file(self, tmp_path, blocked):
+        (tmp_path / blocked).mkdir()
+        with pytest.raises(OSError):
+            save_tensors(str(tmp_path / "ck"), arrays(12), {"kind": "test"})
+        assert os.listdir(tmp_path) == [blocked]
+
+    def test_unserializable_meta_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            save_tensors(str(tmp_path / "ck"), arrays(12), {"kind": object()})
+        assert os.listdir(tmp_path) == []
+
+    def test_save_over_existing_is_byte_identical(self, tmp_path):
+        save_tensors(str(tmp_path / "ck"), arrays(13), {"kind": "test"})
+        first = [(tmp_path / f).read_bytes() for f in ("ck.json", "ck.bin")]
+        save_tensors(str(tmp_path / "ck"), arrays(13), {"kind": "test"})
+        assert sorted(os.listdir(tmp_path)) == ["ck.bin", "ck.json"]
+        assert [(tmp_path / f).read_bytes() for f in ("ck.json", "ck.bin")] == first
+
+
 class TestManifestValidation:
     def write_valid(self, tmp_path):
         save_tensors(str(tmp_path / "ck"), arrays(3), {"kind": "test"})

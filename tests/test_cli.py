@@ -112,6 +112,27 @@ class TestTrain:
                     "--out", str(tmp_path / "model")])
         assert code == 3
 
+    def test_history_sits_beside_suffixed_checkpoint(self, tmp_path):
+        """--out m.bin.json saves m.bin.json/m.bin.bin and history m.bin.loss.csv."""
+        cfg = write_config(tmp_path, steps=2)
+        data = gen_corpus(tmp_path)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        train_ckpt(runs, data, cfg, "m.bin.json")
+        assert sorted(os.listdir(runs)) == ["m.bin.bin", "m.bin.json", "m.bin.loss.csv"]
+
+    def test_failed_save_exits_two_and_leaves_no_file(self, tmp_path, capsys):
+        """A blob path that is a directory fails the save before any file lands."""
+        cfg = write_config(tmp_path, steps=2)
+        data = gen_corpus(tmp_path)
+        runs = tmp_path / "runs"
+        (runs / "p.bin").mkdir(parents=True)
+        assert run(["train", "--config", cfg, "--data", data,
+                    "--out", str(runs / "p")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(runs) == ["p.bin"]
+        assert os.listdir(runs / "p.bin") == []
+
     def test_malformed_config_exits_two(self, tmp_path):
         data = gen_corpus(tmp_path)
         bad = tmp_path / "bad.json"
@@ -335,6 +356,19 @@ BAD_PROBE_INPUTS = [
     ("corpus_pair_without_record", "data/corpus.json",
      _rewrite_json(_edit(lambda doc: doc["meta"]["pairs"][1].pop("record"))),
      "corpus pair 1"),
+] + [
+    (f"model_meta_{case}", "model.json",
+     _rewrite_json(_edit(lambda doc, key=key, value=value: doc["meta"].update({key: value}))),
+     f"enhancer checkpoint meta: {key} must be")
+    for case, key, value in (
+        ("zero_width", "widths", [0, 16]),
+        ("one_width", "widths", [8]),
+        ("text_widths", "widths", "ab"),
+        ("one_adr_block", "adr_blocks", [True]),
+        ("two_adr_dims", "adr_dims", [4, 16]),
+        ("text_dyn_candidates", "dyn_candidates", "x"),
+        ("text_frozen", "frozen", "no"),
+    )
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from redlab import tensor as T
-from redlab.dynconv import DynamicConv, candidate_similarity, dyn_forward
+from redlab.dynconv import DynamicConv, candidate_similarity
 from redlab.errors import ConfigurationError, DegenerateCandidateError, DimensionError
 from redlab.pog import degradation_score
 from redlab.rng import Rng
@@ -16,7 +16,7 @@ class TestDynForward:
         """K=1 reduces exactly to a plain convolution with that candidate."""
         dc = DynamicConv(Rng(1), 2, 3, 3, k=1)
         x = Tensor(Rng(2).fill_uniform((2, 5, 5), 0.0, 1.0))
-        got = dyn_forward(dc, x).data
+        got = dc.forward(x).data
         want = T.conv2d(x, Tensor(dc.candidates.data[0])).data
         assert np.array_equal(got, want)
 
@@ -26,7 +26,7 @@ class TestDynForward:
         dc.att_mlp.w2.data[:] = 0.0
         dc.att_mlp.b2.data[:] = [0.0, 80.0, 0.0]
         x = Tensor(Rng(4).fill_uniform((2, 4, 4), 0.0, 1.0))
-        got = dyn_forward(dc, x).data
+        got = dc.forward(x).data
         want = T.conv2d(x, Tensor(dc.candidates.data[1])).data
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -35,7 +35,7 @@ class TestDynForward:
         for seed in range(5):
             dc = DynamicConv(Rng(seed), 3, 2, 3, k=3)
             x = Tensor(Rng(seed + 50).fill_uniform((3, 6, 6), 0.0, 1.0))
-            got = dyn_forward(dc, x).data
+            got = dc.forward(x).data
             pi = T.softmax(T.mlp2(T.global_avg_pool(x), dc.att_mlp)).data
             want = np.zeros_like(got)
             for j in range(3):
@@ -45,7 +45,7 @@ class TestDynForward:
     def test_wrong_channel_count_rejected(self):
         dc = DynamicConv(Rng(5), 2, 2, 3, k=2)
         with pytest.raises(DimensionError):
-            dyn_forward(dc, Tensor(np.zeros((3, 4, 4))))
+            dc.forward(Tensor(np.zeros((3, 4, 4))))
 
     def test_needs_at_least_one_candidate(self):
         with pytest.raises(ConfigurationError):
@@ -57,7 +57,7 @@ class TestDynForward:
         tgt = Tensor(Rng(8).fill_uniform((2, 4, 4), 0.0, 1.0))
 
         def f(_):
-            return T.mse(dyn_forward(dc, x), tgt)
+            return T.mse(dc.forward(x), tgt)
 
         err = T.finite_diff_check(f, dc.parameters(), sample=60, rng=Rng(9))
         assert err < 1e-4

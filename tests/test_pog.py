@@ -171,7 +171,7 @@ class TestGenerate:
         x = Tensor(Rng(2).fill_uniform((4, 6, 6), 0.0, 1.0))
         p = gen.generate(x)
         assert p.data.shape == (5, 3, 3, 3)
-        assert p.data.size == gen.n_params
+        assert p.data.size == 3 * 5 * 3 * 3
 
     def test_pipeline_matches_stepwise_composition(self):
         """generate equals hand-chaining its four published sub-steps."""

@@ -325,31 +325,6 @@ class TestProbeSweep:
                 assert rows[k].after == after
                 k += 1
 
-    def test_threaded_run_is_bit_identical(self, monkeypatch):
-        """REDLAB_THREADS > 1 changes nothing about the results."""
-        model, pairs = trained_model()
-        lows = [p.low for p in pairs]
-        refs = [p.clean for p in pairs]
-        sels = default_selectors(model)[:2]
-        base = probe_sweep(model, sels, lows, refs, [3])
-        monkeypatch.setenv("REDLAB_THREADS", "4")
-        threaded = probe_sweep(model, sels, lows, refs, [3])
-        for a, b in zip(base, threaded):
-            assert a.after == b.after
-            assert a.delta_psnr_mean == b.delta_psnr_mean
-
-    def test_invalid_thread_count_rejected(self, monkeypatch):
-        model = DeadBufferModel()
-        monkeypatch.setenv("REDLAB_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            probe_sweep(
-                model,
-                [LayerSelector("dead.buffer", "static")],
-                images(25, 2),
-                images(26, 2),
-                [0],
-            )
-
     def test_mean_delta_by_kind_averages_per_tag(self):
         model, pairs = trained_model()
         lows = [p.low for p in pairs[:2]]
