@@ -29,10 +29,6 @@ _MODEL_META_KEYS = frozenset(
 )
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
 def base_path(path: str) -> str:
     """The checkpoint base name, with any ``.json``/``.bin`` suffix removed."""
     for suffix in (".json", ".bin"):
@@ -130,23 +126,22 @@ def load_tensors(path: str) -> tuple:
             raise ContractError(
                 f"manifest entry {entry!r} needs {', '.join(sorted(_ENTRY_KEYS))}"
             )
-        if not (
-            isinstance(entry["name"], str)
-            and all(_is_count(v) for v in (entry["offset"], entry["length"]))
-            and isinstance(entry["shape"], list)
-            and all(_is_count(v) for v in entry["shape"])
-        ):
+        if not isinstance(entry["name"], str) or not isinstance(entry["shape"], list):
             raise ContractError(f"malformed manifest entry {entry!r}")
+        try:
+            offset = check_int(entry["offset"], 0, "offset")
+            length = check_int(entry["length"], 0, "length")
+            shape = tuple(check_int(v, 0, "shape") for v in entry["shape"])
+        except ConfigurationError as exc:
+            raise ContractError(f"malformed manifest entry {entry!r}: {exc}") from None
         if entry["dtype"] != "f64":
             raise ContractError(f"unsupported dtype {entry['dtype']!r}")
-        offset, length = entry["offset"], entry["length"]
         if offset != expected:
             raise ContractError(
                 f"manifest offsets must be contiguous; {entry['name']} at {offset}, "
                 f"expected {expected}"
             )
         expected = offset + length
-        shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         if length != count * 8:
             raise ContractError(f"length mismatch for tensor {entry['name']!r}")

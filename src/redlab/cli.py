@@ -14,9 +14,12 @@ divergence, gradient check above tolerance).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import itertools
 import json
+import os
 import sys
 
 from . import tensor as T
@@ -87,13 +90,22 @@ def _cmd_train(args) -> int:
     model = build_model(cfg)
     state = train(model, pairs, steps=cfg.steps, seed=cfg.seed, lr=cfg.lr)
     model.freeze()
-    save_model(model, args.out)
+    history = io.StringIO()
+    writer = csv.writer(history)
+    writer.writerow(["step", "loss"])
+    for i, value in enumerate(state.loss_history):
+        writer.writerow([i, repr(value)])
+    created = list(save_model(model, args.out))
     loss_path = base_path(args.out) + ".loss.csv"
-    with open(loss_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for i, value in enumerate(state.loss_history):
-            writer.writerow([i, repr(value)])
+    try:
+        with open(loss_path, "w", newline="") as fh:
+            created.append(loss_path)
+            fh.write(history.getvalue())
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     print(
         f"trained {cfg.steps} steps: loss {state.loss_history[0]:.6f} -> "
         f"{state.loss_history[-1]:.6f}; checkpoint {args.out}, history {loss_path}"

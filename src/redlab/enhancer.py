@@ -46,7 +46,7 @@ class Conv2dLayer:
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
         self.c_out = c_out
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, capture: dict | None = None, path: str = "") -> Tensor:
         return T.add(T.conv2d(x, self.kernel), T.reshape(self.bias, (self.c_out, 1, 1)))
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
@@ -116,7 +116,7 @@ class EncoderStage:
     def __init__(self, rng: Rng, c_in: int, c_out: int):
         self.conv = Conv2dLayer(rng, c_in, c_out, 3)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, capture: dict | None = None, path: str = "") -> Tensor:
         return T.downsample2x_mean(T.relu(self.conv.forward(x)))
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
@@ -183,32 +183,53 @@ class ToyEnhancer:
             rng, w1, w1, adr_dims if self.adr_blocks[1] else None, dyn_candidates
         )
         self.head = Conv2dLayer(rng, w1, 3, 3)
-        # (path, stage) for every stage carrying channel attention, in forward
-        # order: the one place these parameter paths are spelled out
+        # (path, stage) for every stage, in forward order: the one place these
+        # parameter paths are spelled out.  Each stage maps its input alone
+        # (plus the optional capture) to the next stage's input.
         self.stages = (
+            ("encoder.stage1", self.enc1),
+            ("encoder.stage2", self.enc2),
             ("latent.attn", self.latent),
             ("decoder.block1", self.dec1),
             ("decoder.block2", self.dec2),
+            ("head", self.head),
         )
         self.frozen = False
 
-    def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
+    def forward(
+        self, x: Tensor, capture: dict | None = None, stage_inputs: list | None = None
+    ) -> Tensor:
+        """The enhanced image; ``stage_inputs``, if given, receives each stage's input."""
         if x.data.ndim != 3 or x.data.shape[0] != 3:
             raise DimensionError(f"expected [3, H, W] input, got {x.data.shape}")
         h, w = x.data.shape[1], x.data.shape[2]
         if h % 4 or w % 4:
             raise DimensionError(f"H and W must be divisible by 4, got {h}x{w}")
-        y = self.enc2.forward(self.enc1.forward(x))
-        for path, stage in self.stages:
+        return self.resume(x, 0, capture, stage_inputs)
+
+    def resume(
+        self,
+        y: Tensor,
+        start: int,
+        capture: dict | None = None,
+        stage_inputs: list | None = None,
+    ) -> Tensor:
+        """The forward from ``stages[start]`` on, given that stage's input ``y``.
+
+        ``resume(stage_inputs[k], k)``, with the list a forward recorded,
+        equals that forward's output as long as no parameter of the stages
+        before ``k`` changed in between.
+        """
+        for path, stage in self.stages[start:]:
+            if stage_inputs is not None:
+                stage_inputs.append(y)
             y = stage.forward(y, capture, path)
-        return T.clamp01(self.head.forward(y))
+        return T.clamp01(y)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = self.enc1.named_parameters("encoder.stage1")
-        out += self.enc2.named_parameters("encoder.stage2")
+        out = []
         for path, stage in self.stages:
             out += stage.named_parameters(path)
-        out += self.head.named_parameters("head")
         return out
 
     def reallocation_blocks(self) -> dict:
@@ -217,7 +238,7 @@ class ToyEnhancer:
         for path, stage in self.stages:
             if isinstance(stage, DecoderStage):
                 path, stage = f"{path}.attn", stage.attn
-            if stage.adr is not None:
+            if getattr(stage, "adr", None) is not None:
                 found[f"{path}.adr"] = stage.adr
         return found
 

@@ -133,6 +133,18 @@ class TestTrain:
         assert os.listdir(runs) == ["p.bin"]
         assert os.listdir(runs / "p.bin") == []
 
+    def test_unwritable_history_exits_two_and_leaves_no_file(self, tmp_path, capsys):
+        """A history path that is a directory fails after the save; the checkpoint goes."""
+        cfg = write_config(tmp_path, steps=2)
+        data = gen_corpus(tmp_path)
+        runs = tmp_path / "runs"
+        (runs / "p.loss.csv").mkdir(parents=True)
+        assert run(["train", "--config", cfg, "--data", data,
+                    "--out", str(runs / "p")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(runs) == ["p.loss.csv"]
+        assert os.listdir(runs / "p.loss.csv") == []
+
     def test_malformed_config_exits_two(self, tmp_path):
         data = gen_corpus(tmp_path)
         bad = tmp_path / "bad.json"

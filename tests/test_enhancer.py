@@ -178,6 +178,41 @@ class TestForward:
         assert taps["decoder.block2.attn.adr"].data.shape == (24, 16, 16)
 
 
+class TestStages:
+    def test_table_lists_every_stage_in_forward_order(self):
+        model = ToyEnhancer(Rng(24), adr_blocks=(True, True))
+        assert [path for path, _ in model.stages] == [
+            "encoder.stage1",
+            "encoder.stage2",
+            "latent.attn",
+            "decoder.block1",
+            "decoder.block2",
+            "head",
+        ]
+
+    def test_resume_from_every_stage_equals_forward(self):
+        """Stage k resumed on the input a forward recorded for it gives that output."""
+        model = ToyEnhancer(Rng(25), adr_blocks=(True, True))
+        model.freeze()
+        x = fresh_input(26, 16, 16)
+        recorded = []
+        want = model.forward(x, stage_inputs=recorded).data
+        assert len(recorded) == len(model.stages)
+        assert recorded[0] is x
+        for k in range(len(model.stages)):
+            assert np.array_equal(model.resume(recorded[k], k).data, want)
+
+    def test_training_step_tape_length(self):
+        """The benchmark's 32x32 ADR model records 263 tape entries per step."""
+        model = ToyEnhancer(Rng(27), widths=(8, 16), adr_blocks=(True, True),
+                            adr_dims=(4, 16, 3))
+        pair = make_corpus(28, 1, 32, 32)[0]
+        tape = T.Tape()
+        with tape:
+            T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
+        assert len(tape) == 263
+
+
 class TestTraining:
     def test_zero_learning_rate_changes_nothing(self):
         """lr = 0 leaves every parameter bit-identical."""

@@ -337,6 +337,76 @@ class TestProbeSweep:
             assert table[kind] == sum(vals) / len(vals)
 
 
+# first stage of the forward that owns parameters under each path prefix
+STAGE_OF_PREFIX = {
+    "encoder.stage1": 0,
+    "encoder.stage2": 1,
+    "latent": 2,
+    "decoder": 3,
+    "decoder.block1": 3,
+    "decoder.block2": 4,
+    "head": 5,
+}
+
+
+def expected_stage(path):
+    return max(
+        (len(prefix), k)
+        for prefix, k in STAGE_OF_PREFIX.items()
+        if path == prefix or path.startswith(prefix + ".")
+    )[1]
+
+
+class TestResume:
+    """Reset forwards resume at the first stage the reset touches, exactly."""
+
+    @pytest.fixture
+    def resume_starts(self, monkeypatch):
+        """Start stages of every resumed (not recording) ToyEnhancer forward."""
+        starts = []
+        resume = ToyEnhancer.resume
+
+        def spy(self, y, start, capture=None, stage_inputs=None):
+            if stage_inputs is None:
+                starts.append(start)
+            return resume(self, y, start, capture, stage_inputs)
+
+        monkeypatch.setattr(ToyEnhancer, "resume", spy)
+        yield starts
+        monkeypatch.undo()
+
+    def check_against_direct_resets(self, model, sels, starts):
+        lows, refs = images(111, 2), images(112, 2)
+        starts.clear()
+        report = dmr(model, sels, lows, 7)
+        rows = probe_sweep(model, sels, lows, refs, [8])
+        assert starts == [expected_stage(sel.path) for sel in sels for _ in lows] * 2
+        for i, sel in enumerate(sels):
+            reset_for_dmr = reset_layer(model, sel, Rng(child_seed(7, i)))
+            reset_for_probe = reset_layer(model, sel, Rng(child_seed(8, i)))
+            for j, x in enumerate(lows):
+                want = psnr(model.forward(x), reset_for_dmr.forward(x), 1.0)
+                assert report.terms[i, j] == want
+                assert rows[i].after[j] == psnr(reset_for_probe.forward(x), refs[j], 1.0)
+
+    @pytest.mark.parametrize("dyn_candidates", [0, 3], ids=["adr", "adr_dynconv"])
+    def test_every_default_selector_matches_a_direct_reset(self, dyn_candidates,
+                                                           resume_starts):
+        """Edge stages included: encoder.stage1.conv (stage 0) and head (the last)."""
+        model = ToyEnhancer(Rng(110), adr_blocks=(True, True), dyn_candidates=dyn_candidates)
+        train(model, make_corpus(113, 2, 8, 8), steps=10, seed=114)
+        model.freeze()
+        sels = default_selectors(model)
+        assert {sel.path for sel in sels} >= {"encoder.stage1.conv", "head"}
+        self.check_against_direct_resets(model, sels, resume_starts)
+
+    def test_selector_spanning_two_stages_resumes_at_the_first(self, resume_starts):
+        model, _ = trained_model(adr=True)
+        sel = LayerSelector("decoder", "static")
+        assert expected_stage(sel.path) == 3
+        self.check_against_direct_resets(model, [sel], resume_starts)
+
+
 class TestSelectors:
     def test_plain_model_groups(self):
         """No dynamic groups on the plain network; attention tagged as such."""
