@@ -44,9 +44,6 @@ class AdrBlock:
         self.gen1 = PogGenerator(rng, d_c, d_e, (d_c, d_m, d_k))
         self.gen2 = PogGenerator(rng, d_c, d_e, (d_m, d_c, d_k))
 
-    def parameters(self) -> list[Tensor]:
-        return self.gen1.parameters() + self.gen2.parameters()
-
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         dot = f"{prefix}." if prefix else ""
         return self.gen1.named_parameters(f"{dot}gen1") + self.gen2.named_parameters(

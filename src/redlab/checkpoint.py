@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import check_bool, check_int, check_list
 from .errors import ConfigurationError, ContractError
-from .rng import Rng
 
 FORMAT_VERSION = 1
 _ENTRY_KEYS = frozenset({"name", "shape", "dtype", "offset", "length"})
@@ -94,8 +93,12 @@ def save_tensors(path: str, named: list, meta: dict) -> tuple:
     return manifest_path, blob_path
 
 
-def load_tensors(path: str) -> tuple:
-    """Read back (ordered {name: array}, meta); validates the manifest."""
+def _read(path: str) -> tuple:
+    """(entries, blob, meta) of a checkpoint, with the manifest validated.
+
+    Each entry is (name, shape, offset, count): ``count`` float64 values at
+    byte ``offset`` of the blob.
+    """
     base = base_path(path)
     manifest_path, blob_path = base + ".json", base + ".bin"
     if not os.path.exists(manifest_path) or not os.path.exists(blob_path):
@@ -119,7 +122,7 @@ def load_tensors(path: str) -> tuple:
         raise ContractError(f"manifest {manifest_path!r} meta is not an object")
     with open(blob_path, "rb") as fh:
         blob = fh.read()
-    tensors = {}
+    out = []
     expected = 0
     for entry in entries:
         if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
@@ -147,10 +150,19 @@ def load_tensors(path: str) -> tuple:
             raise ContractError(f"length mismatch for tensor {entry['name']!r}")
         if offset + length > len(blob):
             raise ContractError("blob is shorter than the manifest requires")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        tensors[entry["name"]] = arr.astype(np.float64).reshape(shape)
+        out.append((entry["name"], shape, offset, count))
     if expected != len(blob):
         raise ContractError("blob is longer than the manifest describes")
+    return out, blob, meta
+
+
+def load_tensors(path: str) -> tuple:
+    """Read back (ordered {name: array}, meta); validates the manifest."""
+    entries, blob, meta = _read(path)
+    tensors = {}
+    for name, shape, offset, count in entries:
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        tensors[name] = arr.astype(np.float64).reshape(shape)
     return tensors, meta
 
 
@@ -168,11 +180,28 @@ def save_model(model, path: str) -> tuple:
     return save_tensors(path, named, meta)
 
 
+class _Unfilled:
+    """Stands in for the Rng when a model is built only to be filled from a blob.
+
+    Every fill is ones: the load overwrites them, and their rows pass the
+    embedding normalisation's degenerate-row check.
+    """
+
+    @staticmethod
+    def fill_uniform(shape, low: float, high: float) -> np.ndarray:
+        return np.ones(shape)
+
+
 def load_model(model_path: str):
-    """Reconstruct a ToyEnhancer bit-exactly from its checkpoint."""
+    """Reconstruct a ToyEnhancer bit-exactly from its checkpoint.
+
+    The model is built from the metadata without drawing random numbers, and
+    the blob, which lists the parameters in ``named_parameters`` order, is
+    copied into its arena in one piece.  Non-finite parameters are rejected.
+    """
     from .enhancer import ToyEnhancer
 
-    tensors, meta = load_tensors(model_path)
+    entries, blob, meta = _read(model_path)
     if meta.get("kind") != "toy_enhancer":
         raise ContractError(f"not an enhancer checkpoint: kind={meta.get('kind')!r}")
     missing = _MODEL_META_KEYS - meta.keys()
@@ -193,23 +222,27 @@ def load_model(model_path: str):
     except ConfigurationError as exc:
         raise ContractError(f"enhancer checkpoint meta: {exc}") from None
     model = ToyEnhancer(
-        Rng(0),
+        _Unfilled(),
         widths=tuple(widths),
         adr_blocks=tuple(adr_blocks),
         adr_dims=tuple(adr_dims),
         dyn_candidates=meta["dyn_candidates"],
     )
-    named = dict(model.named_parameters())
-    if set(named) != set(tensors):
-        missing = set(named) ^ set(tensors)
-        raise ContractError(f"checkpoint/model parameter mismatch: {sorted(missing)}")
-    for name, arr in tensors.items():
-        t = named[name]
-        if t.data.shape != arr.shape:
-            raise ContractError(
-                f"shape mismatch for {name}: {t.data.shape} vs {arr.shape}"
-            )
-        t.data[...] = arr
+    named = model.named_parameters()
+    names = [name for name, _ in named]
+    listed = [name for name, *_ in entries]
+    if listed != names:
+        differ = set(listed) ^ set(names)
+        if differ:
+            raise ContractError(f"checkpoint/model parameter mismatch: {sorted(differ)}")
+        raise ContractError("checkpoint does not list the model's parameters once each, in order")
+    for (name, t), (_, shape, _, _) in zip(named, entries):
+        if t.data.shape != shape:
+            raise ContractError(f"shape mismatch for {name}: {t.data.shape} vs {shape}")
+    model.arena[...] = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(model.arena).all():
+        name = next(name for name, t in named if not np.isfinite(t.data).all())
+        raise ContractError(f"checkpoint tensor {name} holds non-finite values")
     if meta["frozen"]:
         model.freeze()
     return model

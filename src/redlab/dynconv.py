@@ -36,9 +36,6 @@ class DynamicConv:
         self.c_out = c_out
         self.d_k = d_k
 
-    def parameters(self) -> list[Tensor]:
-        return [self.candidates] + self.att_mlp.tensors()
-
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         dot = f"{prefix}." if prefix else ""
         out = [(f"{dot}candidates", self.candidates)]

@@ -17,6 +17,8 @@ schedule, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +153,17 @@ class DecoderStage:
         return out
 
 
+def _carve(flat: np.ndarray, shapes: list) -> list:
+    """Views of ``flat`` with the given shapes, laid end to end from offset 0."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 class ToyEnhancer:
     """3xHxW -> 3xHxW enhancer; H and W must be divisible by 4.
 
@@ -158,6 +171,11 @@ class ToyEnhancer:
     (and ``dyn_candidates`` 0) the network holds no dynamic parameters.
     Construction consumes the rng in fixed stage order, so a seed pins every
     initial weight.
+
+    Every parameter's ``data`` is a view into ``arena``, one contiguous
+    float64 buffer laid out in ``named_parameters`` order, which is also the
+    order of a checkpoint's blob.  Write parameters in place; a copy of the
+    model copies the arena once and gives its tensors views of the copy.
     """
 
     def __init__(
@@ -195,6 +213,24 @@ class ToyEnhancer:
             ("head", self.head),
         )
         self.frozen = False
+        named = self.named_parameters()
+        self.arena = np.concatenate([t.data.reshape(-1) for _, t in named])
+        for (_, t), view in zip(named, _carve(self.arena, [t.data.shape for _, t in named])):
+            t.data = view
+
+    def __deepcopy__(self, memo):
+        arena = self.arena.copy()
+        memo[id(self.arena)] = arena
+        named = self.named_parameters()
+        for (_, t), view in zip(named, _carve(arena, [t.data.shape for _, t in named])):
+            twin = Tensor(view, requires_grad=t.requires_grad)
+            if t.grad is not None:
+                twin.grad = t.grad.copy()
+            memo[id(t)] = twin
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        return clone
 
     def forward(
         self, x: Tensor, capture: dict | None = None, stage_inputs: list | None = None
@@ -294,10 +330,18 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     if not pairs:
         raise ContractError("training needs at least one pair")
     named = model.named_parameters()
+    shapes = [t.data.shape for _, t in named]
+    arena = model.arena
+    for name, p in named:
+        if p.data.base is not arena:
+            raise ContractError(f"parameter {name} is not a view of the model's arena")
+    # Flat Adam buffers beside the arena; m and v are exposed per name as views.
+    m, v, g = np.zeros_like(arena), np.zeros_like(arena), np.empty_like(arena)
+    a, b = np.empty_like(arena), np.empty_like(arena)
     state = TrainState(
         params=named,
-        m={name: np.zeros_like(t.data) for name, t in named},
-        v={name: np.zeros_like(t.data) for name, t in named},
+        m={name: view for (name, _), view in zip(named, _carve(m, shapes))},
+        v={name: view for (name, _), view in zip(named, _carve(v, shapes))},
         step=0,
         rng=Rng(child_seed(seed, 0)),
     )
@@ -316,14 +360,30 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
         if not np.isfinite(value):
             raise DivergenceError(step)
         T.backward(tape, loss)
+        np.concatenate(
+            [(p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
+             for _, p in named],
+            out=g,
+        )
+        # Per element, in the order of the per-tensor form
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        #   p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+        # with out= temporaries, so the result is bit-identical to it.
         t = step + 1
-        for name, p in named:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            state.m[name] = _ADAM_B1 * state.m[name] + (1.0 - _ADAM_B1) * g
-            state.v[name] = _ADAM_B2 * state.v[name] + (1.0 - _ADAM_B2) * (g * g)
-            m_hat = state.m[name] / (1.0 - _ADAM_B1 ** t)
-            v_hat = state.v[name] / (1.0 - _ADAM_B2 ** t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        np.multiply(m, _ADAM_B1, out=m)
+        np.multiply(g, 1.0 - _ADAM_B1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - _ADAM_B2, out=a)
+        np.multiply(v, _ADAM_B2, out=v)
+        np.add(v, a, out=v)
+        np.divide(v, 1.0 - _ADAM_B2 ** t, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, _ADAM_EPS, out=a)
+        np.divide(m, 1.0 - _ADAM_B1 ** t, out=b)
+        np.multiply(b, lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(arena, b, out=arena)
         state.step = t
         state.loss_history.append(value)
     return state

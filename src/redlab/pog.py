@@ -121,9 +121,6 @@ class PogGenerator:
         self.frozen = False
         self._cached_norm = None
 
-    def parameters(self) -> list[Tensor]:
-        return [self.embeddings] + self.weight_mlp.tensors() + self.decode_mlp.tensors()
-
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         dot = f"{prefix}." if prefix else ""
         out = [(f"{dot}embeddings", self.embeddings)]

@@ -194,7 +194,8 @@ class TestAcceptance:
         def loss_pog(_):
             return T.mse(generate(gen, f_in), target)
 
-        err_pog = finite_diff_check(loss_pog, gen.parameters(), sample=60, rng=Rng(4))
+        err_pog = finite_diff_check(loss_pog, [t for _, t in gen.named_parameters()],
+                                    sample=60, rng=Rng(4))
 
         block = AdrBlock(Rng(5), 3, 1, 3, 1)
         r = Rng(6)
@@ -209,7 +210,8 @@ class TestAcceptance:
             qs, ks, vs = reallocate(block, q, k, v)
             return T.add(T.add(T.mse(qs, tq), T.mse(ks, tk)), T.mse(vs, tv))
 
-        err_adr = finite_diff_check(loss_adr, block.parameters(), sample=60, rng=Rng(7))
+        err_adr = finite_diff_check(loss_adr, [t for _, t in block.named_parameters()],
+                                    sample=60, rng=Rng(7))
 
         # full model at 8x8: a short warm-up moves the head's outputs off the
         # clamp boundary, and eps 1e-4 keeps roundoff below the tiny-gradient

@@ -105,7 +105,7 @@ class TestGradients:
         tq = Tensor(rng.fill_uniform((1, 3, 3), 0.0, 1.0))
         tk = Tensor(rng.fill_uniform((1, 3, 3), 0.0, 1.0))
         tv = Tensor(rng.fill_uniform((1, 3, 3), 0.0, 1.0))
-        params = block.parameters()
+        params = [t for _, t in block.named_parameters()]
 
         def f(_):
             qs, ks, vs = reallocate(block, q, k, v)

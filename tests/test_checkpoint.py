@@ -14,6 +14,16 @@ from redlab.errors import ContractError
 from redlab.rng import Rng
 
 
+def poison(base, tensor, value):
+    """Overwrite the first value of `tensor` in the blob of checkpoint `base`."""
+    doc = json.loads((base.parent / (base.name + ".json")).read_text())
+    offset = next(e["offset"] for e in doc["tensors"] if e["name"] == tensor)
+    blob_path = base.parent / (base.name + ".bin")
+    blob = bytearray(blob_path.read_bytes())
+    blob[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
+    blob_path.write_bytes(bytes(blob))
+
+
 def arrays(seed):
     rng = Rng(seed)
     return [
@@ -177,6 +187,47 @@ class TestModelCheckpoints:
         save_model(back, str(tmp_path / "b"))
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        """The model is rebuilt from its meta alone; the blob supplies every value."""
+        model = ToyEnhancer(Rng(12), adr_blocks=(True, True), dyn_candidates=2)
+        save_model(model, str(tmp_path / "model"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(Rng, "fill_uniform", refuse)
+        monkeypatch.setattr(Rng, "fill_normal", refuse)
+        back = load_model(str(tmp_path / "model"))
+        assert back.arena.tobytes() == model.arena.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tensor", ["encoder.stage1.conv.kernel", "latent.attn.tau",
+                                        "decoder.block1.attn.adr.gen2.embeddings",
+                                        "head.bias"])
+    def test_non_finite_parameter_rejected(self, tmp_path, tensor, value):
+        save_model(ToyEnhancer(Rng(13), adr_blocks=(True, False)), str(tmp_path / "model"))
+        poison(tmp_path / "model", tensor, value)
+        with pytest.raises(ContractError, match=f"checkpoint tensor {tensor} holds non-finite"):
+            load_model(str(tmp_path / "model"))
+
+    def test_first_non_finite_tensor_named(self, tmp_path):
+        save_model(ToyEnhancer(Rng(14)), str(tmp_path / "model"))
+        poison(tmp_path / "model", "head.kernel", np.nan)
+        poison(tmp_path / "model", "encoder.stage2.conv.bias", np.inf)
+        with pytest.raises(ContractError, match="encoder.stage2.conv.bias"):
+            load_model(str(tmp_path / "model"))
+
+    def test_parameters_out_of_order_rejected(self, tmp_path):
+        """The blob is the arena's bytes, so the manifest must list the
+        parameters in the model's order."""
+        save_model(ToyEnhancer(Rng(15)), str(tmp_path / "model"))
+        doc = json.loads((tmp_path / "model.json").read_text())
+        first, second = doc["tensors"][0], doc["tensors"][1]
+        first["name"], second["name"] = second["name"], first["name"]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="in order"):
+            load_model(str(tmp_path / "model"))
 
     def test_wrong_kind_rejected(self, tmp_path):
         save_tensors(str(tmp_path / "ck"), arrays(10), {"kind": "corpus"})

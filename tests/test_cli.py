@@ -2,6 +2,7 @@
 and failure modes that leave no partial files."""
 
 import csv
+import errno
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from redlab.checkpoint import load_model, save_model
+from redlab import cli
 from redlab.cli import run
 from redlab.datagen import load_pairs, make_corpus, save_pairs
 from redlab.redundancy import (
@@ -144,6 +146,42 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert os.listdir(runs) == ["p.loss.csv"]
         assert os.listdir(runs / "p.loss.csv") == []
+
+    def test_failed_history_write_exits_two_and_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The history opens, then its write fails part-way: nothing is left."""
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, text):
+                self.fh.write(text[:8])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_history_on_full_disk(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return FullDisk(fh) if str(path).endswith(".loss.csv") else fh
+
+        cfg = write_config(tmp_path, steps=2)
+        data = gen_corpus(tmp_path)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        monkeypatch.setattr(cli, "open", open_history_on_full_disk, raising=False)
+        assert run(["train", "--config", cfg, "--data", data,
+                    "--out", str(runs / "p")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(runs) == []
 
     def test_malformed_config_exits_two(self, tmp_path):
         data = gen_corpus(tmp_path)
@@ -338,6 +376,17 @@ def _edit(change):
     return edited
 
 
+def _poison_blob(tensor, value):
+    """Corrupt model.bin: the first value of `tensor` becomes `value`."""
+    def corrupt(path):
+        doc = json.loads(path.with_suffix(".json").read_text())
+        offset = next(e["offset"] for e in doc["tensors"] if e["name"] == tensor)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+    return corrupt
+
+
 # (case, file under the probe inputs, corruption, expected error text)
 BAD_PROBE_INPUTS = [
     ("truncated_manifest", "model.json",
@@ -363,6 +412,10 @@ BAD_PROBE_INPUTS = [
     ("model_meta_without_widths", "model.json",
      _rewrite_json(_edit(lambda doc: doc["meta"].pop("widths"))),
      "meta lacks ['widths']"),
+    ("model_nan_bias", "model.bin", _poison_blob("head.bias", np.nan),
+     "checkpoint tensor head.bias holds non-finite values"),
+    ("model_nan_kernel", "model.bin", _poison_blob("encoder.stage1.conv.kernel", np.nan),
+     "checkpoint tensor encoder.stage1.conv.kernel holds non-finite values"),
     ("corpus_without_pairs", "data/corpus.json",
      _rewrite_json(_edit(lambda doc: doc["meta"].pop("pairs"))), "no 'pairs' list"),
     ("corpus_pair_without_record", "data/corpus.json",

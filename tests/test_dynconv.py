@@ -59,7 +59,7 @@ class TestDynForward:
         def f(_):
             return T.mse(dc.forward(x), tgt)
 
-        err = T.finite_diff_check(f, dc.parameters(), sample=60, rng=Rng(9))
+        err = T.finite_diff_check(f, [t for _, t in dc.named_parameters()], sample=60, rng=Rng(9))
         assert err < 1e-4
 
 

@@ -1,10 +1,14 @@
 """U-shaped enhancer: attention oracle, reallocation identity embedding,
-training behavior, evaluation, and shape contracts."""
+training behavior, the parameter arena, evaluation, and shape contracts."""
+
+import copy
+import hashlib
 
 import numpy as np
 import pytest
 
 from redlab import tensor as T
+from redlab.checkpoint import load_model, save_model
 from redlab.datagen import make_corpus
 from redlab.enhancer import (
     ChannelAttentionBlock,
@@ -14,8 +18,8 @@ from redlab.enhancer import (
     train,
 )
 from redlab.errors import ContractError, DimensionError, DivergenceError
-from redlab.redundancy import psnr
-from redlab.rng import Rng
+from redlab.redundancy import LayerSelector, psnr, reset_layer
+from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
 
 
@@ -285,6 +289,132 @@ class TestTraining:
         low, ref = fresh_input(46), fresh_input(47)
         state = train(model, [(low, ref)], steps=3, seed=48)
         assert len(state.loss_history) == 3
+
+
+def assert_on_arena(model):
+    """Every parameter is a view of model.arena, laid out in named order."""
+    arena = model.arena
+    assert arena.dtype == np.float64 and arena.ndim == 1 and arena.flags.c_contiguous
+    start = arena.__array_interface__["data"][0]
+    offset = 0
+    for name, t in model.named_parameters():
+        assert t.data.base is arena, name
+        assert t.data.__array_interface__["data"][0] == start + 8 * offset, name
+        offset += t.data.size
+    assert offset == arena.size
+
+
+def reference_adam(model, pairs, steps, seed, lr=1e-3):
+    """The per-tensor Adam loop that train's flat update must equal bit for bit."""
+    named = model.named_parameters()
+    m = {name: np.zeros_like(t.data) for name, t in named}
+    v = {name: np.zeros_like(t.data) for name, t in named}
+    rng = Rng(child_seed(seed, 0))
+    order, history = [], []
+    for step in range(steps):
+        if not order:
+            order = list(range(len(pairs)))
+            rng.shuffle(order)
+        pair = pairs[order.pop(0)]
+        for _, p in named:
+            p.grad = None
+        tape = T.Tape()
+        with tape:
+            loss = T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
+        history.append(loss.item())
+        T.backward(tape, loss)
+        t = step + 1
+        for name, p in named:
+            g = p.grad
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+            m_hat = m[name] / (1.0 - 0.9 ** t)
+            v_hat = v[name] / (1.0 - 0.999 ** t)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return history, m, v
+
+
+ARENA_MODELS = {
+    "plain": {},
+    "adr": {"adr_blocks": (True, True)},
+    "adr_dynconv": {"adr_blocks": (True, False), "dyn_candidates": 3},
+}
+
+
+class TestArena:
+    @pytest.mark.parametrize("kw", ARENA_MODELS.values(), ids=ARENA_MODELS.keys())
+    def test_construction_binds_every_parameter(self, kw):
+        assert_on_arena(ToyEnhancer(Rng(60), **kw))
+
+    def test_seeded_values_unchanged(self):
+        """The arena of a seeded ADR + dynconv model holds the values the
+        per-tensor construction drew before the arena existed."""
+        model = ToyEnhancer(Rng(0), adr_blocks=(True, True), dyn_candidates=3)
+        digest = hashlib.sha256(model.arena.astype("<f8").tobytes()).hexdigest()
+        assert model.arena.size == 69336
+        assert digest == "fb70c8339fe19a2266d6ca63e9e180c2638ba4a5eb2fd622e1a10bc7e10af123"
+
+    @pytest.mark.parametrize("kw", ARENA_MODELS.values(), ids=ARENA_MODELS.keys())
+    def test_deepcopy_copies_the_arena_once(self, kw):
+        model = ToyEnhancer(Rng(61), **kw)
+        train(model, make_corpus(62, 1, 8, 8), steps=2, seed=63)
+        model.freeze()
+        twin = copy.deepcopy(model)
+        assert_on_arena(twin)
+        assert not np.shares_memory(twin.arena, model.arena)
+        assert twin.arena.tobytes() == model.arena.tobytes()
+        for (name, a), (_, b) in zip(model.named_parameters(), twin.named_parameters()):
+            assert a is not b and a.node_id != b.node_id, name
+            assert np.array_equal(a.grad, b.grad) and not np.shares_memory(a.grad, b.grad)
+        x = fresh_input(64)
+        assert np.array_equal(twin.forward(x).data, model.forward(x).data)
+
+    def test_training_a_copy_leaves_the_original(self):
+        model = ToyEnhancer(Rng(65), adr_blocks=(True, True))
+        before = model.arena.tobytes()
+        twin = copy.deepcopy(model)
+        train(twin, make_corpus(66, 2, 8, 8), steps=3, seed=67)
+        assert_on_arena(twin)
+        assert twin.arena.tobytes() != before
+        assert model.arena.tobytes() == before
+        assert_on_arena(model)
+
+    @pytest.mark.parametrize("kw", ARENA_MODELS.values(), ids=ARENA_MODELS.keys())
+    def test_flat_adam_equals_the_per_tensor_loop(self, kw):
+        """Loss history, parameters and moments equal the per-tensor Adam."""
+        pairs = make_corpus(68, 3, 8, 8)
+        model, ref = ToyEnhancer(Rng(69), **kw), ToyEnhancer(Rng(69), **kw)
+        state = train(model, pairs, steps=12, seed=70)
+        history, m, v = reference_adam(ref, pairs, steps=12, seed=70)
+        assert state.loss_history == history
+        assert model.arena.tobytes() == ref.arena.tobytes()
+        assert_on_arena(model)
+        for name, _ in model.named_parameters():
+            assert state.m[name].tobytes() == m[name].tobytes(), name
+            assert state.v[name].tobytes() == v[name].tobytes(), name
+        for moments in (state.m, state.v):
+            assert len({id(view.base) for view in moments.values()}) == 1
+
+    def test_parameter_off_the_arena_rejected(self):
+        """A rebound parameter would be skipped by the flat update, so train refuses."""
+        model = ToyEnhancer(Rng(71))
+        model.head.bias.data = model.head.bias.data.copy()
+        with pytest.raises(ContractError, match="head.bias"):
+            train(model, make_corpus(72, 1, 8, 8), steps=1, seed=73)
+
+    def test_freeze_load_and_reset_keep_the_views(self, tmp_path):
+        model = ToyEnhancer(Rng(74), adr_blocks=(True, True), dyn_candidates=2)
+        model.freeze()
+        assert_on_arena(model)
+        save_model(model, str(tmp_path / "m"))
+        back = load_model(str(tmp_path / "m"))
+        assert_on_arena(back)
+        assert back.arena.tobytes() == model.arena.tobytes()
+        before = model.arena.tobytes()
+        probe = reset_layer(model, LayerSelector("decoder.block2.attn.adr", "dynamic"), Rng(75))
+        assert_on_arena(probe)
+        assert probe.arena.tobytes() != before
+        assert model.arena.tobytes() == before
 
 
 class TestGradientIntegrity:

@@ -191,7 +191,7 @@ class TestGenerate:
         gen = make_gen(13, d_c=3, d_e=4, target=(2, 2, 1))
         x = Tensor(Rng(14).fill_uniform((3, 4, 4), 0.1, 0.9))
         tgt = Tensor(Rng(15).fill_uniform((2, 2, 1, 1), -0.5, 0.5))
-        params = gen.parameters()
+        params = [t for _, t in gen.named_parameters()]
 
         def f(_):
             return T.mse(gen.generate(x), tgt)
