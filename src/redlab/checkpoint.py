@@ -6,13 +6,17 @@ byte offset, and byte length for each entry, plus free-form metadata.
 Nothing is compressed or framed, so round-trips are trivially byte-exact —
 the property the probing protocol's purity checks lean on.
 
-A checkpoint path is a base name: ``base.json`` and ``base.bin``.  A save
-either puts both files in place or, on failure, leaves neither.
+A checkpoint path is a base name: ``base.json`` and ``base.bin``.
+
+Every file redlab writes, checkpoint or report, is put in place by
+:func:`write_files`: a command writes all of its files or, on failure, none.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import json
 import os
 
@@ -36,8 +40,49 @@ def base_path(path: str) -> str:
     return path
 
 
-def save_tensors(path: str, named: list, meta: dict) -> tuple:
-    """Write (name, array) pairs and metadata; returns (manifest, blob) paths.
+def write_files(files: dict) -> None:
+    """Put an ordered group of files in place, all or none.
+
+    ``files`` maps each target path to its text or bytes.  Every file is
+    written to a temporary ``<path>.<pid>.tmp`` beside its target, then the
+    temporaries are moved into place in order; on any failure the
+    temporaries and every file already moved are removed.  Each target is
+    unlinked before the rename: renaming over an existing file makes ext4
+    write the new data out inside the rename, about 1 ms per 3 MB saved
+    (2-vCPU host, ext4).
+    """
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
+    placed = []
+    try:
+        for path, data in files.items():
+            with open(temps[path], "wb") as fh:
+                fh.write(data.encode() if isinstance(data, str) else data)
+        for path, tmp in temps.items():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for leftover in (*temps.values(), *placed):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(leftover)
+        raise
+
+
+def json_text(doc) -> str:
+    """The document as sorted, indented JSON with a trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(rows) -> str:
+    """The rows as CSV text, with the csv module's \\r\\n line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def encode_tensors(path: str, named: list, meta: dict) -> dict:
+    """{blob path: bytes, manifest path: text} of a checkpoint, blob first.
 
     Zero-dimensional inputs are stored with shape [1], matching the engine's
     own promotion of scalars to rank-1 tensors.
@@ -65,31 +110,14 @@ def save_tensors(path: str, named: list, meta: dict) -> tuple:
         chunks.append(raw)
         offset += len(raw)
     manifest = {"format_version": FORMAT_VERSION, "tensors": entries, "meta": meta}
-    manifest_path, blob_path = base + ".json", base + ".bin"
-    # Both files go to temporaries beside their targets and are then moved
-    # into place, blob first; on any failure the temporaries and every file
-    # already moved are removed.  Each target is unlinked before the rename:
-    # renaming over an existing file makes ext4 write the new data out inside
-    # the rename, about 1 ms per 3 MB saved (2-vCPU host, ext4).
-    tmp_manifest = f"{manifest_path}.{os.getpid()}.tmp"
-    tmp_blob = f"{blob_path}.{os.getpid()}.tmp"
-    placed = []
-    try:
-        with open(tmp_manifest, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(tmp_blob, "wb") as fh:
-            fh.write(b"".join(chunks))
-        for tmp, final in ((tmp_blob, blob_path), (tmp_manifest, manifest_path)):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(final)
-            os.replace(tmp, final)
-            placed.append(final)
-    except BaseException:
-        for leftover in (tmp_manifest, tmp_blob, *placed):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(leftover)
-        raise
+    return {base + ".bin": b"".join(chunks), base + ".json": json_text(manifest)}
+
+
+def save_tensors(path: str, named: list, meta: dict) -> tuple:
+    """Write (name, array) pairs and metadata; returns (manifest, blob) paths."""
+    files = encode_tensors(path, named, meta)
+    write_files(files)
+    blob_path, manifest_path = files
     return manifest_path, blob_path
 
 
@@ -166,8 +194,8 @@ def load_tensors(path: str) -> tuple:
     return tensors, meta
 
 
-def save_model(model, path: str) -> tuple:
-    """Persist a ToyEnhancer's parameters and rebuild recipe."""
+def model_tensors(model) -> tuple:
+    """(named arrays, meta) a ToyEnhancer's checkpoint stores: parameters and recipe."""
     meta = {
         "kind": "toy_enhancer",
         "widths": list(model.widths),
@@ -176,8 +204,12 @@ def save_model(model, path: str) -> tuple:
         "dyn_candidates": model.dyn_candidates,
         "frozen": bool(model.frozen),
     }
-    named = [(name, t.data) for name, t in model.named_parameters()]
-    return save_tensors(path, named, meta)
+    return [(name, t.data) for name, t in model.named_parameters()], meta
+
+
+def save_model(model, path: str) -> tuple:
+    """Persist a ToyEnhancer's parameters and rebuild recipe."""
+    return save_tensors(path, *model_tensors(model))
 
 
 class _Unfilled:

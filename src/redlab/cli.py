@@ -3,27 +3,30 @@ reports, degradation diagnostics, ablation grids, and gradient checks.
 
 Every subcommand is a pure function of its flags, config, and seeds, so
 re-running any of them reproduces its output files byte for byte.  Outputs
-are computed in full before anything is written; a failing run leaves no
-partial files behind.
+are computed in full, then put in place as one group by
+``checkpoint.write_files``: a run writes all of its files or none.
 
 Exit codes: 0 success; 2 configuration problems (unknown flags, malformed
-config or checkpoint, bad selectors); 3 numeric failures (training
+config, checkpoint or corpus, bad selectors); 3 numeric failures (training
 divergence, gradient check above tolerance).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import io
 import itertools
-import json
-import os
 import sys
 
 from . import tensor as T
-from .checkpoint import base_path, load_model, save_model
+from .checkpoint import (
+    base_path,
+    csv_text,
+    encode_tensors,
+    json_text,
+    load_model,
+    model_tensors,
+    write_files,
+)
 from .config import ADR_AXES, build_model, load_config
 from .datagen import load_pairs, make_corpus, save_pairs
 from .dynconv import candidate_similarity
@@ -90,22 +93,10 @@ def _cmd_train(args) -> int:
     model = build_model(cfg)
     state = train(model, pairs, steps=cfg.steps, seed=cfg.seed, lr=cfg.lr)
     model.freeze()
-    history = io.StringIO()
-    writer = csv.writer(history)
-    writer.writerow(["step", "loss"])
-    for i, value in enumerate(state.loss_history):
-        writer.writerow([i, repr(value)])
-    created = list(save_model(model, args.out))
+    history = [["step", "loss"]] + [[i, repr(v)] for i, v in enumerate(state.loss_history)]
     loss_path = base_path(args.out) + ".loss.csv"
-    try:
-        with open(loss_path, "w", newline="") as fh:
-            created.append(loss_path)
-            fh.write(history.getvalue())
-    except BaseException:
-        for path in created:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        raise
+    files = encode_tensors(args.out, *model_tensors(model))
+    write_files({**files, loss_path: csv_text(history)})
     print(
         f"trained {cfg.steps} steps: loss {state.loss_history[0]:.6f} -> "
         f"{state.loss_history[-1]:.6f}; checkpoint {args.out}, history {loss_path}"
@@ -132,9 +123,7 @@ def _cmd_dmr(args) -> int:
     selectors = _parse_selectors(args.selectors, model)
     images = [p.low for p in pairs]
     report = dmr(model, selectors, images, args.seed)
-    with open(args.out, "w") as fh:
-        json.dump(dmr_summary(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_files({args.out: json_text(dmr_summary(report))})
     print(f"dmr {report.dmr:.4f} dB over {report.n} selectors x {report.m} images -> {args.out}")
     return 0
 
@@ -163,9 +152,7 @@ def _cmd_degrade_score(args) -> int:
         "candidate_similarity": similarity,
         "images_used": len(lows),
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_files({args.out: json_text(doc)})
     print(
         f"scored {len(scores)} generators, {len(similarity)} candidate banks -> {args.out}"
     )
@@ -213,10 +200,7 @@ def _cmd_ablate(args) -> int:
         state = train(model, pairs, steps=run_cfg.steps, seed=run_cfg.seed, lr=run_cfg.lr)
         psnr_db = evaluate(model, pairs)
         rows.append(list(combo) + [repr(state.loss_history[-1]), repr(psnr_db)])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["final_loss", "psnr_db"])
-        writer.writerows(rows)
+    write_files({args.out: csv_text([names + ["final_loss", "psnr_db"]] + rows)})
     print(f"wrote {len(rows)} ablation rows to {args.out}")
     return 0
 

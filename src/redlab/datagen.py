@@ -9,7 +9,6 @@ deliberately simple — enough content variation that per-image metrics
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -118,6 +117,7 @@ def save_pairs(dirpath: str, pairs: list) -> None:
 
 
 def load_pairs(dirpath: str) -> list:
+    """Read a corpus back; a pair with a non-finite pixel is malformed input."""
     tensors, meta = load_tensors(os.path.join(dirpath, "corpus"))
     if meta.get("kind") != "corpus":
         raise ContractError(f"not a corpus directory: {dirpath!r}")
@@ -134,6 +134,9 @@ def load_pairs(dirpath: str) -> list:
             and low in tensors
         ):
             raise ContractError(f"corpus pair {i} in {dirpath!r} is incomplete")
+        for name in (clean, low):
+            if not np.isfinite(tensors[name]).all():
+                raise ContractError(f"corpus tensor {name} in {dirpath!r} holds non-finite values")
         pairs.append(
             ScenePair(
                 clean=Tensor(tensors[clean]),

@@ -20,11 +20,11 @@ without a stage table is a single stage and runs whole forwards.
 from __future__ import annotations
 
 import copy
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import csv_text, write_files
 from .errors import ConfigurationError, ContractError, DimensionError, SelectorError
 from .rng import Rng, child_seed
 from .tensor import Tensor
@@ -173,14 +173,7 @@ def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list) -> list
     return [probe.resume(inputs[k], k) for _, inputs in base]
 
 
-def dmr(
-    model,
-    selectors: list,
-    images: list,
-    seed: int,
-    i_max: float = 1.0,
-    cap: float = DEFAULT_CAP_DB,
-) -> DmrReport:
+def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
     """Mean capped log-MSE between the frozen model and its per-layer resets.
 
     Selector i resets with the child stream splitmix64(seed XOR i).  Larger
@@ -198,38 +191,26 @@ def dmr(
     for i, sel in enumerate(selectors):
         outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base)
         for j in range(m):
-            terms[i, j] = psnr(base[j][0], outs[j], i_max, cap)
+            terms[i, j] = psnr(base[j][0], outs[j])
     return DmrReport(
         selectors=list(selectors),
         n=n,
         m=m,
         terms=terms,
         dmr=float(terms.mean()),
-        i_max=i_max,
-        cap=cap,
+        i_max=1.0,
+        cap=DEFAULT_CAP_DB,
         seed=seed,
     )
 
 
-def poi(
-    model,
-    selector: LayerSelector,
-    low_images: list,
-    ref_images: list,
-    seed: int,
-    i_max: float = 1.0,
-) -> float:
+def poi(model, selector: LayerSelector, low_images: list, ref_images: list, seed: int) -> float:
     """Fraction of images scoring strictly better after the reset (child stream 0)."""
-    return probe_sweep(model, [selector], low_images, ref_images, [seed], i_max)[0].poi
+    return probe_sweep(model, [selector], low_images, ref_images, [seed])[0].poi
 
 
 def probe_sweep(
-    model,
-    selectors: list,
-    low_images: list,
-    ref_images: list,
-    seeds: list,
-    i_max: float = 1.0,
+    model, selectors: list, low_images: list, ref_images: list, seeds: list
 ) -> list:
     """One ProbeResult per (selector, seed) over the paired image set."""
     if not selectors or not seeds:
@@ -237,12 +218,12 @@ def probe_sweep(
     if len(low_images) != len(ref_images) or not low_images:
         raise ContractError("probe_sweep needs nonempty paired image lists")
     base = [_base_pass(model, x) for x in low_images]
-    before = [psnr(out, ref, i_max) for (out, _), ref in zip(base, ref_images)]
+    before = [psnr(out, ref) for (out, _), ref in zip(base, ref_images)]
     rows = []
     for seed in seeds:
         for i, sel in enumerate(selectors):
             outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base)
-            after = [psnr(out, ref, i_max) for out, ref in zip(outs, ref_images)]
+            after = [psnr(out, ref) for out, ref in zip(outs, ref_images)]
             wins = sum(1 for b, a in zip(before, after) if a > b)
             rows.append(
                 ProbeResult(
@@ -308,12 +289,11 @@ def parse_selector(spec_str: str) -> LayerSelector:
 
 def write_dmr_csv(report: DmrReport, path: str) -> None:
     """One row per (selector, image) term."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["selector", "kind", "image_index", "term_db"])
-        for i, sel in enumerate(report.selectors):
-            for j in range(report.m):
-                writer.writerow([sel.path, sel.kind, j, repr(float(report.terms[i, j]))])
+    rows = [["selector", "kind", "image_index", "term_db"]]
+    for i, sel in enumerate(report.selectors):
+        for j in range(report.m):
+            rows.append([sel.path, sel.kind, j, repr(float(report.terms[i, j]))])
+    write_files({path: csv_text(rows)})
 
 
 def dmr_summary(report: DmrReport) -> dict:
@@ -329,21 +309,18 @@ def dmr_summary(report: DmrReport) -> dict:
 
 def write_probe_csv(rows: list, path: str) -> None:
     """One row per (selector, seed) probe with its aggregate statistics."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["selector", "kind", "seed", "psnr_before_mean", "psnr_after_mean",
-             "delta_psnr_mean", "poi"]
+    table = [["selector", "kind", "seed", "psnr_before_mean", "psnr_after_mean",
+              "delta_psnr_mean", "poi"]]
+    for row in rows:
+        table.append(
+            [
+                row.selector.path,
+                row.selector.kind,
+                row.seed,
+                repr(float(np.mean(row.before))),
+                repr(float(np.mean(row.after))),
+                repr(row.delta_psnr_mean),
+                repr(row.poi),
+            ]
         )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.selector.path,
-                    row.selector.kind,
-                    row.seed,
-                    repr(float(np.mean(row.before))),
-                    repr(float(np.mean(row.after))),
-                    repr(row.delta_psnr_mean),
-                    repr(row.poi),
-                ]
-            )
+    write_files({path: csv_text(table)})

@@ -137,15 +137,7 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        s = self.seed
-        state = []
-        for _ in range(4):
-            s = (s + _GOLDEN) & _MASK64
-            z = s
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            state.append(z ^ (z >> 31))
-        self._s = state
+        self._s = [splitmix64((self.seed + k * _GOLDEN) & _MASK64) for k in range(4)]
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s

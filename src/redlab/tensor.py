@@ -560,9 +560,6 @@ class MlpParams:
     w2: Tensor
     b2: Tensor
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [
             (f"{prefix}.w1", self.w1),

@@ -346,7 +346,7 @@ class TestAcceptance:
         """Input-blind scores zero; a live generator scores positive."""
         t0 = perf_counter()
         blind = PogGenerator(Rng(31), 3, 8, (2, 2, 3))
-        for t in blind.weight_mlp.tensors():
+        for _, t in blind.weight_mlp.named(""):
             t.data[...] = 0.0
         inputs = [
             Tensor(Rng(32 + i).fill_uniform((3, 6, 6), 0.0, 1.0)) for i in range(8)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from redlab.checkpoint import load_model, load_tensors, save_model, save_tensors
+from redlab.checkpoint import load_model, load_tensors, save_model, save_tensors, write_files
 from redlab.datagen import make_corpus
 from redlab.enhancer import ToyEnhancer, train
 from redlab.errors import ContractError
@@ -82,6 +82,19 @@ class TestAtomicSave:
         with pytest.raises(OSError):
             save_tensors(str(tmp_path / "ck"), arrays(12), {"kind": "test"})
         assert os.listdir(tmp_path) == [blocked]
+
+    def test_group_with_blocked_last_target_leaves_no_file(self, tmp_path):
+        """Two files are placed before the third target fails; none is left."""
+        (tmp_path / "c.csv").mkdir()
+        files = {
+            str(tmp_path / "a.bin"): b"\x00\x01",
+            str(tmp_path / "b.json"): "{}\n",
+            str(tmp_path / "c.csv"): "x\r\n",
+        }
+        with pytest.raises(OSError):
+            write_files(files)
+        assert os.listdir(tmp_path) == ["c.csv"]
+        assert os.listdir(tmp_path / "c.csv") == []
 
     def test_unserializable_meta_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):

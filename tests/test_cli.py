@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from redlab import checkpoint, cli
 from redlab.checkpoint import load_model, save_model
-from redlab import cli
 from redlab.cli import run
 from redlab.datagen import load_pairs, make_corpus, save_pairs
 from redlab.redundancy import (
@@ -25,6 +25,7 @@ from redlab.redundancy import (
     probe_sweep,
 )
 from redlab.enhancer import ToyEnhancer
+from redlab.errors import DivergenceError
 from redlab.rng import Rng
 
 
@@ -58,6 +59,38 @@ def train_ckpt(tmp_path, data, cfg, name="model"):
     out = str(tmp_path / name)
     assert run(["train", "--config", cfg, "--data", data, "--out", out]) == 0
     return out
+
+
+class FullDisk:
+    """An open file whose first write stores 8 bytes, then fails with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, text):
+        self.fh.write(text[:8])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def open_on_full_disk(real_open, name):
+    """``open`` that hands back a FullDisk for a file whose name starts with `name`."""
+    def opener(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FullDisk(fh) if os.path.basename(str(path)).startswith(name) else fh
+    return opener
+
+
+def snapshot(root):
+    """{name: bytes} of every entry of a flat directory; a subdirectory raises."""
+    return {p.name: p.read_bytes() for p in root.iterdir()}
 
 
 class TestGenData:
@@ -104,15 +137,29 @@ class TestTrain:
         for ext in (".json", ".bin", ".loss.csv"):
             assert open(a + ext, "rb").read() == open(b + ext, "rb").read()
 
-    def test_nan_corpus_exits_three(self, tmp_path):
-        """A non-finite target surfaces as the numeric-failure exit code."""
+    def test_nan_corpus_exits_two(self, tmp_path, capsys):
+        """A non-finite target is malformed input, rejected before training."""
         pairs = make_corpus(13, 1, 8, 8)
         pairs[0].clean.data[0, 0, 0] = np.nan
         save_pairs(str(tmp_path / "bad"), pairs)
         cfg = write_config(tmp_path)
         code = run(["train", "--config", cfg, "--data", str(tmp_path / "bad"),
                     "--out", str(tmp_path / "model")])
-        assert code == 3
+        assert code == 2
+        assert "corpus tensor pair0000.clean" in capsys.readouterr().err
+        assert not any(name.startswith("model") for name in os.listdir(tmp_path))
+
+    def test_divergence_exits_three(self, tmp_path, monkeypatch):
+        """A loss that leaves the finite range is the numeric-failure exit code."""
+        def diverge(*args, **kwargs):
+            raise DivergenceError(4)
+
+        cfg = write_config(tmp_path)
+        data = gen_corpus(tmp_path)
+        monkeypatch.setattr(cli, "train", diverge)
+        assert run(["train", "--config", cfg, "--data", data,
+                    "--out", str(tmp_path / "model")]) == 3
+        assert not any(name.startswith("model") for name in os.listdir(tmp_path))
 
     def test_history_sits_beside_suffixed_checkpoint(self, tmp_path):
         """--out m.bin.json saves m.bin.json/m.bin.bin and history m.bin.loss.csv."""
@@ -151,33 +198,13 @@ class TestTrain:
         self, tmp_path, capsys, monkeypatch
     ):
         """The history opens, then its write fails part-way: nothing is left."""
-        real_open = open
-
-        class FullDisk:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-                return False
-
-            def write(self, text):
-                self.fh.write(text[:8])
-                self.fh.flush()
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        def open_history_on_full_disk(path, *args, **kwargs):
-            fh = real_open(path, *args, **kwargs)
-            return FullDisk(fh) if str(path).endswith(".loss.csv") else fh
-
         cfg = write_config(tmp_path, steps=2)
         data = gen_corpus(tmp_path)
         runs = tmp_path / "runs"
         runs.mkdir()
-        monkeypatch.setattr(cli, "open", open_history_on_full_disk, raising=False)
+        history_tmp = f"p.loss.csv.{os.getpid()}.tmp"
+        monkeypatch.setattr(checkpoint, "open", open_on_full_disk(open, history_tmp),
+                            raising=False)
         assert run(["train", "--config", cfg, "--data", data,
                     "--out", str(runs / "p")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -377,7 +404,7 @@ def _edit(change):
 
 
 def _poison_blob(tensor, value):
-    """Corrupt model.bin: the first value of `tensor` becomes `value`."""
+    """Corrupt a blob: the first value of `tensor` becomes `value`."""
     def corrupt(path):
         doc = json.loads(path.with_suffix(".json").read_text())
         offset = next(e["offset"] for e in doc["tensors"] if e["name"] == tensor)
@@ -416,6 +443,10 @@ BAD_PROBE_INPUTS = [
      "checkpoint tensor head.bias holds non-finite values"),
     ("model_nan_kernel", "model.bin", _poison_blob("encoder.stage1.conv.kernel", np.nan),
      "checkpoint tensor encoder.stage1.conv.kernel holds non-finite values"),
+    ("corpus_nan_clean", "data/corpus.bin", _poison_blob("pair0000.clean", np.nan),
+     "corpus tensor pair0000.clean"),
+    ("corpus_nan_low", "data/corpus.bin", _poison_blob("pair0001.low", np.nan),
+     "corpus tensor pair0001.low"),
     ("corpus_without_pairs", "data/corpus.json",
      _rewrite_json(_edit(lambda doc: doc["meta"].pop("pairs"))), "no 'pairs' list"),
     ("corpus_pair_without_record", "data/corpus.json",
@@ -468,6 +499,56 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def write_inputs(tmp_path_factory):
+    """A corpus, configs and a frozen ADR + dynconv checkpoint, outside any output dir."""
+    root = tmp_path_factory.mktemp("write_inputs")
+    save_pairs(str(root / "data"), make_corpus(9, 2, 8, 8))
+    model = ToyEnhancer(Rng(0), adr_blocks=(True, True), dyn_candidates=2)
+    model.freeze()
+    save_model(model, str(root / "model"))
+    write_config(root, "plain.json", steps=2)
+    write_config(root, "adr.json", steps=2, adr={"enabled": True})
+    return root
+
+
+# (command, its flags before --out given the inputs directory, output name,
+# name of the file whose write fails part-way)
+FAILED_WRITES = [
+    ("probe", lambda r: ["--ckpt", str(r / "model"), "--data", str(r / "data"),
+                         "--selectors", "auto", "--seeds", "0"], "probe.csv", "probe.csv"),
+    ("dmr", lambda r: ["--ckpt", str(r / "model"), "--data", str(r / "data"),
+                       "--selectors", "auto", "--seed", "0"], "dmr.json", "dmr.json"),
+    ("degrade-score", lambda r: ["--ckpt", str(r / "model"), "--data", str(r / "data")],
+     "deg.json", "deg.json"),
+    ("ablate", lambda r: ["--config", str(r / "adr.json"), "--grid", "D_m=1,2",
+                          "--data", str(r / "data")], "abl.csv", "abl.csv"),
+    ("train", lambda r: ["--config", str(r / "plain.json"), "--data", str(r / "data")],
+     "p", "p.loss.csv"),
+]
+
+
+class TestFailedWrite:
+    """A write that fails part-way leaves the output directory as it was."""
+
+    @pytest.mark.parametrize("command,flags,out,failing", FAILED_WRITES,
+                             ids=[case[0] for case in FAILED_WRITES])
+    def test_exits_two_and_leaves_directory_unchanged(
+        self, write_inputs, tmp_path, capsys, monkeypatch, command, flags, out, failing
+    ):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "notes.txt").write_text("kept\n")
+        before = snapshot(runs)
+        monkeypatch.setattr("builtins.open", open_on_full_disk(open, failing))
+        code = run([command, *flags(write_inputs), "--out", str(runs / out)])
+        monkeypatch.undo()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No space left on device" in err
+        assert snapshot(runs) == before
 
 
 class TestDispatch:

@@ -133,6 +133,16 @@ class TestDiskRoundTrip:
             assert back.seed == orig.seed
             assert back.record == orig.record
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["clean", "low"])
+    def test_non_finite_pixel_rejected(self, tmp_path, part, value):
+        """A non-finite pixel is malformed input, named by its tensor."""
+        pairs = make_corpus(13, 2, 8, 8)
+        getattr(pairs[1], part).data[2, 3, 4] = value
+        save_pairs(str(tmp_path / "corpus"), pairs)
+        with pytest.raises(ContractError, match=f"pair0001.{part} .* non-finite"):
+            load_pairs(str(tmp_path / "corpus"))
+
     def test_wrong_directory_rejected(self, tmp_path):
         from redlab.checkpoint import save_tensors
 

@@ -111,7 +111,7 @@ class TestEffectiveKernelSensitivity:
     def test_zero_attention_scores_zero(self):
         """Input-blind gating collapses the effective kernel to a constant."""
         dc = DynamicConv(Rng(15), 2, 2, 3, k=3)
-        for t in dc.att_mlp.tensors():
+        for _, t in dc.att_mlp.named(""):
             t.data[:] = 0.0
         inputs = [Tensor(Rng(60 + i).fill_uniform((2, 4, 4), 0.0, 1.0)) for i in range(4)]
         assert abs(degradation_score(dc, inputs)) < 1e-12

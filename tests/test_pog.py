@@ -90,7 +90,7 @@ class TestComputeWeights:
     def test_zero_mlp_gives_uniform(self):
         """All-zero weight MLP produces the uniform simplex point."""
         gen = make_gen(0, d_c=3, d_e=5)
-        for t in gen.weight_mlp.tensors():
+        for _, t in gen.weight_mlp.named(""):
             t.data[:] = 0.0
         x = Tensor(Rng(1).fill_uniform((3, 4, 4), 0.0, 1.0))
         w = pog.compute_weights(x, gen.weight_mlp).data
@@ -233,7 +233,7 @@ class TestDegradationScore:
     def test_zero_weight_mlp_scores_zero(self):
         """Input-blind weighting collapses the score to 0."""
         gen = make_gen(23)
-        for t in gen.weight_mlp.tensors():
+        for _, t in gen.weight_mlp.named(""):
             t.data[:] = 0.0
         inputs = [Tensor(Rng(30 + i).fill_uniform((3, 4, 4), 0.0, 1.0)) for i in range(4)]
         assert abs(pog.degradation_score(gen, inputs)) < 1e-12

@@ -296,7 +296,7 @@ class TestMlp:
             m = T.MlpParams(*params)
             return T.mean_all(T.square(T.mlp2(x, m)))
 
-        assert T.finite_diff_check(f, p.tensors()) < 1e-6
+        assert T.finite_diff_check(f, [t for _, t in p.named("")]) < 1e-6
 
 
 class TestHandValues:
@@ -411,7 +411,7 @@ class TestEveryOpGradient:
                 l2 = T.mean_all(T.absolute(T.sub(pooled, 0.51)))
                 return T.add(l1, T.mul(l2, 0.1))
 
-            params = [k] + m.tensors() + [wm]
+            params = [k] + [t for _, t in m.named("")] + [wm]
             err = T.finite_diff_check(f, params, sample=12, rng=Rng(seed))
             assert err < 1e-4, f"seed {seed}: {err}"
 
