@@ -43,17 +43,21 @@ def base_path(path: str) -> str:
 def write_files(files: dict) -> None:
     """Put an ordered group of files in place, all or none.
 
-    ``files`` maps each target path to its text or bytes.  Every file is
-    written to a temporary ``<path>.<pid>.tmp`` beside its target, then the
-    temporaries are moved into place in order; on any failure the
-    temporaries and every file already moved are removed.  Each target is
-    unlinked before the rename: renaming over an existing file makes ext4
-    write the new data out inside the rename, about 1 ms per 3 MB saved
-    (2-vCPU host, ext4).
+    ``files`` maps each target path to its text or bytes.  Missing parent
+    directories are created first.  Every file is written to a temporary
+    ``<path>.<pid>.tmp`` beside its target, then the temporaries are moved
+    into place in order; on any failure the temporaries, every file already
+    moved and every directory this call created are removed.  Each target
+    is unlinked before the rename: renaming over an existing file makes
+    ext4 write the new data out inside the rename, about 1 ms per 3 MB
+    saved (2-vCPU host, ext4).
     """
     temps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
     placed = []
+    made = []
     try:
+        for path in files:
+            _make_dirs(os.path.dirname(path), made)
         for path, data in files.items():
             with open(temps[path], "wb") as fh:
                 fh.write(data.encode() if isinstance(data, str) else data)
@@ -66,7 +70,21 @@ def write_files(files: dict) -> None:
         for leftover in (*temps.values(), *placed):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(leftover)
+        for dirpath in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(dirpath)
         raise
+
+
+def _make_dirs(dirpath: str, made: list) -> None:
+    """Create `dirpath` and its missing ancestors, appending each to `made`."""
+    missing = []
+    while dirpath and not os.path.isdir(dirpath):
+        missing.append(dirpath)
+        dirpath = os.path.dirname(dirpath)
+    for path in reversed(missing):
+        os.mkdir(path)
+        made.append(path)
 
 
 def json_text(doc) -> str:
@@ -251,15 +269,16 @@ def load_model(model_path: str):
             check_int(v, minimum, "adr_dims")
         check_int(meta["dyn_candidates"], 0, "dyn_candidates")
         check_bool(meta["frozen"], "frozen")
+        # the constructor rejects what the checks above leave, such as an even D_k
+        model = ToyEnhancer(
+            _Unfilled(),
+            widths=tuple(widths),
+            adr_blocks=tuple(adr_blocks),
+            adr_dims=tuple(adr_dims),
+            dyn_candidates=meta["dyn_candidates"],
+        )
     except ConfigurationError as exc:
         raise ContractError(f"enhancer checkpoint meta: {exc}") from None
-    model = ToyEnhancer(
-        _Unfilled(),
-        widths=tuple(widths),
-        adr_blocks=tuple(adr_blocks),
-        adr_dims=tuple(adr_dims),
-        dyn_candidates=meta["dyn_candidates"],
-    )
     named = model.named_parameters()
     names = [name for name, _ in named]
     listed = [name for name, *_ in entries]

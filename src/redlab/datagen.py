@@ -104,7 +104,6 @@ def make_corpus(seed: int, count: int, h: int, w: int) -> list:
 
 def save_pairs(dirpath: str, pairs: list) -> None:
     """Export a corpus as a tensor blob plus JSON index under `dirpath`."""
-    os.makedirs(dirpath, exist_ok=True)
     named = []
     index = []
     for i, pair in enumerate(pairs):

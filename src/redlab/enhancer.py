@@ -279,8 +279,15 @@ class ToyEnhancer:
         return found
 
     def freeze(self) -> None:
+        """Cache the generators' normalized embeddings and drop every gradient.
+
+        A frozen model cannot train, so its gradients are never read again,
+        and copies of it (reset probes) need not carry them.
+        """
         for adr in self.reallocation_blocks().values():
             adr.freeze()
+        for _, t in self.named_parameters():
+            t.grad = None
         self.frozen = True
 
     def refresh_caches(self) -> None:
@@ -320,8 +327,9 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     """Adam on batch-1 mean-absolute error, deterministic per seed.
 
     The sample order reshuffles every epoch from a child stream of ``seed``.
-    Raises on a frozen model and on any non-finite loss (with the failing
-    step recorded on the error).
+    Raises on a frozen model.  A non-finite loss, or a forward that fails on
+    non-finite values from a finite input, raises :class:`DivergenceError`
+    with the failing step recorded on it.
     """
     if getattr(model, "frozen", False):
         raise ContractError("cannot train a frozen model")
@@ -355,7 +363,16 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
             p.grad = None
         tape = T.Tape()
         with tape:
-            loss = T.mean_all(T.absolute(T.sub(model.forward(low), ref)))
+            try:
+                out = model.forward(low)
+            except ContractError as exc:
+                # A forward raises ContractError only on a non-finite value
+                # (softmax refuses one).  From a finite input, the parameters
+                # training produced made it: the run diverged.
+                if not np.isfinite(low.data).all():
+                    raise
+                raise DivergenceError(step, f"non-finite forward at step {step}: {exc}") from None
+            loss = T.mean_all(T.absolute(T.sub(out, ref)))
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(step)

@@ -363,36 +363,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """[C, H, W] -> [C*k*k, H*W] patch matrix under same-padding."""
+    """[C, H, W] -> [C*k*k, H*W] patch matrix under same-padding.
+
+    For k = 1 the matrix is a view of ``x``; otherwise each shifted window
+    of the zero-padded input is copied once into its row block.
+    """
     c, h, w = x.shape
+    if k == 1:
+        return x.reshape(c, h * w)
     pad = k // 2
-    if pad:
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-        xp[:, pad:pad + h, pad:pad + w] = x
-    else:
-        xp = x
-    cols = np.empty((c, k * k, h * w), dtype=np.float64)
-    idx = 0
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    cols = np.empty((c, k * k, h, w), dtype=np.float64)
     for di in range(k):
         for dj in range(k):
-            cols[:, idx, :] = xp[:, di:di + h, dj:dj + w].reshape(c, h * w)
-            idx += 1
+            cols[:, di * k + dj] = xp[:, di:di + h, dj:dj + w]
     return cols.reshape(c * k * k, h * w)
 
 
 def _col2im(colg: np.ndarray, c: int, h: int, w: int, k: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back to [C, H, W]."""
+    """Adjoint of :func:`_im2col`: scatter-add patches back to [C, H, W].
+
+    Each window is added, in (di, dj) order, onto zeros through the part of
+    it that lies inside the image; what fell on the padding is never read,
+    and a window wholly on the padding (k > 2 * h + 1, say) is skipped.
+    Every element thus sums its terms in the order a padded buffer would,
+    and starting from +0.0 turns a -0.0 sum into +0.0, for k = 1 too.
+    """
+    if k == 1:
+        return colg.reshape(c, h, w) + 0.0
     pad = k // 2
-    xg = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    cols = colg.reshape(c, k * k, h * w)
-    idx = 0
-    for di in range(k):
-        for dj in range(k):
-            xg[:, di:di + h, dj:dj + w] += cols[:, idx, :].reshape(c, h, w)
-            idx += 1
-    if pad:
-        return xg[:, pad:pad + h, pad:pad + w].copy()
+    xg = np.zeros((c, h, w), dtype=np.float64)
+    patches = colg.reshape(c, k * k, h, w)
+    rows = [_clip(d - pad, h) for d in range(k)]
+    cols = [_clip(d - pad, w) for d in range(k)]
+    for di, (ti, si) in enumerate(rows):
+        if ti is None:
+            continue
+        for dj, (tj, sj) in enumerate(cols):
+            if tj is not None:
+                xg[:, ti, tj] += patches[:, di * k + dj, si, sj]
     return xg
+
+
+def _clip(shift: int, n: int):
+    """(target, source) slices of a window shifted by `shift` over n pixels.
+
+    Both are None when the shifted window misses the image entirely.
+    """
+    t0, t1 = max(0, shift), min(n, n + shift)
+    if t0 >= t1:
+        return None, None
+    return slice(t0, t1), slice(t0 - shift, t1 - shift)
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -515,13 +537,31 @@ def split_channels(t: Tensor, sizes: Sequence[int]) -> list[Tensor]:
 # Resampling
 # --------------------------------------------------------------------------
 
+def _block_sum2x(x: np.ndarray) -> np.ndarray:
+    """Sum of each 2x2 block of [C, H, W], as (a00 + a01) + (a10 + a11).
+
+    That order equals ``reshape(c, h/2, 2, w/2, 2).sum(axis=(2, 4))`` bit
+    for bit, without the strided reduction.
+    """
+    return (x[:, 0::2, 0::2] + x[:, 0::2, 1::2]) + (x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
+
+
+def _repeat2x(x: np.ndarray) -> np.ndarray:
+    """[C, H, W] -> [C, 2H, 2W], each value copied into its 2x2 block."""
+    c, h, w = x.shape
+    out = np.empty((c, 2 * h, 2 * w), dtype=np.float64)
+    for i in (0, 1):
+        for j in (0, 1):
+            out[:, i::2, j::2] = x
+    return out
+
+
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x spatial upsampling of [C, H, W]."""
-    out = _wrap(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2))
-    c, h, w = x.data.shape
+    out = _wrap(_repeat2x(x.data))
 
     def vjp(g, needs):
-        return (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),)
+        return (_block_sum2x(g),)
 
     return _record(out, (x,), vjp)
 
@@ -531,11 +571,10 @@ def downsample2x_mean(x: Tensor) -> Tensor:
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise DimensionError("downsample2x_mean needs even spatial dims")
-    out = _wrap(x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4)))
+    out = _wrap(_block_sum2x(x.data) / 4.0)
 
     def vjp(g, needs):
-        up = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2)
-        return (up / 4.0,)
+        return (_repeat2x(g / 4.0),)
 
     return _record(out, (x,), vjp)
 

@@ -96,6 +96,30 @@ class TestAtomicSave:
         assert os.listdir(tmp_path) == ["c.csv"]
         assert os.listdir(tmp_path / "c.csv") == []
 
+    def test_creates_missing_directories(self, tmp_path):
+        write_files({str(tmp_path / "new" / "sub" / "a.csv"): "x\r\n"})
+        assert (tmp_path / "new" / "sub" / "a.csv").read_bytes() == b"x\r\n"
+
+    def test_failed_group_removes_the_directories_it_made(self, tmp_path):
+        """The writer made new/ and new/sub/ for the group; a failure takes both."""
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "c.csv").mkdir()
+        files = {
+            str(tmp_path / "new" / "sub" / "a.bin"): b"\x00\x01",
+            str(tmp_path / "old" / "c.csv"): "x\r\n",
+        }
+        with pytest.raises(OSError):
+            write_files(files)
+        assert os.listdir(tmp_path) == ["old"]
+        assert os.listdir(tmp_path / "old") == ["c.csv"]
+
+    def test_parent_that_is_a_file_fails_and_leaves_it(self, tmp_path):
+        (tmp_path / "f").write_text("keep")
+        with pytest.raises(OSError):
+            write_files({str(tmp_path / "f" / "a.csv"): "x"})
+        assert os.listdir(tmp_path) == ["f"]
+        assert (tmp_path / "f").read_text() == "keep"
+
     def test_unserializable_meta_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):
             save_tensors(str(tmp_path / "ck"), arrays(12), {"kind": object()})
@@ -254,4 +278,13 @@ class TestModelCheckpoints:
         doc["meta"]["adr_blocks"] = [True, True]
         (tmp_path / "model.json").write_text(json.dumps(doc))
         with pytest.raises(ContractError):
+            load_model(str(tmp_path / "model"))
+
+    def test_even_adr_kernel_size_rejected(self, tmp_path):
+        """Meta the model constructor refuses is malformed input, not a config error."""
+        save_model(ToyEnhancer(Rng(12), adr_blocks=(True, False)), str(tmp_path / "model"))
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["meta"]["adr_dims"][2] = 2
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="enhancer checkpoint meta: kernel size must be odd"):
             load_model(str(tmp_path / "model"))

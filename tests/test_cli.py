@@ -115,6 +115,19 @@ class TestGenData:
         assert run(["gen-data", "--seed", "1", "--out", str(tmp_path / "x"),
                     "--size", "8by8"]) == 2
 
+    @pytest.mark.parametrize("out", ["new", "new/sub", "old"])
+    def test_failed_write_removes_only_the_directories_it_made(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        (tmp_path / "old").mkdir()
+        monkeypatch.setattr(checkpoint, "open", open_on_full_disk(open, "corpus"),
+                            raising=False)
+        assert run(["gen-data", "--seed", "1", "--out", str(tmp_path / out),
+                    "--count", "1", "--size", "8x8"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["old"]
+        assert os.listdir(tmp_path / "old") == []
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, tmp_path):
@@ -159,6 +172,17 @@ class TestTrain:
         monkeypatch.setattr(cli, "train", diverge)
         assert run(["train", "--config", cfg, "--data", data,
                     "--out", str(tmp_path / "model")]) == 3
+        assert not any(name.startswith("model") for name in os.listdir(tmp_path))
+
+    def test_overflowing_training_exits_three(self, tmp_path, capsys):
+        """lr 1e300 on a real corpus overflows the forward: a divergence, not bad input."""
+        cfg = write_config(tmp_path, lr=1e300)
+        data = gen_corpus(tmp_path, count=1)
+        with np.errstate(all="ignore"):
+            code = run(["train", "--config", cfg, "--data", data,
+                        "--out", str(tmp_path / "model")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: non-finite forward at step ")
         assert not any(name.startswith("model") for name in os.listdir(tmp_path))
 
     def test_history_sits_beside_suffixed_checkpoint(self, tmp_path):

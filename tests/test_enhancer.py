@@ -272,6 +272,38 @@ class TestTraining:
             train(model, pairs, steps=3, seed=42)
         assert info.value.step == 0
 
+    def test_overflowing_forward_raises_with_step(self):
+        """lr 1e300 leaves finite parameters whose next forward overflows."""
+        model = ToyEnhancer(Rng(40), adr_blocks=(True, True))
+        pairs = make_corpus(41, 1, 8, 8)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            train(model, pairs, steps=3, seed=42, lr=1e300)
+        assert info.value.step == 1
+        assert np.isfinite(model.arena).all()
+
+    def test_non_finite_input_is_not_a_divergence(self):
+        """A forward that fails on a NaN input pixel stays a contract error."""
+        model = ToyEnhancer(Rng(40))
+        low, ref = fresh_input(46), fresh_input(47)
+        low.data[0, 0, 0] = np.nan
+        with pytest.raises(ContractError) as info:
+            train(model, [(low, ref)], steps=1, seed=48)
+        assert not isinstance(info.value, DivergenceError)
+
+    def test_train_inside_an_active_tape_is_not_a_divergence(self):
+        """Only a forward's non-finite value is read as a divergence."""
+        model = ToyEnhancer(Rng(40))
+        pairs = make_corpus(41, 1, 8, 8)
+        with T.Tape(), pytest.raises(ContractError, match="do not nest") as info:
+            train(model, pairs, steps=1, seed=42)
+        assert not isinstance(info.value, DivergenceError)
+
+    def test_kernel_wider_than_the_feature_map_trains(self):
+        """D_k = 11 at 8x8 puts whole ADR windows on the 4x4 block's padding."""
+        model = ToyEnhancer(Rng(49), adr_blocks=(True, True), adr_dims=(4, 16, 11))
+        state = train(model, make_corpus(50, 1, 8, 8), steps=2, seed=51)
+        assert np.isfinite(state.loss_history).all()
+
     def test_contract_violations(self):
         model = ToyEnhancer(Rng(43))
         pairs = make_corpus(44, 1, 8, 8)

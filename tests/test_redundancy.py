@@ -155,6 +155,24 @@ class TestResetLayer:
         assert np.max(np.abs(kernel)) <= (1.0 / fan) ** 0.5
         assert np.all(named["decoder.block1.conv.bias"].data == 0.0)
 
+    def test_copy_of_frozen_model_carries_no_gradient(self):
+        """freeze() drops the gradients training left; dmr never reads them."""
+        model = ToyEnhancer(Rng(100), adr_blocks=(True, True))
+        pairs = make_corpus(101, 4, 8, 8)
+        train(model, pairs, steps=5, seed=102)
+        kept = {name: t.grad for name, t in model.named_parameters()}
+        assert all(g is not None for g in kept.values())
+        model.freeze()
+        probe = reset_layer(model, LayerSelector("decoder.block1.attn.adr", "dynamic"), Rng(5))
+        assert all(t.grad is None for _, t in model.named_parameters())
+        assert all(t.grad is None for _, t in probe.named_parameters())
+        lows = [p.low for p in pairs]
+        terms = dmr(model, default_selectors(model), lows, 3).terms
+        for name, t in model.named_parameters():
+            t.grad = kept[name]
+        again = dmr(model, default_selectors(model), lows, 3).terms
+        assert terms.tobytes() == again.tobytes()
+
     def test_unresolvable_selector_raises(self):
         model, _ = trained_model()
         with pytest.raises(SelectorError):

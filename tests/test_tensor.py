@@ -6,6 +6,7 @@ import copy
 import numpy as np
 import pytest
 
+from redlab import ToyEnhancer, default_selectors, dmr, make_corpus, train
 from redlab import tensor as T
 from redlab.errors import ContractError, DimensionError
 from redlab.rng import Rng
@@ -525,3 +526,159 @@ class TestFiniteDiffCheck:
         b = T.finite_diff_check(f, [x], sample=10, rng=Rng(0))
         assert a == b
         assert a < 1e-6
+
+
+# --------------------------------------------------------------------------
+# Bit-level oracles for the conv and 2x2 resampling kernels
+# --------------------------------------------------------------------------
+# The straightforward forms the engine's kernels replaced.  Each kernel must
+# return the same bytes as its oracle, signed zeros included, because seeded
+# loss histories, checkpoints and dmr terms are pinned bit for bit.  These
+# tests also run under the oldest supported NumPy, where the summation order
+# of a 2x2 block could differ.
+
+def im2col_oracle(x, k):
+    c, h, w = x.shape
+    pad = k // 2
+    if pad:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+        xp[:, pad:pad + h, pad:pad + w] = x
+    else:
+        xp = x
+    cols = np.empty((c, k * k, h * w), dtype=np.float64)
+    idx = 0
+    for di in range(k):
+        for dj in range(k):
+            cols[:, idx, :] = xp[:, di:di + h, dj:dj + w].reshape(c, h * w)
+            idx += 1
+    return cols.reshape(c * k * k, h * w)
+
+
+def col2im_oracle(colg, c, h, w, k):
+    pad = k // 2
+    xg = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    cols = colg.reshape(c, k * k, h * w)
+    idx = 0
+    for di in range(k):
+        for dj in range(k):
+            xg[:, di:di + h, dj:dj + w] += cols[:, idx, :].reshape(c, h, w)
+            idx += 1
+    if pad:
+        return xg[:, pad:pad + h, pad:pad + w].copy()
+    return xg
+
+
+def upsample2x_oracle(x):
+    out = T._wrap(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2))
+    c, h, w = x.data.shape
+
+    def vjp(g, needs):
+        return (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),)
+
+    return T._record(out, (x,), vjp)
+
+
+def downsample2x_mean_oracle(x):
+    c, h, w = x.data.shape
+    if h % 2 or w % 2:
+        raise DimensionError("downsample2x_mean needs even spatial dims")
+    out = T._wrap(x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4)))
+
+    def vjp(g, needs):
+        up = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2)
+        return (up / 4.0,)
+
+    return T._record(out, (x,), vjp)
+
+
+def signed_values(seed, shape):
+    """Values over twelve decades of both signs, with +0.0 and -0.0 mixed in."""
+    r = np.random.default_rng(seed)
+    x = r.standard_normal(shape) * 10.0 ** r.integers(-6, 6, shape)
+    x[r.random(shape) < 0.15] = 0.0
+    x[r.random(shape) < 0.15] = -0.0
+    return x
+
+
+def vjp_of(op, x, g):
+    """(op(x), d<op(x), g>/dx) through the tape; the upstream gradient is g exactly."""
+    xt = T.Tensor(x, requires_grad=True)
+    tape = T.Tape()
+    with tape:
+        y = op(xt)
+        loss = T.sum_all(T.mul(y, T.Tensor(g)))
+    T.backward(tape, loss)
+    return y.data, xt.grad
+
+
+CONV_SHAPES = [(3, 6, 10), (2, 7, 5), (4, 1, 3), (1, 2, 9)]
+# Kernels more than twice as wide as the map: some windows lie wholly on
+# the padding (k >= 2 * h + 3 or k >= 2 * w + 3).
+WIDE_KERNEL_CASES = [((2, 2, 2), 7), ((1, 4, 4), 11), ((2, 1, 3), 9), ((1, 3, 1), 7)]
+CONV_CASES = [(shape, k) for k in (1, 3, 5) for shape in CONV_SHAPES] + WIDE_KERNEL_CASES
+EVEN_SHAPES = [(3, 6, 10), (2, 4, 2), (5, 8, 16), (1, 2, 2)]
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("shape,k", CONV_CASES)
+    def test_im2col_and_col2im(self, shape, k):
+        c, h, w = shape
+        x = signed_values(0, shape)
+        assert T._im2col(x, k).tobytes() == im2col_oracle(x, k).tobytes()
+        colg = signed_values(1, (c * k * k, h * w))
+        assert (T._col2im(colg, c, h, w, k).tobytes()
+                == col2im_oracle(colg, c, h, w, k).tobytes())
+
+    @pytest.mark.parametrize("shape,k", CONV_CASES)
+    def test_conv2d_forward_and_vjp(self, shape, k, monkeypatch):
+        c, h, w = shape
+        x = signed_values(2, shape)
+        kernel = signed_values(3, (3, c, k, k))
+        g = signed_values(4, (3, h, w))
+
+        def run():
+            kt = T.Tensor(kernel, requires_grad=True)
+            y, gx = vjp_of(lambda xt: T.conv2d(xt, kt), x, g)
+            return y.tobytes(), gx.tobytes(), kt.grad.tobytes()
+
+        got = run()
+        monkeypatch.setattr(T, "_im2col", im2col_oracle)
+        monkeypatch.setattr(T, "_col2im", col2im_oracle)
+        assert got == run()
+
+    @pytest.mark.parametrize("shape", EVEN_SHAPES)
+    def test_downsample2x_mean(self, shape):
+        c, h, w = shape
+        x = signed_values(5, shape)
+        g = signed_values(6, (c, h // 2, w // 2))
+        got = vjp_of(T.downsample2x_mean, x, g)
+        want = vjp_of(downsample2x_mean_oracle, x, g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("shape", EVEN_SHAPES)
+    def test_upsample2x(self, shape):
+        c, h, w = shape
+        x = signed_values(7, shape)
+        g = signed_values(8, (c, 2 * h, 2 * w))
+        got = vjp_of(T.upsample2x, x, g)
+        want = vjp_of(upsample2x_oracle, x, g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_training_and_dmr_match_the_oracles(self, monkeypatch):
+        """An ADR + dynconv run replays bit for bit on the oracle kernels."""
+        pairs = make_corpus(3, 2, 16, 16)
+
+        def run():
+            model = ToyEnhancer(Rng(7), adr_blocks=(True, True), dyn_candidates=3)
+            state = train(model, pairs, 20, 11)
+            model.freeze()
+            report = dmr(model, default_selectors(model), [p.low for p in pairs], 5)
+            history = np.array(state.loss_history).tobytes()
+            return history, model.arena.tobytes(), report.terms.tobytes()
+
+        got = run()
+        monkeypatch.setattr(T, "_im2col", im2col_oracle)
+        monkeypatch.setattr(T, "_col2im", col2im_oracle)
+        monkeypatch.setattr(T, "upsample2x", upsample2x_oracle)
+        monkeypatch.setattr(T, "downsample2x_mean", downsample2x_mean_oracle)
+        assert got == run()
