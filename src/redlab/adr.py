@@ -54,10 +54,6 @@ class AdrBlock:
         self.gen1.freeze()
         self.gen2.freeze()
 
-    @property
-    def frozen(self) -> bool:
-        return self.gen1.frozen and self.gen2.frozen
-
 
 def reallocate(block: AdrBlock, q: Tensor, k: Tensor, v: Tensor):
     """Rewrite (Q, K, V) jointly; output shapes equal input shapes.

@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from .config import check_bool, check_int, check_list
+from .config import check_bool, check_int
 from .errors import ConfigurationError, ContractError
 
 FORMAT_VERSION = 1
@@ -258,25 +258,15 @@ def load_model(model_path: str):
     if missing:
         raise ContractError(f"enhancer checkpoint meta lacks {sorted(missing)}")
     try:
-        widths = check_list(meta["widths"], 2, "widths")
-        adr_blocks = check_list(meta["adr_blocks"], 2, "adr_blocks")
-        adr_dims = check_list(meta["adr_dims"], 3, "adr_dims")
-        for w in widths:
-            check_int(w, 1, "widths")
-        for b in adr_blocks:
-            check_bool(b, "adr_blocks")
-        for v, minimum in zip(adr_dims, (1, 2, 1)):  # D_m, D_e, D_k as in config
-            check_int(v, minimum, "adr_dims")
-        check_int(meta["dyn_candidates"], 0, "dyn_candidates")
-        check_bool(meta["frozen"], "frozen")
-        # the constructor rejects what the checks above leave, such as an even D_k
+        # the constructor checks the recipe, so a meta it refuses is malformed input
         model = ToyEnhancer(
             _Unfilled(),
-            widths=tuple(widths),
-            adr_blocks=tuple(adr_blocks),
-            adr_dims=tuple(adr_dims),
+            widths=meta["widths"],
+            adr_blocks=meta["adr_blocks"],
+            adr_dims=meta["adr_dims"],
             dyn_candidates=meta["dyn_candidates"],
         )
+        check_bool(meta["frozen"], "frozen")
     except ConfigurationError as exc:
         raise ContractError(f"enhancer checkpoint meta: {exc}") from None
     named = model.named_parameters()

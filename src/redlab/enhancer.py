@@ -25,6 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .adr import AdrBlock, reallocate
+from .config import check_bool, check_int, check_list
 from .dynconv import DynamicConv
 from .errors import ContractError, DimensionError, DivergenceError
 from .redundancy import psnr
@@ -170,7 +171,7 @@ class ToyEnhancer:
     ``adr_blocks`` switches reallocation per decoder block; with both off
     (and ``dyn_candidates`` 0) the network holds no dynamic parameters.
     Construction consumes the rng in fixed stage order, so a seed pins every
-    initial weight.
+    initial weight.  A recipe it refuses raises ConfigurationError naming the argument.
 
     Every parameter's ``data`` is a view into ``arena``, one contiguous
     float64 buffer laid out in ``named_parameters`` order, which is also the
@@ -186,19 +187,23 @@ class ToyEnhancer:
         adr_dims: tuple = (4, 16, 3),
         dyn_candidates: int = 0,
     ):
-        w1, w2 = widths
-        self.widths = (w1, w2)
-        self.adr_blocks = tuple(bool(b) for b in adr_blocks)
-        self.adr_dims = tuple(adr_dims)
-        self.dyn_candidates = int(dyn_candidates)
+        widths = check_list(widths, 2, "widths")
+        adr_blocks = check_list(adr_blocks, 2, "adr_blocks")
+        adr_dims = check_list(adr_dims, 3, "adr_dims")
+        self.widths = tuple(check_int(w, 1, "widths") for w in widths)
+        self.adr_blocks = tuple(check_bool(b, "adr_blocks") for b in adr_blocks)
+        # D_m, D_e, D_k, with the minimums RunConfig gives them
+        self.adr_dims = tuple(check_int(v, low, "adr_dims") for v, low in zip(adr_dims, (1, 2, 1)))
+        self.dyn_candidates = check_int(dyn_candidates, 0, "dyn_candidates")
+        w1, w2 = self.widths
         self.enc1 = EncoderStage(rng, 3, w1)
         self.enc2 = EncoderStage(rng, w1, w2)
         self.latent = ChannelAttentionBlock(rng, w2, None)
         self.dec1 = DecoderStage(
-            rng, w2, w1, adr_dims if self.adr_blocks[0] else None, dyn_candidates
+            rng, w2, w1, self.adr_dims if self.adr_blocks[0] else None, self.dyn_candidates
         )
         self.dec2 = DecoderStage(
-            rng, w1, w1, adr_dims if self.adr_blocks[1] else None, dyn_candidates
+            rng, w1, w1, self.adr_dims if self.adr_blocks[1] else None, self.dyn_candidates
         )
         self.head = Conv2dLayer(rng, w1, 3, 3)
         # (path, stage) for every stage, in forward order: the one place these
@@ -282,19 +287,14 @@ class ToyEnhancer:
         """Cache the generators' normalized embeddings and drop every gradient.
 
         A frozen model cannot train, so its gradients are never read again,
-        and copies of it (reset probes) need not carry them.
+        and copies of it (reset probes) need not carry them.  Call it again
+        after writing a frozen model's parameters to re-derive the caches.
         """
         for adr in self.reallocation_blocks().values():
             adr.freeze()
         for _, t in self.named_parameters():
             t.grad = None
         self.frozen = True
-
-    def refresh_caches(self) -> None:
-        """Re-derive any frozen-generator caches from current parameters."""
-        for adr in self.reallocation_blocks().values():
-            if adr.frozen:
-                adr.freeze()
 
 
 def collect_adr_inputs(model: ToyEnhancer, x: Tensor) -> dict:
@@ -327,9 +327,10 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     """Adam on batch-1 mean-absolute error, deterministic per seed.
 
     The sample order reshuffles every epoch from a child stream of ``seed``.
-    Raises on a frozen model.  A non-finite loss, or a forward that fails on
-    non-finite values from a finite input, raises :class:`DivergenceError`
-    with the failing step recorded on it.
+    Raises on a frozen model.  A non-finite loss, or a forward or loss that
+    fails on non-finite values from a finite input, raises
+    :class:`DivergenceError` with the failing step recorded on it; a
+    non-finite input raises :class:`ContractError`.
     """
     if getattr(model, "frozen", False):
         raise ContractError("cannot train a frozen model")
@@ -362,17 +363,17 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
         for _, p in named:
             p.grad = None
         tape = T.Tape()
-        with tape:
+        with tape, np.errstate(over="raise", invalid="raise", divide="raise"):
             try:
                 out = model.forward(low)
-            except ContractError as exc:
-                # A forward raises ContractError only on a non-finite value
-                # (softmax refuses one).  From a finite input, the parameters
+                loss = T.mean_all(T.absolute(T.sub(out, ref)))
+            except (ContractError, FloatingPointError) as exc:
+                # Only a non-finite value fails here: softmax refuses one, NumPy
+                # raises on overflow.  From a finite input, the parameters
                 # training produced made it: the run diverged.
                 if not np.isfinite(low.data).all():
-                    raise
+                    raise ContractError(f"non-finite input at step {step}: {exc}") from None
                 raise DivergenceError(step, f"non-finite forward at step {step}: {exc}") from None
-            loss = T.mean_all(T.absolute(T.sub(out, ref)))
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(step)

@@ -122,8 +122,8 @@ def reset_layer(model, selector: LayerSelector, rng: Rng):
 
     Kernels and matrices redraw uniform within +-sqrt(1/fan_in); bias-like
     leaves zero out.  Tensors redraw in named_parameters order from the one
-    stream, so a seed pins the whole reset.  Frozen-generator caches on the
-    copy are refreshed afterwards.
+    stream, so a seed pins the whole reset.  A frozen copy is frozen again
+    afterwards, which re-derives its generator caches.
     """
     probe = copy.deepcopy(model)
     for name, t in resolve(probe, selector.path):
@@ -133,8 +133,8 @@ def reset_layer(model, selector: LayerSelector, rng: Rng):
         else:
             bound = (1.0 / _fan_in(name, t)) ** 0.5
             t.data[...] = rng.fill_uniform(t.data.shape, -bound, bound)
-    if hasattr(probe, "refresh_caches"):
-        probe.refresh_caches()
+    if hasattr(probe, "freeze") and probe.frozen:
+        probe.freeze()
     return probe
 
 
@@ -150,12 +150,13 @@ def _base_pass(model, x: Tensor) -> tuple:
 
 
 def _first_stage(probe, path: str) -> int:
-    """Index of the first stage owning any parameter the selector resolves to."""
-    names = {name for name, _ in resolve(probe, path)}
-    for k, (stage_path, stage) in enumerate(probe.stages):
-        if any(name in names for name, _ in stage.named_parameters(stage_path)):
-            return k
-    return 0
+    """Index of the first stage owning any parameter the selector resolves to.
+
+    Names start with their stage's path and run in stage order, so the first name decides.
+    """
+    first = resolve(probe, path)[0][0]
+    return next((k for k, (stage_path, _) in enumerate(probe.stages)
+                if first.startswith(stage_path + ".")), 0)
 
 
 def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list) -> list:
@@ -163,8 +164,8 @@ def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list) -> list
 
     Each forward resumes at the first stage the reset touches, from the input
     that stage had in ``base`` (see :func:`_base_pass`): the stages before it
-    own no reset parameter, and ``refresh_caches`` re-derives their frozen
-    caches unchanged.
+    own no reset parameter, and ``freeze`` re-derives their frozen caches
+    unchanged.
     """
     probe = reset_layer(model, selector, rng)
     if not hasattr(probe, "stages"):

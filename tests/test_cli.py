@@ -178,11 +178,12 @@ class TestTrain:
         """lr 1e300 on a real corpus overflows the forward: a divergence, not bad input."""
         cfg = write_config(tmp_path, lr=1e300)
         data = gen_corpus(tmp_path, count=1)
-        with np.errstate(all="ignore"):
-            code = run(["train", "--config", cfg, "--data", data,
-                        "--out", str(tmp_path / "model")])
+        code = run(["train", "--config", cfg, "--data", data,
+                    "--out", str(tmp_path / "model")])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: non-finite forward at step ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite forward at step ")
+        assert len(err.splitlines()) == 1
         assert not any(name.startswith("model") for name in os.listdir(tmp_path))
 
     def test_history_sits_beside_suffixed_checkpoint(self, tmp_path):

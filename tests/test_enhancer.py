@@ -17,7 +17,7 @@ from redlab.enhancer import (
     evaluate,
     train,
 )
-from redlab.errors import ContractError, DimensionError, DivergenceError
+from redlab.errors import ConfigurationError, ContractError, DimensionError, DivergenceError
 from redlab.redundancy import LayerSelector, psnr, reset_layer
 from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
@@ -111,6 +111,26 @@ class TestAdrIdentityEmbedding:
                 shared[name].data[...] = t.data
         x = fresh_input(9)
         assert np.array_equal(withadr.forward(x).data, plain.forward(x).data)
+
+
+# (case, the argument at fault, constructor keywords)
+BAD_RECIPES = [
+    ("zero_width", "widths", {"widths": (0, 16)}),
+    ("fractional_width", "widths", {"widths": (8.5, 16)}),
+    ("one_width", "widths", {"widths": (8,)}),
+    ("text_adr_block", "adr_blocks", {"adr_blocks": ("no", False)}),
+    ("two_adr_dims", "adr_dims", {"adr_dims": (4, 16)}),
+    ("negative_dyn_candidates", "dyn_candidates", {"dyn_candidates": -1}),
+]
+
+
+class TestRecipe:
+    @pytest.mark.parametrize("field,kw", [case[1:] for case in BAD_RECIPES],
+                             ids=[case[0] for case in BAD_RECIPES])
+    def test_bad_recipe_names_the_argument(self, field, kw):
+        """A malformed recipe is a ConfigurationError, not a wrong model or a raw error."""
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            ToyEnhancer(Rng(0), **kw)
 
 
 class TestForward:
@@ -281,12 +301,29 @@ class TestTraining:
         assert info.value.step == 1
         assert np.isfinite(model.arena).all()
 
+    def test_overflowing_loss_raises_with_step(self):
+        """A huge finite reference overflows the loss's sum: a divergence at step 0."""
+        model = ToyEnhancer(Rng(40))
+        low, ref = fresh_input(46), Tensor(np.full((3, 8, 8), 1.7e308))
+        with pytest.raises(DivergenceError) as info:
+            train(model, [(low, ref)], steps=1, seed=48)
+        assert info.value.step == 0
+
     def test_non_finite_input_is_not_a_divergence(self):
         """A forward that fails on a NaN input pixel stays a contract error."""
         model = ToyEnhancer(Rng(40))
         low, ref = fresh_input(46), fresh_input(47)
         low.data[0, 0, 0] = np.nan
         with pytest.raises(ContractError) as info:
+            train(model, [(low, ref)], steps=1, seed=48)
+        assert not isinstance(info.value, DivergenceError)
+
+    def test_infinite_input_is_not_a_divergence(self):
+        """An Inf pixel trips NumPy's invalid-value check before softmax sees it."""
+        model = ToyEnhancer(Rng(40))
+        low, ref = fresh_input(46), fresh_input(47)
+        low.data[0, 0, 0] = np.inf
+        with pytest.raises(ContractError, match="non-finite input at step 0") as info:
             train(model, [(low, ref)], steps=1, seed=48)
         assert not isinstance(info.value, DivergenceError)
 

@@ -9,10 +9,11 @@ import os
 import numpy as np
 import pytest
 
-from redlab.checkpoint import save_model
+from redlab.checkpoint import load_model, save_model
 from redlab.datagen import make_corpus
 from redlab.enhancer import ToyEnhancer, train
 from redlab.errors import ConfigurationError, ContractError, DimensionError, SelectorError
+from redlab.pog import normalize_embeddings
 from redlab.redundancy import (
     LayerSelector,
     default_selectors,
@@ -172,6 +173,23 @@ class TestResetLayer:
             t.grad = kept[name]
         again = dmr(model, default_selectors(model), lows, 3).terms
         assert terms.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("path", ["decoder.block1.attn.adr.gen1.embeddings",
+                                      "decoder.block2.attn.adr"])
+    def test_reset_re_derives_frozen_caches(self, path, tmp_path):
+        """A reset probe's caches follow its new parameters, as its reload's do."""
+        model, pairs = trained_model(adr=True)
+        probe = reset_layer(model, LayerSelector(path, "dynamic"), Rng(9))
+        assert probe.frozen
+        for adr in probe.reallocation_blocks().values():
+            for gen in (adr.gen1, adr.gen2):
+                want = normalize_embeddings(gen.embeddings).data
+                assert gen._cached_norm.data.tobytes() == want.tobytes()
+        save_model(probe, str(tmp_path / "probe"))
+        reloaded = load_model(str(tmp_path / "probe"))
+        for pair in pairs:
+            got = probe.forward(pair.low).data
+            assert got.tobytes() == reloaded.forward(pair.low).data.tobytes()
 
     def test_unresolvable_selector_raises(self):
         model, _ = trained_model()
