@@ -143,7 +143,8 @@ def _read(path: str) -> tuple:
     """(entries, blob, meta) of a checkpoint, with the manifest validated.
 
     Each entry is (name, shape, offset, count): ``count`` float64 values at
-    byte ``offset`` of the blob.
+    byte ``offset`` of the blob.  Names are unique, as :func:`encode_tensors`
+    writes them.
     """
     base = base_path(path)
     manifest_path, blob_path = base + ".json", base + ".bin"
@@ -169,6 +170,7 @@ def _read(path: str) -> tuple:
     with open(blob_path, "rb") as fh:
         blob = fh.read()
     out = []
+    seen = set()
     expected = 0
     for entry in entries:
         if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
@@ -177,6 +179,9 @@ def _read(path: str) -> tuple:
             )
         if not isinstance(entry["name"], str) or not isinstance(entry["shape"], list):
             raise ContractError(f"malformed manifest entry {entry!r}")
+        if entry["name"] in seen:
+            raise ContractError(f"manifest {manifest_path!r} lists tensor {entry['name']!r} twice")
+        seen.add(entry["name"])
         try:
             offset = check_int(entry["offset"], 0, "offset")
             length = check_int(entry["length"], 0, "length")
@@ -276,7 +281,7 @@ def load_model(model_path: str):
         differ = set(listed) ^ set(names)
         if differ:
             raise ContractError(f"checkpoint/model parameter mismatch: {sorted(differ)}")
-        raise ContractError("checkpoint does not list the model's parameters once each, in order")
+        raise ContractError("checkpoint does not list the model's parameters in order")
     for (name, t), (_, shape, _, _) in zip(named, entries):
         if t.data.shape != shape:
             raise ContractError(f"shape mismatch for {name}: {t.data.shape} vs {shape}")

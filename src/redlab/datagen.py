@@ -116,7 +116,8 @@ def save_pairs(dirpath: str, pairs: list) -> None:
 
 
 def load_pairs(dirpath: str) -> list:
-    """Read a corpus back; a pair with a non-finite pixel is malformed input."""
+    """Read a corpus back; a pair with a non-finite pixel is malformed input,
+    and so is a tensor that belongs to no pair."""
     tensors, meta = load_tensors(os.path.join(dirpath, "corpus"))
     if meta.get("kind") != "corpus":
         raise ContractError(f"not a corpus directory: {dirpath!r}")
@@ -124,6 +125,7 @@ def load_pairs(dirpath: str) -> list:
     if not isinstance(entries, list):
         raise ContractError(f"corpus index in {dirpath!r} has no 'pairs' list")
     pairs = []
+    paired = set()
     for i, entry in enumerate(entries):
         clean, low = f"pair{i:04d}.clean", f"pair{i:04d}.low"
         if not (
@@ -136,6 +138,7 @@ def load_pairs(dirpath: str) -> list:
         for name in (clean, low):
             if not np.isfinite(tensors[name]).all():
                 raise ContractError(f"corpus tensor {name} in {dirpath!r} holds non-finite values")
+        paired.update((clean, low))
         pairs.append(
             ScenePair(
                 clean=Tensor(tensors[clean]),
@@ -144,4 +147,7 @@ def load_pairs(dirpath: str) -> list:
                 record=entry["record"],
             )
         )
+    stray = [name for name in tensors if name not in paired]
+    if stray:
+        raise ContractError(f"corpus tensor {stray[0]} in {dirpath!r} belongs to no pair")
     return pairs

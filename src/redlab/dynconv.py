@@ -25,10 +25,8 @@ class DynamicConv:
             raise ConfigurationError(f"need at least one candidate kernel, got {k}")
         if d_k % 2 == 0:
             raise ConfigurationError("kernel size must be odd")
-        bound = (1.0 / (c_in * d_k * d_k)) ** 0.5
         self.candidates = Tensor(
-            rng.fill_uniform((k, c_out, c_in, d_k, d_k), -bound, bound),
-            requires_grad=True,
+            T.init_uniform(rng, (k, c_out, c_in, d_k, d_k)), requires_grad=True
         )
         self.att_mlp = T.init_mlp(rng, c_in, c_in, k)
         self.k = k

@@ -38,14 +38,10 @@ _ADAM_EPS = 1e-8
 
 
 class Conv2dLayer:
-    """Same-padded convolution with bias, kernel uniform +-sqrt(1/fan_in)."""
+    """Same-padded convolution with bias, kernel from :func:`~redlab.tensor.init_uniform`."""
 
     def __init__(self, rng: Rng, c_in: int, c_out: int, d_k: int):
-        bound = (1.0 / (c_in * d_k * d_k)) ** 0.5
-        self.kernel = Tensor(
-            rng.fill_uniform((c_out, c_in, d_k, d_k), -bound, bound),
-            requires_grad=True,
-        )
+        self.kernel = Tensor(T.init_uniform(rng, (c_out, c_in, d_k, d_k)), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
         self.c_out = c_out
 
@@ -332,7 +328,7 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     :class:`DivergenceError` with the failing step recorded on it; a
     non-finite input raises :class:`ContractError`.
     """
-    if getattr(model, "frozen", False):
+    if model.frozen:
         raise ContractError("cannot train a frozen model")
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")

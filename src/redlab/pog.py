@@ -37,12 +37,12 @@ def normalize_embeddings(e: Tensor) -> Tensor:
     """
     if e.data.ndim != 2:
         raise DimensionError("embeddings must be [N, D_e]")
-    norms = np.sqrt((e.data * e.data).sum(axis=1))
-    if np.any(norms < 1e-8):
+    norms = T.sqrt(T.sum_last(T.square(e)))
+    if np.any(norms.data < 1e-8):
         raise DegenerateEmbeddingError(
-            f"embedding row norm {norms.min():.3e} below 1e-8"
+            f"embedding row norm {norms.data.min():.3e} below 1e-8"
         )
-    return T.div(e, T.sqrt(T.sum_last(T.square(e))))
+    return T.div(e, norms)
 
 
 def build_basis(n_i: Tensor) -> Tensor:
@@ -108,11 +108,8 @@ class PogGenerator:
         if d_k % 2 == 0:
             raise ConfigurationError("kernel size must be odd")
         n = c_in * c_out * d_k * d_k
-        raw = rng.fill_uniform((n, d_e), -1.0, 1.0)
-        norms = np.sqrt((raw * raw).sum(axis=1, keepdims=True))
-        if np.any(norms < 1e-8):
-            raise DegenerateEmbeddingError("degenerate embedding draw")
-        self.embeddings = Tensor(raw / norms, requires_grad=True)
+        raw = Tensor(rng.fill_uniform((n, d_e), -1.0, 1.0))
+        self.embeddings = Tensor(normalize_embeddings(raw).data, requires_grad=True)
         self.weight_mlp = T.init_mlp(rng, d_c, d_c, d_e)
         self.decode_mlp = T.init_mlp(rng, d_e, d_e, 1)
         self.d_c = d_c

@@ -13,8 +13,7 @@ The probed model is never mutated: every reset operates on a deep copy.
 input of every stage of the model's ``stages`` table.  Each reset forward
 resumes at the first stage owning a reset parameter, from that stage's kept
 input, and matches a whole forward of the reset copy bit for bit.  The kept
-inputs are held for one call, about 115 KB per 32x32 image.  A model
-without a stage table is a single stage and runs whole forwards.
+inputs are held for one call, about 115 KB per 32x32 image.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from .checkpoint import csv_text, write_files
 from .errors import ConfigurationError, ContractError, DimensionError, SelectorError
 from .rng import Rng, child_seed
-from .tensor import Tensor
+from .tensor import Tensor, init_uniform
 
 KINDS = ("static", "dynamic", "attention", "feedforward")
 
@@ -104,47 +103,32 @@ def resolve(model, path: str) -> list:
     return hits
 
 
-def _fan_in(name: str, t: Tensor) -> int:
-    shape = t.data.shape
-    if len(shape) == 4:          # conv kernel [C_out, C_in, k, k]
-        return shape[1] * shape[2] * shape[3]
-    if len(shape) == 5:          # candidate bank [K, C_out, C_in, k, k]
-        return shape[2] * shape[3] * shape[4]
-    if len(shape) == 2:          # matrix weights / embedding rows
-        return shape[1]
-    if len(shape) == 1:
-        return shape[0]
-    return 1
-
-
 def reset_layer(model, selector: LayerSelector, rng: Rng):
     """Fresh-random copy of one parameter group; the original is untouched.
 
-    Kernels and matrices redraw uniform within +-sqrt(1/fan_in); bias-like
-    leaves zero out.  Tensors redraw in named_parameters order from the one
-    stream, so a seed pins the whole reset.  A frozen copy is frozen again
-    afterwards, which re-derives its generator caches.
+    Bias leaves zero out; every other tensor redraws through
+    :func:`~redlab.tensor.init_uniform`, the rule construction draws kernels
+    and MLP weights by.  Two leaves differ from their construction:
+    generator embeddings redraw unnormalised within +-sqrt(1/D_e), which
+    after row normalisation has the direction distribution of construction's
+    +-1 draw, and ``tau`` redraws within +-1 where construction sets 1.0.
+    Tensors redraw in named_parameters order from the one stream, so a seed
+    pins the whole reset.  A frozen copy is frozen again afterwards, which
+    re-derives its generator caches.
     """
     probe = copy.deepcopy(model)
     for name, t in resolve(probe, selector.path):
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf in _BIAS_LEAVES:
+        if name.rsplit(".", 1)[-1] in _BIAS_LEAVES:
             t.data[...] = 0.0
         else:
-            bound = (1.0 / _fan_in(name, t)) ** 0.5
-            t.data[...] = rng.fill_uniform(t.data.shape, -bound, bound)
-    if hasattr(probe, "freeze") and probe.frozen:
+            t.data[...] = init_uniform(rng, t.data.shape)
+    if probe.frozen:
         probe.freeze()
     return probe
 
 
 def _base_pass(model, x: Tensor) -> tuple:
-    """(output, input of every stage) of one forward of the unreset model.
-
-    A model without a ``stages`` table is a single stage whose input is x.
-    """
-    if not hasattr(model, "stages"):
-        return model.forward(x), [x]
+    """(output, input of every stage) of one forward of the unreset model."""
     stage_inputs: list = []
     return model.forward(x, stage_inputs=stage_inputs), stage_inputs
 
@@ -168,8 +152,6 @@ def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list) -> list
     unchanged.
     """
     probe = reset_layer(model, selector, rng)
-    if not hasattr(probe, "stages"):
-        return [probe.forward(inputs[0]) for _, inputs in base]
     k = _first_stage(probe, selector.path)
     return [probe.resume(inputs[k], k) for _, inputs in base]
 
@@ -184,7 +166,7 @@ def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
         raise ContractError("dmr needs at least one selector")
     if not images:
         raise ContractError("dmr needs at least one image")
-    if not getattr(model, "frozen", False):
+    if not model.frozen:
         raise ContractError("dmr probes a frozen model; call freeze() first")
     base = [_base_pass(model, x) for x in images]
     n, m = len(selectors), len(images)

@@ -17,6 +17,7 @@ central differences against the tape's gradients, coordinate by coordinate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -608,14 +609,21 @@ class MlpParams:
         ]
 
 
+def init_uniform(rng: Rng, shape: tuple) -> np.ndarray:
+    """Fresh weights uniform within +-sqrt(1/fan_in), ``fan_in`` being the product
+    of the axes after the first (after the second for a 5-D ``[K, C_out, C_in,
+    k, k]`` candidate bank); a scalar or a vector draws within +-1."""
+    fan_in = math.prod(shape[2:] if len(shape) == 5 else shape[1:])
+    bound = (1.0 / fan_in) ** 0.5
+    return rng.fill_uniform(shape, -bound, bound)
+
+
 def init_mlp(rng: Rng, d_in: int, d_hidden: int, d_out: int) -> MlpParams:
-    """Fresh MLP parameters: weights uniform +-sqrt(1/fan_in), biases zero."""
-    b_in = (1.0 / d_in) ** 0.5
-    b_hid = (1.0 / d_hidden) ** 0.5
+    """Fresh MLP parameters: weights from :func:`init_uniform`, biases zero."""
     return MlpParams(
-        w1=Tensor(rng.fill_uniform((d_hidden, d_in), -b_in, b_in), requires_grad=True),
+        w1=Tensor(init_uniform(rng, (d_hidden, d_in)), requires_grad=True),
         b1=Tensor(np.zeros(d_hidden), requires_grad=True),
-        w2=Tensor(rng.fill_uniform((d_out, d_hidden), -b_hid, b_hid), requires_grad=True),
+        w2=Tensor(init_uniform(rng, (d_out, d_hidden)), requires_grad=True),
         b2=Tensor(np.zeros(d_out), requires_grad=True),
     )
 

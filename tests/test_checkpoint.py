@@ -65,6 +65,16 @@ class TestTensorRoundTrip:
         with pytest.raises(ContractError):
             save_tensors(str(tmp_path / "ck"), named, {})
 
+    def test_duplicate_names_rejected_on_load(self, tmp_path):
+        """A manifest listing one name twice is refused, not read as the later array."""
+        save_tensors(str(tmp_path / "ck"), [("x", np.zeros(2)), ("y", np.ones(2))], {})
+        manifest = tmp_path / "ck.json"
+        doc = json.loads(manifest.read_text())
+        doc["tensors"][1]["name"] = "x"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="lists tensor 'x' twice"):
+            load_tensors(str(tmp_path / "ck"))
+
     def test_zero_dim_input_promotes_to_rank_one(self, tmp_path):
         """Raw 0-d scalars store as shape [1], like the engine's tensors."""
         save_tensors(str(tmp_path / "ck"), [("s", np.asarray(0.25))], {})

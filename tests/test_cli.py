@@ -439,6 +439,19 @@ def _poison_blob(tensor, value):
     return corrupt
 
 
+def _append_tensor(name):
+    """Corrupt a corpus: list one more tensor, `name`, a copy of its first one."""
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        blob = path.with_suffix(".bin")
+        first = dict(doc["tensors"][0], name=name, offset=blob.stat().st_size)
+        doc["tensors"].append(first)
+        path.write_text(json.dumps(doc))
+        data = blob.read_bytes()
+        blob.write_bytes(data + data[:first["length"]])
+    return corrupt
+
+
 # (case, file under the probe inputs, corruption, expected error text)
 BAD_PROBE_INPUTS = [
     ("truncated_manifest", "model.json",
@@ -472,6 +485,10 @@ BAD_PROBE_INPUTS = [
      "corpus tensor pair0000.clean"),
     ("corpus_nan_low", "data/corpus.bin", _poison_blob("pair0001.low", np.nan),
      "corpus tensor pair0001.low"),
+    ("corpus_duplicate_tensor", "data/corpus.json", _append_tensor("pair0001.low"),
+     "lists tensor 'pair0001.low' twice"),
+    ("corpus_stray_tensor", "data/corpus.json", _append_tensor("pair0002.clean"),
+     "corpus tensor pair0002.clean"),
     ("corpus_without_pairs", "data/corpus.json",
      _rewrite_json(_edit(lambda doc: doc["meta"].pop("pairs"))), "no 'pairs' list"),
     ("corpus_pair_without_record", "data/corpus.json",

@@ -3,6 +3,7 @@ metric oracles, improvement fractions, sweeps, and report emission."""
 
 import copy
 import csv
+import hashlib
 import json
 import os
 
@@ -25,6 +26,7 @@ from redlab.redundancy import (
     probe_sweep,
     psnr,
     reset_layer,
+    resolve,
     write_dmr_csv,
     write_probe_csv,
 )
@@ -32,33 +34,16 @@ from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
 
 
-class DeadBufferModel:
-    """Output ignores one exposed parameter group; probes of it are no-ops."""
-
-    def __init__(self):
-        self.gain = Tensor(np.full((2, 2), 1.5), requires_grad=True)
-        self.dead = Tensor(np.ones(3), requires_grad=True)
-        self.frozen = True
-
-    def named_parameters(self):
-        return [("core.gain", self.gain), ("dead.buffer", self.dead)]
-
-    def forward(self, x):
-        return Tensor(x.data * self.gain.data.mean())
+def fresh_frozen_model():
+    """An untrained, frozen ADR + dynconv model: every bias leaf is still zero,
+    so a reset of one changes no parameter."""
+    model = ToyEnhancer(Rng(120), adr_blocks=(True, True), dyn_candidates=3)
+    model.freeze()
+    return model
 
 
-class BiasOffsetModel:
-    """Adds a bias-leaf offset; resetting it zeroes the offset exactly."""
-
-    def __init__(self, offset):
-        self.off = Tensor(np.full(1, offset), requires_grad=True)
-        self.frozen = True
-
-    def named_parameters(self):
-        return [("off.bias", self.off)]
-
-    def forward(self, x):
-        return Tensor(x.data + self.off.data[0])
+# bias leaves whose resets resume at the first stage (0) and the last (5)
+BIAS_PATHS = ["encoder.stage1.conv.bias", "head.bias"]
 
 
 def trained_model(steps=60, adr=False):
@@ -156,6 +141,19 @@ class TestResetLayer:
         assert np.max(np.abs(kernel)) <= (1.0 / fan) ** 0.5
         assert np.all(named["decoder.block1.conv.bias"].data == 0.0)
 
+    def test_reset_draws_unchanged(self):
+        """A digest pins the values every default selector and ``latent.attn.tau``
+        redraw on a seeded ADR + dynconv model: draw rule, order and stream."""
+        model = ToyEnhancer(Rng(0), adr_blocks=(True, True), dyn_candidates=3)
+        model.freeze()
+        sels = default_selectors(model) + [LayerSelector("latent.attn.tau", "attention")]
+        digest = hashlib.sha256()
+        for i, sel in enumerate(sels):
+            probe = reset_layer(model, sel, Rng(child_seed(5, i)))
+            for _, t in resolve(probe, sel.path):
+                digest.update(t.data.astype("<f8").tobytes())
+        assert digest.hexdigest() == "cdde8cd2b8fe64b9ee2139eed31066a9bb823d99a4d17fecc32c116a98ab4ba4"
+
     def test_copy_of_frozen_model_carries_no_gradient(self):
         """freeze() drops the gradients training left; dmr never reads them."""
         model = ToyEnhancer(Rng(100), adr_blocks=(True, True))
@@ -202,10 +200,11 @@ class TestResetLayer:
 
 
 class TestDmr:
-    def test_dead_parameter_group_caps_every_term(self):
-        """Resetting an unused buffer leaves outputs identical: DMR = cap."""
-        model = DeadBufferModel()
-        report = dmr(model, [LayerSelector("dead.buffer", "static")], images(9, 3), 0)
+    @pytest.mark.parametrize("path", BIAS_PATHS)
+    def test_dead_parameter_group_caps_every_term(self, path):
+        """Resetting a bias that is already zero leaves outputs identical: DMR = cap."""
+        model = fresh_frozen_model()
+        report = dmr(model, [LayerSelector(path, "static")], images(9, 3), 0)
         assert np.all(report.terms == 100.0)
         assert report.dmr == 100.0
 
@@ -280,20 +279,24 @@ class TestDmr:
 
 
 class TestPoi:
-    def test_no_op_reset_scores_zero(self):
+    @pytest.mark.parametrize("path", BIAS_PATHS)
+    def test_no_op_reset_scores_zero(self, path):
         """Ties are not improvements: identical outputs give POI 0."""
-        model = DeadBufferModel()
+        model = fresh_frozen_model()
         imgs = images(18, 4)
         refs = images(19, 4)
-        sel = LayerSelector("dead.buffer", "static")
+        sel = LayerSelector(path, "static")
         assert poi(model, sel, imgs, refs, 0) == 0.0
 
-    def test_universal_improvement_scores_one(self):
+    @pytest.mark.parametrize("path", BIAS_PATHS)
+    def test_universal_improvement_scores_one(self, path):
         """A reset that zeroes a harmful offset wins on every image."""
-        model = BiasOffsetModel(0.7)
+        model = fresh_frozen_model()
         imgs = images(20, 5)
-        sel = LayerSelector("off.bias", "static")
-        assert poi(model, sel, imgs, imgs, 0) == 1.0
+        refs = [model.forward(x) for x in imgs]
+        dict(model.named_parameters())[path].data[...] = 0.7
+        sel = LayerSelector(path, "static")
+        assert poi(model, sel, imgs, refs, 0) == 1.0
 
     def test_matches_per_image_hand_comparison(self):
         """POI equals an explicit per-image strict comparison."""
@@ -310,9 +313,9 @@ class TestPoi:
         assert got == wins / len(lows)
 
     def test_length_mismatch_rejected(self):
-        model = DeadBufferModel()
+        model = fresh_frozen_model()
         with pytest.raises(ContractError):
-            poi(model, LayerSelector("dead.buffer", "static"), images(21, 2), images(22, 3), 0)
+            poi(model, LayerSelector("head.bias", "static"), images(21, 2), images(22, 3), 0)
 
 
 class TestProbeSweep:
@@ -334,12 +337,13 @@ class TestProbeSweep:
         wins = sum(1 for b, a in zip(before, after) if a > b)
         assert row.poi == wins / len(lows)
 
-    def test_identity_reset_has_zero_delta(self):
-        """An unused-buffer selector leaves ΔPSNR and POI at zero."""
-        model = DeadBufferModel()
+    @pytest.mark.parametrize("path", BIAS_PATHS)
+    def test_identity_reset_has_zero_delta(self, path):
+        """A reset of a bias that is already zero leaves ΔPSNR and POI at zero."""
+        model = fresh_frozen_model()
         imgs = images(23, 3)
         refs = images(24, 3)
-        rows = probe_sweep(model, [LayerSelector("dead.buffer", "static")], imgs, refs, [0])
+        rows = probe_sweep(model, [LayerSelector(path, "static")], imgs, refs, [0])
         assert rows[0].delta_psnr_mean == 0.0
         assert rows[0].poi == 0.0
 

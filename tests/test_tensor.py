@@ -8,6 +8,8 @@ import pytest
 
 from redlab import ToyEnhancer, default_selectors, dmr, make_corpus, train
 from redlab import tensor as T
+from redlab.dynconv import DynamicConv
+from redlab.enhancer import Conv2dLayer
 from redlab.errors import ContractError, DimensionError
 from redlab.rng import Rng
 
@@ -298,6 +300,19 @@ class TestMlp:
             return T.mean_all(T.square(T.mlp2(x, m)))
 
         assert T.finite_diff_check(f, [t for _, t in p.named("")]) < 1e-6
+
+
+class TestInitUniform:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_constructors_draw_through_it(self, seed):
+        """Conv kernels, candidate banks and MLP weights are init_uniform draws."""
+        def draw(shape):
+            return T.init_uniform(Rng(seed), shape).tobytes()
+
+        assert Conv2dLayer(Rng(seed), 4, 6, 3).kernel.data.tobytes() == draw((6, 4, 3, 3))
+        bank = DynamicConv(Rng(seed), 4, 6, 3, 2)
+        assert bank.candidates.data.tobytes() == draw((2, 6, 4, 3, 3))
+        assert T.init_mlp(Rng(seed), 5, 7, 3).w1.data.tobytes() == draw((7, 5))
 
 
 class TestHandValues:
