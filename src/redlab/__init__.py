@@ -34,7 +34,6 @@ from .redundancy import (
     dmr_summary,
     mean_delta_by_kind,
     parse_selector,
-    poi,
     probe_sweep,
     psnr,
     reset_layer,
@@ -88,7 +87,6 @@ __all__ = [
     "make_scene",
     "mean_delta_by_kind",
     "parse_selector",
-    "poi",
     "probe_sweep",
     "psnr",
     "reallocate",

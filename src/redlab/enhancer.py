@@ -27,7 +27,7 @@ from . import tensor as T
 from .adr import AdrBlock, reallocate
 from .config import check_bool, check_int, check_list
 from .dynconv import DynamicConv
-from .errors import ContractError, DimensionError, DivergenceError
+from .errors import ConfigurationError, ContractError, DimensionError, DivergenceError
 from .redundancy import psnr
 from .rng import Rng, child_seed
 from .tensor import Tensor
@@ -192,6 +192,14 @@ class ToyEnhancer:
         self.adr_dims = tuple(check_int(v, low, "adr_dims") for v, low in zip(adr_dims, (1, 2, 1)))
         self.dyn_candidates = check_int(dyn_candidates, 0, "dyn_candidates")
         w1, w2 = self.widths
+        d_m, _, d_k = self.adr_dims
+        if any(self.adr_blocks) and d_k % 2 == 0:
+            raise ConfigurationError(f"kernel size must be odd, got adr_dims D_k = {d_k}")
+        if any(self.adr_blocks) and d_m >= 3 * w1:
+            # both decoder blocks attend over w1 channels, so Q/K/V concatenate to 3 * w1
+            raise ConfigurationError(
+                f"adr_dims D_m must be below 3 * widths[0] = {3 * w1}, got {d_m}"
+            )
         self.enc1 = EncoderStage(rng, 3, w1)
         self.enc2 = EncoderStage(rng, w1, w2)
         self.latent = ChannelAttentionBlock(rng, w2, None)
@@ -343,6 +351,8 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     # Flat Adam buffers beside the arena; m and v are exposed per name as views.
     m, v, g = np.zeros_like(arena), np.zeros_like(arena), np.empty_like(arena)
     a, b = np.empty_like(arena), np.empty_like(arena)
+    # backward writes each parameter's gradient straight into its view of g
+    grad_views = list(zip((p for _, p in named), _carve(g, shapes)))
     state = TrainState(
         params=named,
         m={name: view for (name, _), view in zip(named, _carve(m, shapes))},
@@ -356,8 +366,6 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
             order = list(range(len(pairs)))
             state.rng.shuffle(order)
         low, ref = _as_low_ref(pairs[order.pop(0)])
-        for _, p in named:
-            p.grad = None
         tape = T.Tape()
         with tape, np.errstate(over="raise", invalid="raise", divide="raise"):
             try:
@@ -373,12 +381,7 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(step)
-        T.backward(tape, loss)
-        np.concatenate(
-            [(p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-             for _, p in named],
-            out=g,
-        )
+        T.backward(tape, loss, grad_views)
         # Per element, in the order of the per-tensor form
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         #   p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)

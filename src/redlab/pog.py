@@ -38,11 +38,13 @@ def normalize_embeddings(e: Tensor) -> Tensor:
     if e.data.ndim != 2:
         raise DimensionError("embeddings must be [N, D_e]")
     norms = T.sqrt(T.sum_last(T.square(e)))
-    if np.any(norms.data < 1e-8):
-        raise DegenerateEmbeddingError(
-            f"embedding row norm {norms.data.min():.3e} below 1e-8"
-        )
+    _check_norms(norms.data)
     return T.div(e, norms)
+
+
+def _check_norms(norms: np.ndarray) -> None:
+    if np.any(norms < 1e-8):
+        raise DegenerateEmbeddingError(f"embedding row norm {norms.min():.3e} below 1e-8")
 
 
 def build_basis(n_i: Tensor) -> Tensor:
@@ -61,14 +63,18 @@ def build_basis(n_i: Tensor) -> Tensor:
 
 def compute_weights(f_in: Tensor, mlp: MlpParams) -> Tensor:
     """Simplex weight vector for one conditioning input: softmax(mlp(pool))."""
-    if f_in.data.ndim != 3:
+    _check_conditioning(f_in.data, mlp)
+    return T.softmax(T.mlp2(T.global_avg_pool(f_in), mlp))
+
+
+def _check_conditioning(x: np.ndarray, mlp: MlpParams) -> None:
+    if x.ndim != 3:
         raise DimensionError("conditioning input must be [C, H, W]")
-    if f_in.data.shape[0] != mlp.w1.data.shape[1]:
+    if x.shape[0] != mlp.w1.data.shape[1]:
         raise DimensionError(
-            f"conditioning input has {f_in.data.shape[0]} channels, "
+            f"conditioning input has {x.shape[0]} channels, "
             f"weight MLP expects {mlp.w1.data.shape[1]}"
         )
-    return T.softmax(T.mlp2(T.global_avg_pool(f_in), mlp))
 
 
 def specific_embedding(n_p: Tensor, w: Tensor) -> Tensor:
@@ -139,16 +145,103 @@ class PogGenerator:
 
 
 def generate(gen: PogGenerator, f_in: Tensor) -> Tensor:
-    """Full pipeline: normalize, weight, reflect, decode, reshape to kernel."""
+    """Full pipeline: normalize, weight, reflect, decode, reshape to kernel.
+
+    One taped operation.  Its forward runs the NumPy operations of the chain
+    ``normalize_embeddings`` (skipped when frozen) -> ``compute_weights`` ->
+    ``specific_embedding`` -> ``T.mlp2`` in the same order, and its VJP
+    evaluates each of their VJPs in reverse tape order, summing the two uses
+    of the normalized rows and of the weight row as ``backward`` would.  So
+    kernels and gradients equal that chain's bit for bit.  [N, D_e]
+    intermediates are written in place (``out=``) where their inputs are
+    spent, which changes no value and keeps fewer of them alive.
+    """
     if gen.frozen:
-        n_p = gen._cached_norm
+        e = None
+        n_p = gen._cached_norm.data
     else:
-        n_p = normalize_embeddings(gen.embeddings)
-    w = compute_weights(f_in, gen.weight_mlp)
-    s = specific_embedding(n_p, w)
-    scalars = T.mlp2(s, gen.decode_mlp)          # [N, 1]
+        e = gen.embeddings.data
+        if e.ndim != 2:
+            raise DimensionError("embeddings must be [N, D_e]")
+        n_p = e * e
+        norms = np.sqrt(np.sum(n_p, axis=-1, keepdims=True))
+        _check_norms(norms)
+        np.divide(e, norms, out=n_p)
+    x = f_in.data
+    wm, dm = gen.weight_mlp, gen.decode_mlp
+    _check_conditioning(x, wm)
+    c, h, w = x.shape
+    # weight MLP on the pooled input (mlp2's 1-D form), then softmax
+    col = x.reshape(c, h * w).mean(axis=1).reshape(c, 1)
+    pre1 = wm.w1.data @ col + wm.b1.data.reshape(-1, 1)
+    h1 = np.maximum(pre1, 0.0)
+    y = T._softmax_forward((wm.w2.data @ h1 + wm.b2.data.reshape(-1, 1)).reshape(-1))
+    # reflect every row: s_i = W - (<n_i, W> * 2) n_i
+    wr = y.reshape(1, -1)
+    s = n_p * wr
+    dots2 = np.sum(s, axis=-1, keepdims=True) * 2.0
+    np.multiply(dots2, n_p, out=s)
+    np.subtract(wr, s, out=s)
+    # decode MLP (mlp2's 2-D form), one scalar per row
+    h2 = s @ dm.w1.data.T
+    np.add(h2, dm.b1.data.reshape(1, -1), out=h2)
+    active2 = h2 > 0.0
+    np.maximum(h2, 0.0, out=h2)
+    scalars = h2 @ dm.w2.data.T + dm.b2.data.reshape(1, -1)
     c_in, c_out, d_k = gen.target_shape
-    return T.reshape(scalars, (c_out, c_in, d_k, d_k))
+    out = T._wrap(scalars.reshape(c_out, c_in, d_k, d_k))
+
+    def vjp(g, needs):
+        g = g.reshape(scalars.shape)
+        # decode MLP
+        g_db2 = _sum_rows(g).reshape(dm.b2.data.shape)
+        g_dw2 = (h2.T @ g).T
+        g_pre2 = g @ dm.w2.data
+        np.multiply(g_pre2, active2, out=g_pre2)
+        g_db1 = _sum_rows(g_pre2).reshape(dm.b1.data.shape)
+        g_dw1 = (s.T @ g_pre2).T
+        g_s = g_pre2 @ dm.w1.data
+        # reflection; wr and n_p add their later use's term first
+        tmp = -g_s
+        g_np = tmp * dots2 if e is not None else None
+        np.multiply(tmp, n_p, out=tmp)
+        g_dots = np.sum(tmp, axis=1, keepdims=True) * 2.0
+        g_wr = _sum_rows(g_s) + _sum_rows(np.multiply(g_dots, n_p, out=tmp))
+        # softmax and weight MLP
+        g_o = T._softmax_vjp(g_wr.reshape(y.shape), y).reshape(-1, 1)
+        g_wb2 = g_o.reshape(wm.b2.data.shape)
+        g_ww2 = g_o @ h1.T
+        g_pre1 = (wm.w2.data.T @ g_o) * (pre1 > 0.0)
+        g_wb1 = g_pre1.reshape(wm.b1.data.shape)
+        g_ww1 = g_pre1 @ col.T
+        g_x = None
+        if needs[0]:
+            g_pool = (wm.w1.data.T @ g_pre1).reshape(c)
+            g_x = np.broadcast_to(g_pool[:, None, None] / (h * w), x.shape).copy()
+        grads = (g_x, g_ww1, g_wb1, g_ww2, g_wb2, g_dw1, g_db1, g_dw2, g_db2)
+        if e is None:
+            return grads
+        np.add(g_np, np.multiply(g_dots, wr, out=tmp), out=g_np)
+        # normalization, n_p = e / norms with norms = sqrt(sum(e * e)):
+        # g_e = g_np / norms + 2.0 * e * (g_norms * 0.5 / norms)
+        np.negative(g_np, out=tmp)
+        np.multiply(tmp, e, out=tmp)
+        np.divide(tmp, norms * norms, out=tmp)
+        g_norms = np.sum(tmp, axis=1, keepdims=True)
+        np.divide(g_np, norms, out=g_np)
+        np.multiply(2.0, e, out=tmp)
+        np.multiply(tmp, g_norms * 0.5 / norms, out=tmp)
+        return grads + (np.add(g_np, tmp, out=g_np),)
+
+    inputs = (f_in, wm.w1, wm.b1, wm.w2, wm.b2, dm.w1, dm.b1, dm.w2, dm.b2)
+    if e is not None:
+        inputs += (gen.embeddings,)
+    return T._record(out, inputs, vjp)
+
+
+def _sum_rows(g: np.ndarray) -> np.ndarray:
+    """A [N, D] gradient reduced onto a broadcast [1, D] operand, as the tape reduces it."""
+    return g if g.shape[0] == 1 else g.sum(axis=0, keepdims=True)
 
 
 def degradation_score(gen, inputs: list) -> float:

@@ -187,11 +187,6 @@ def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
     )
 
 
-def poi(model, selector: LayerSelector, low_images: list, ref_images: list, seed: int) -> float:
-    """Fraction of images scoring strictly better after the reset (child stream 0)."""
-    return probe_sweep(model, [selector], low_images, ref_images, [seed])[0].poi
-
-
 def probe_sweep(
     model, selectors: list, low_images: list, ref_images: list, seeds: list
 ) -> list:

@@ -145,17 +145,25 @@ def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
+def backward(tape: Tape, loss: Tensor, into: Sequence | None = None) -> None:
     """Populate gradients of every tracked tensor with d(loss)/d(tensor).
 
     Accumulation is additive: over repeated uses of a node within the tape,
     and into any pre-existing ``grad`` buffers across calls.  Tracked
     tensors the loss does not depend on receive a zero gradient.
+
+    ``into``, a sequence of (tensor, destination array) pairs that covers
+    every tracked tensor, replaces the additive deposit: each listed tensor's
+    gradient is copied into its destination (zeros if the loss does not reach
+    it), and ``grad`` becomes that array.  The bytes are those a first
+    additive call would leave.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("loss must be a Tensor")
     if loss.data.size != 1:
         raise ContractError("loss must be scalar")
+    if into is not None and not tape._tracked.keys() <= {t.node_id for t, _ in into}:
+        raise ContractError("backward destinations must cover every tracked tensor")
     grads = {loss.node_id: np.ones_like(loss.data)}
     for out_id, inputs, needs, vjp in reversed(tape._records):
         g = grads.pop(out_id, None)
@@ -166,6 +174,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 continue
             prev = grads.get(t.node_id)
             grads[t.node_id] = gi if prev is None else prev + gi
+    if into is not None:
+        for t, dst in into:
+            g = grads.get(t.node_id)
+            if g is None:
+                dst[...] = 0.0
+            else:
+                dst[...] = g.reshape(dst.shape)
+            t.grad = dst
+        return
     for nid, t in tape._tracked.items():
         g = grads.get(nid)
         if g is None:
@@ -456,18 +473,28 @@ def softmax(v: Tensor) -> Tensor:
     For a 1-D input this is the probability vector of the logits; for
     higher ranks each row of the final axis is normalized independently.
     """
-    if not np.all(np.isfinite(v.data)):
-        raise ContractError("softmax input must be finite")
-    shifted = v.data - np.max(v.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=-1, keepdims=True)
+    y = _softmax_forward(v.data)
     out = _wrap(y)
 
     def vjp(g, needs):
-        inner = np.sum(g * y, axis=-1, keepdims=True)
-        return (y * (g - inner),)
+        return (_softmax_vjp(g, y),)
 
     return _record(out, (v,), vjp)
+
+
+def _softmax_forward(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a finite array; ContractError otherwise."""
+    if not np.all(np.isfinite(x)):
+        raise ContractError("softmax input must be finite")
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the logits given ``g`` at the softmax output ``y``."""
+    inner = np.sum(g * y, axis=-1, keepdims=True)
+    return y * (g - inner)
 
 
 def global_avg_pool(f: Tensor) -> Tensor:

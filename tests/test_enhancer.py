@@ -202,6 +202,16 @@ class TestForward:
         assert taps["decoder.block2.attn.adr"].data.shape == (24, 16, 16)
 
 
+def step_tape_length(**kw):
+    """Tape records of one training loss on a 32x32 image, widths (8, 16)."""
+    model = ToyEnhancer(Rng(27), widths=(8, 16), **kw)
+    pair = make_corpus(28, 1, 32, 32)[0]
+    tape = T.Tape()
+    with tape:
+        T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
+    return len(tape)
+
+
 class TestStages:
     def test_table_lists_every_stage_in_forward_order(self):
         model = ToyEnhancer(Rng(24), adr_blocks=(True, True))
@@ -227,14 +237,19 @@ class TestStages:
             assert np.array_equal(model.resume(recorded[k], k).data, want)
 
     def test_training_step_tape_length(self):
-        """The benchmark's 32x32 ADR model records 263 tape entries per step."""
-        model = ToyEnhancer(Rng(27), widths=(8, 16), adr_blocks=(True, True),
-                            adr_dims=(4, 16, 3))
-        pair = make_corpus(28, 1, 32, 32)[0]
-        tape = T.Tape()
-        with tape:
-            T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
-        assert len(tape) == 263
+        """The benchmark's 32x32 ADR model records 143 tape entries per step:
+        the plain model's 123, plus 5 per reallocation block for concat, two
+        convolutions, ReLU and the residual add, 3 for its split, and 1 per
+        generator."""
+        assert step_tape_length(adr_blocks=(True, True), adr_dims=(4, 16, 3)) == 143
+
+    def test_plain_training_step_tape_length(self):
+        assert step_tape_length() == 123
+
+    def test_adr_dynconv_training_step_tape_length(self):
+        """A dynamic decoder convolution takes 13 records more than a static one:
+        pooling, its MLP, softmax and candidate mixing, less the bias add."""
+        assert step_tape_length(adr_blocks=(True, True), dyn_candidates=3) == 169
 
 
 class TestTraining:

@@ -6,6 +6,9 @@ import pytest
 
 from redlab import pog
 from redlab import tensor as T
+from redlab.adr import AdrBlock, reallocate
+from redlab.datagen import make_corpus
+from redlab.enhancer import ToyEnhancer, train
 from redlab.errors import (
     ConfigurationError,
     ContractError,
@@ -184,7 +187,7 @@ class TestGenerate:
         s = pog.specific_embedding(n_p, w)
         decoded = T.mlp2(s, gen.decode_mlp)
         want = decoded.data.reshape(2, 2, 1, 1)
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.array_equal(got, want)
 
     def test_gradients_through_pipeline(self):
         """Embeddings and both MLPs all receive correct gradients."""
@@ -227,6 +230,95 @@ class TestGenerate:
         gen = pog.PogGenerator(Rng(21), 3, 16, (2, 3, 3))
         norms = np.sqrt((gen.embeddings.data ** 2).sum(axis=1))
         assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+def composed_generate(gen, f_in):
+    """The generator as a chain of its published sub-steps, one tape record per
+    primitive: the byte oracle for the single-record ``pog.generate``."""
+    n_p = gen._cached_norm if gen.frozen else pog.normalize_embeddings(gen.embeddings)
+    w = pog.compute_weights(f_in, gen.weight_mlp)
+    s = pog.specific_embedding(n_p, w)
+    c_in, c_out, d_k = gen.target_shape
+    return T.reshape(T.mlp2(s, gen.decode_mlp), (c_out, c_in, d_k, d_k))
+
+
+def signed_cotangent(seed, shape):
+    """Upstream gradient of both signs with exact +0.0 and -0.0 entries."""
+    g = Rng(seed).fill_uniform(shape, -1.0, 1.0)
+    g.reshape(-1)[::7] = -0.0
+    g.reshape(-1)[3::5] = 0.0
+    return g
+
+
+def generator_bytes(seed, d_c, d_e, target, frozen):
+    """Kernel, input gradient and every parameter gradient of one generate, as bytes."""
+    gen = pog.PogGenerator(Rng(seed), d_c, d_e, target)
+    if frozen:
+        gen.freeze()
+    x = Tensor(Rng(seed + 1).fill_uniform((d_c, 5, 6), -1.0, 1.0), requires_grad=True)
+    c_in, c_out, d_k = target
+    g = Tensor(signed_cotangent(seed + 2, (c_out, c_in, d_k, d_k)))
+    tape = T.Tape()
+    with tape:
+        kernel = gen.generate(x)
+        loss = T.sum_all(T.mul(kernel, g))
+    T.backward(tape, loss)
+    grads = [None if t.grad is None else t.grad.tobytes() for _, t in gen.named_parameters()]
+    return [kernel.data.tobytes(), x.grad.tobytes()] + grads, len(tape)
+
+
+class TestGeneratorOracle:
+    """``pog.generate`` is one taped operation whose bytes, signed zeros
+    included, equal those of the composed chain it replaces."""
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("d_e", [2, 16])
+    @pytest.mark.parametrize("d_k", [1, 3, 5])
+    def test_kernel_and_gradients(self, d_k, d_e, frozen, monkeypatch):
+        """C_in != C_out, and a single-row (1, 1, 1) generator."""
+        for seed, d_c, target in ((0, 6, (6, 2, d_k)), (1, 3, (1, 1, d_k))):
+            got, records = generator_bytes(seed, d_c, d_e, target, frozen)
+            monkeypatch.setattr(pog, "generate", composed_generate)
+            want, _ = generator_bytes(seed, d_c, d_e, target, frozen)
+            monkeypatch.undo()
+            assert got == want
+            assert records == 3  # generate, mul, sum_all
+
+    def test_reallocation_gradients(self, monkeypatch):
+        """Both generators and the two convolutions share f_in; its four gradient
+        terms add in the composed chain's order."""
+        def run():
+            block = AdrBlock(Rng(3), 12, 4, 5, 3)
+            qkv = [Tensor(Rng(4 + i).fill_uniform((4, 6, 6), -1.0, 1.0), requires_grad=True)
+                   for i in range(3)]
+            tape = T.Tape()
+            with tape:
+                out = T.concat_channels(list(reallocate(block, *qkv)))
+                loss = T.sum_all(T.mul(out, Tensor(signed_cotangent(7, (12, 6, 6)))))
+            T.backward(tape, loss)
+            params = [t for _, t in block.named_parameters()] + qkv
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in params]
+
+        got = run()
+        monkeypatch.setattr(pog, "generate", composed_generate)
+        assert got == run()
+
+    @pytest.mark.parametrize("kw", [{"adr_blocks": (True, True)},
+                                    {"adr_blocks": (True, True), "dyn_candidates": 3}],
+                             ids=["adr", "adr_dynconv"])
+    def test_training_replays_on_the_composed_chain(self, kw, monkeypatch):
+        """20-step loss histories, trained arenas and last gradients are equal bytes."""
+        pairs = make_corpus(3, 2, 16, 16)
+
+        def run():
+            model = ToyEnhancer(Rng(7), **kw)
+            state = train(model, pairs, 20, 11)
+            grads = b"".join(t.grad.tobytes() for _, t in model.named_parameters())
+            return np.array(state.loss_history).tobytes(), model.arena.tobytes(), grads
+
+        got = run()
+        monkeypatch.setattr(pog, "generate", composed_generate)
+        assert got == run()
 
 
 class TestDegradationScore:

@@ -22,7 +22,6 @@ from redlab.redundancy import (
     dmr_summary,
     mean_delta_by_kind,
     parse_selector,
-    poi,
     probe_sweep,
     psnr,
     reset_layer,
@@ -286,7 +285,7 @@ class TestPoi:
         imgs = images(18, 4)
         refs = images(19, 4)
         sel = LayerSelector(path, "static")
-        assert poi(model, sel, imgs, refs, 0) == 0.0
+        assert probe_sweep(model, [sel], imgs, refs, [0])[0].poi == 0.0
 
     @pytest.mark.parametrize("path", BIAS_PATHS)
     def test_universal_improvement_scores_one(self, path):
@@ -296,7 +295,7 @@ class TestPoi:
         refs = [model.forward(x) for x in imgs]
         dict(model.named_parameters())[path].data[...] = 0.7
         sel = LayerSelector(path, "static")
-        assert poi(model, sel, imgs, refs, 0) == 1.0
+        assert probe_sweep(model, [sel], imgs, refs, [0])[0].poi == 1.0
 
     def test_matches_per_image_hand_comparison(self):
         """POI equals an explicit per-image strict comparison."""
@@ -304,7 +303,7 @@ class TestPoi:
         lows = [p.low for p in pairs]
         refs = [p.clean for p in pairs]
         sel = LayerSelector("decoder.block2.attn.qkv", "attention")
-        got = poi(model, sel, lows, refs, 31)
+        got = probe_sweep(model, [sel], lows, refs, [31])[0].poi
         probe = reset_layer(model, sel, Rng(child_seed(31, 0)))
         wins = 0
         for low, ref in zip(lows, refs):
@@ -315,7 +314,8 @@ class TestPoi:
     def test_length_mismatch_rejected(self):
         model = fresh_frozen_model()
         with pytest.raises(ContractError):
-            poi(model, LayerSelector("head.bias", "static"), images(21, 2), images(22, 3), 0)
+            sel = LayerSelector("head.bias", "static")
+            probe_sweep(model, [sel], images(21, 2), images(22, 3), [0])
 
 
 class TestProbeSweep:

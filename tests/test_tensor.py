@@ -482,6 +482,42 @@ class TestTapeSemantics:
         with pytest.raises(ContractError):
             T.backward(tape, y)
 
+    def test_destinations_receive_the_additive_bytes(self):
+        """Gradients copied into destination views equal a first additive
+        backward's bytes, signed zeros included; an unreached leaf gets +0.0."""
+        def run(into):
+            a = T.Tensor(signed_values(20, (3, 4)), requires_grad=True)
+            b = T.Tensor(signed_values(21, (4,)), requires_grad=True)
+            unused = T.Tensor(np.ones(2), requires_grad=True)
+            unused.grad = np.full(2, 5.0)
+            tape = T.Tape()
+            with tape:
+                _ = T.square(unused)
+                y = T.relu(T.mul(T.add(a, T.reshape(b, (1, 4))), a))
+                loss = T.sum_all(T.mul(y, T.Tensor(signed_values(22, (3, 4)))))
+            leaves = (a, b, unused)
+            if into:
+                flat = np.full(18, np.nan)
+                views = [flat[:12].reshape(3, 4), flat[12:16], flat[16:]]
+                T.backward(tape, loss, list(zip(leaves, views)))
+                assert all(t.grad is v for t, v in zip(leaves, views))
+                return flat.tobytes()
+            unused.grad = None
+            T.backward(tape, loss)
+            return b"".join(t.grad.tobytes() for t in leaves)
+
+        assert run(into=True) == run(into=False)
+
+    def test_destinations_must_cover_every_tracked_leaf(self):
+        a = T.Tensor(np.ones(2), requires_grad=True)
+        b = T.Tensor(np.ones(2), requires_grad=True)
+        tape = T.Tape()
+        with tape:
+            loss = T.sum_all(T.mul(a, b))
+        with pytest.raises(ContractError, match="every tracked tensor"):
+            T.backward(tape, loss, [(a, np.empty(2))])
+        assert a.grad is None and b.grad is None
+
     def test_deepcopy_gets_fresh_identity(self):
         """Copied tensors share no buffers and no tape identity."""
         x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
