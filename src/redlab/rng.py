@@ -14,17 +14,21 @@ every lane at once with ``uint64`` array operations.  This gives the same
 bits because the xoshiro state update is linear over GF(2): one step is a
 fixed 256x256 bit matrix M acting on the 256-bit state, so the state m
 steps ahead is M^m times the current one.  L is a power of two, and lane k
-starts at M^(k L) applied to the current state.  The lane starts are
-seeded by doubling: lanes [2^t, 2^(t+1)) are M^(L 2^t) applied to lanes
-[0, 2^t), and each M^(2^j) is squared from the one before on first use and
-kept as 256 packed 4-word rows (8 KB each).  Lane-major order of the
-outputs is then exactly the scalar order, the state after draw n is read
-off the lane that holds it, and the floating-point transforms use the
-scalar methods' operations in the scalar order (``math.log`` and
-``math.cos`` element by element, because NumPy's versions may round
-differently).  A fill is drawn 65536 elements at a time; each chunk starts
-where the last one left the stream, so chunking changes no value and keeps
-the temporaries of a large fill to a few MB.
+starts at M^(k L) applied to the current state.  The lane starts are seeded
+by doubling: lanes [2^t, 2^(t+1)) are M^(L 2^t) applied to lanes [0, 2^t).
+Each M^(2^j) is kept as a nibble table of 32 KB: for each of the state's 64
+four-bit nibbles, the images of its 16 values, so a product is 64 row
+lookups XORed together.  Table 0 is built from one step of the 256 unit
+states and table j by applying table j - 1 twice to them, on first use.
+Timed on 2 vCPUs, a 24576-draw lane fill takes 0.7 ms, 0.3 of them for the
+lane starts, where a per-bit parity product over packed rows took 1.6 and
+1.1 ms.  Lane-major order of the outputs is then exactly the scalar order,
+the state after draw n is read off the lane that holds it, and the
+floating-point transforms use the scalar methods' operations in the scalar
+order (``math.log`` and ``math.cos`` element by element, because NumPy's
+versions may round differently).  A fill is drawn 65536 elements at a time;
+each chunk starts where the last one left the stream, so chunking changes
+no value and keeps the temporaries of a large fill to a few MB.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # Fills of fewer draws than this run the inlined scalar recurrence: below
 # it, the lane kernel's fixed cost per step and per jump is the larger.
-# Timed, the two cost the same at 448 draws (0.29 ms); at 384 the scalar
-# loop is 11% faster, at 512 the lanes are 12% faster.
-_LANE_MIN_DRAWS = 448
+# Timed on 2 vCPUs, the two cost the same at 384 draws (0.40 ms); at 320
+# the scalar loop is 13% faster, at 448 the lanes are 14% faster.
+_LANE_MIN_DRAWS = 384
 
 # Array fills are drawn and transformed this many elements at a time, so a
 # large fill's temporaries stay a bounded few MB beside its output.
@@ -86,48 +90,56 @@ def _step_lanes(s: np.ndarray, t: np.ndarray) -> None:
     s3 |= t
 
 
-def _apply(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """GF(2) product of a packed bit matrix with each of B packed states.
+# The first row of each nibble's 16 in a table, laid out as a state's
+# little-endian bytes split into (low, high) nibbles.
+_NIBBLE_ROWS = 16 * np.arange(64, dtype=np.intp).reshape(32, 2, 1)
 
-    ``rows`` is (256, 4) little-endian words, row r holding the input bits
-    that output bit r sums; ``states`` is (B, 4).  Returns (B, 4).
+
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """GF(2) product of a jump matrix with each of B states (B, 4) words.
+
+    ``table`` is the matrix's (1024, 4) nibble table: row 16 p + v is the
+    image of the state whose bits 4p..4p+3 hold v and whose other bits are
+    zero.  A state's image is the XOR of its 64 nibbles' rows, gathered
+    nibble-major so the XOR runs over whole (B, 4) blocks.
     """
-    acc = states[:, None, 0] & rows[:, 0]
-    for w in range(1, 4):
-        acc ^= states[:, None, w] & rows[:, w]
-    # Parity of each word by folding halves (np.bitwise_count needs NumPy 2).
-    for shift in (32, 16, 8, 4, 2, 1):
-        acc ^= acc >> shift
-    parity = (acc & 1).astype(np.uint8)
-    return np.packbits(parity, axis=1, bitorder="little").view("<u8")
+    b = states.view(np.uint8).T
+    idx = np.empty((32, 2, len(states)), dtype=np.intp)
+    np.bitwise_and(b, 15, out=idx[:, 0])
+    np.right_shift(b, 4, out=idx[:, 1])
+    idx += _NIBBLE_ROWS
+    rows = np.take(table, idx.reshape(64, len(states)), axis=0)
+    return np.bitwise_xor.reduce(rows, axis=0)
 
 
-def _transpose(m: np.ndarray) -> np.ndarray:
-    """Transpose a 256x256 bit matrix held as (256, 4) packed words."""
-    bits = np.unpackbits(m.view(np.uint8), axis=1, bitorder="little")
-    return np.packbits(bits.T.copy(), axis=1, bitorder="little").view("<u8")
+# The 256 unit states e_i, as (256, 4) words.
+_UNITS = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little").view("<u8")
+
+# _JUMP_TABLES[j] holds M^(2^j) as a nibble table (32 KB).  Entries are pure
+# functions of j, so filling the cache concurrently can only store equal
+# values.
+_JUMP_TABLES: dict = {}
 
 
-# _JUMP_ROWS[j] holds M^(2^j) as packed rows.  Entries are pure functions of
-# j, so filling the cache concurrently can only store equal values.
-_JUMP_ROWS: dict = {}
-
-
-def _jump_rows(j: int) -> np.ndarray:
-    rows = _JUMP_ROWS.get(j)
-    if rows is None:
+def _jump_table(j: int) -> np.ndarray:
+    table = _JUMP_TABLES.get(j)
+    if table is None:
         if j == 0:
             # Column i of M is one step applied to the unit state e_i.
-            cols = np.zeros((4, 256), dtype="<u8")
-            for i in range(256):
-                cols[i // 64, i] = 1 << (i % 64)
+            cols = np.ascontiguousarray(_UNITS.T)
             _step_lanes(cols, np.empty(256, dtype="<u8"))
-            rows = _transpose(np.ascontiguousarray(cols.T))
+            cols = cols.T
         else:
-            half = _jump_rows(j - 1)
-            rows = _transpose(_apply(half, _transpose(half)))
-        _JUMP_ROWS[j] = rows
-    return rows
+            half = _jump_table(j - 1)
+            cols = _jump(half, _jump(half, _UNITS))
+        # Row v of nibble p is the XOR of the columns 4p + k of v's set bits
+        # k, built by doubling: rows [2^k, 2^(k+1)) are rows [0, 2^k) XOR
+        # column 4p + k.
+        table = np.zeros((64, 16, 4), dtype="<u8")
+        for k in range(4):
+            table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ cols[k::4, None]
+        _JUMP_TABLES[j] = table = table.reshape(1024, 4)
+    return table
 
 
 class Rng:
@@ -180,11 +192,11 @@ class Rng:
 
     def _lane_u64(self, n: int) -> np.ndarray:
         """The next n ``next_u64`` values from K lanes of L steps each."""
-        # L near sqrt(n)/2 balances the fixed cost of each array step
+        # L near sqrt(n)/4 balances the fixed cost of each array step
         # against the cost of jumping each lane to its start.  Timed over
-        # L = 2^3..2^8 at fill sizes from 576 to 65536 draws, this rule
-        # picks the fastest L or one within 8% of it.
-        log_l = max(4, (n.bit_length() - 2) // 2)
+        # L = 2^3..2^8 at fill sizes from 384 to 131072 draws, this rule
+        # picks the fastest L or one within 10% of it.
+        log_l = max(4, (n.bit_length() - 4) // 2)
         steps = 1 << log_l
         lanes = -(-n // steps)
         starts = np.empty((lanes, 4), dtype="<u8")
@@ -192,8 +204,8 @@ class Rng:
         filled, t = 1, 0
         while filled < lanes:
             count = min(filled, lanes - filled)
-            starts[filled : filled + count] = _apply(
-                _jump_rows(log_l + t), starts[:count]
+            starts[filled : filled + count] = _jump(
+                _jump_table(log_l + t), starts[:count]
             )
             filled += count
             t += 1
@@ -231,7 +243,7 @@ class Rng:
         Equal to ``uniform(lo, hi)`` called once per element in row-major
         order, and leaves the stream where those calls would.
         """
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         out = np.empty(n, dtype=np.float64)
         for start in range(0, n, _FILL_CHUNK):
             m = min(n - start, _FILL_CHUNK)
@@ -246,7 +258,7 @@ class Rng:
 
     def fill_normal(self, shape, sigma: float = 1.0) -> np.ndarray:
         """Row-major array of ``normal(sigma)`` draws, as repeated calls give."""
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         out = np.empty(n, dtype=np.float64)
         for start in range(0, n, _FILL_CHUNK):
             m = min(n - start, _FILL_CHUNK)
@@ -259,9 +271,9 @@ class Rng:
         return out.reshape(shape)
 
     def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) without modulo bias."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        """Uniform integer in [0, n) without modulo bias, for 1 <= n <= 2**64."""
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError(f"n must be in [1, 2**64], got {n}")
         threshold = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:
             v = self.next_u64()

@@ -5,12 +5,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from redlab import rng as rng_module
 from redlab.rng import (
     _FILL_CHUNK,
     _LANE_MIN_DRAWS,
     Rng,
-    _apply,
-    _jump_rows,
+    _jump,
+    _jump_table,
+    _step_lanes,
     child_seed,
     splitmix64,
 )
@@ -108,6 +110,21 @@ class TestRngStreams:
             seen.add(v)
         assert seen == set(range(7))
 
+    def test_next_below_full_u64_range(self):
+        """n = 2**64 accepts every draw and returns it unchanged."""
+        r, twin = Rng(29), Rng(29)
+        assert [r.next_below(2**64) for _ in range(5)] == [
+            twin.next_u64() for _ in range(5)
+        ]
+
+    @pytest.mark.parametrize("n", [0, -3, 2**64 + 1, 2**65])
+    def test_next_below_out_of_range_rejected(self, n):
+        """n outside [1, 2**64] raises before drawing (n > 2**64 used to hang)."""
+        r = Rng(29)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            r.next_below(n)
+        assert r.next_u64() == Rng(29).next_u64()
+
     def test_shuffle_is_permutation(self):
         """Shuffle rearranges without loss or duplication."""
         for seed in range(10):
@@ -148,7 +165,7 @@ class TestLaneKernel:
             state = np.array([r._s], dtype="<u8")
             for _ in range(2**j):
                 r.next_u64()
-            assert [int(x) for x in _apply(_jump_rows(j), state)[0]] == r._s
+            assert [int(x) for x in _jump(_jump_table(j), state)[0]] == r._s
 
     @pytest.mark.parametrize("draws", [-1, 0, 1])
     def test_fills_at_crossover_equal_scalar_draws(self, draws):
@@ -175,11 +192,11 @@ class TestLaneKernel:
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
         assert bulk.next_u64() == twin.next_u64()
 
-    @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0, 2)])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0, 2), 0])
     def test_zero_size_fill_leaves_stream_untouched(self, shape):
         r = Rng(13)
-        assert r.fill_uniform(shape, 0.0, 1.0).shape == shape
-        assert r.fill_normal(shape, 1.0).shape == shape
+        assert r.fill_uniform(shape, 0.0, 1.0).shape == np.empty(shape).shape
+        assert r.fill_normal(shape, 1.0).shape == np.empty(shape).shape
         assert r.next_u64() == Rng(13).next_u64()
 
     @pytest.mark.parametrize("shape", [(-1,), (2, -3), (-600,)])
@@ -190,3 +207,124 @@ class TestLaneKernel:
         with pytest.raises(ValueError):
             r.fill_normal(shape, 1.0)
         assert r.next_u64() == Rng(13).next_u64()
+
+    def test_cached_tables_stay_under_one_mib(self, monkeypatch):
+        """Every lane length's jump tables together fit in 1 MiB.
+
+        Nibble tables are 32 KB a power; 8-bit ones (256 KB) would pass 1 MiB
+        by the fifth power and show in the benchmark's peak RSS.
+        """
+        monkeypatch.setattr(rng_module, "_JUMP_TABLES", {})
+        for n in lane_fill_sizes():
+            Rng(n)._lane_u64(n)
+        tables = rng_module._JUMP_TABLES.values()
+        assert tables
+        assert sum(t.nbytes for t in tables) <= 1 << 20
+
+
+def lane_fill_sizes() -> list:
+    """The largest lane-kernel fill of each bit length, up to 2 * _FILL_CHUNK.
+
+    A ``fill_normal`` chunk draws 2 * _FILL_CHUNK values.  The lane length
+    depends on n only through its bit length, and the largest n of a bit
+    length has the most lanes, so these fills need every jump power that
+    any fill can.
+    """
+    top = 2 * _FILL_CHUNK
+    sizes = [(1 << b) - 1 for b in range(_LANE_MIN_DRAWS.bit_length(), top.bit_length())]
+    return sizes + [top]
+
+
+def requested_powers(monkeypatch) -> list:
+    """Every j whose table the lane kernel uses on a fill of lane_fill_sizes().
+
+    Spies on ``_jump_table`` from an empty cache, so the powers come from the
+    kernel's own lane-length rule; building table j asks for j - 1 too.
+    """
+    seen = set()
+    build = rng_module._jump_table
+
+    def spy(j):
+        seen.add(j)
+        return build(j)
+
+    monkeypatch.setattr(rng_module, "_JUMP_TABLES", {})
+    monkeypatch.setattr(rng_module, "_jump_table", spy)
+    for n in lane_fill_sizes():
+        Rng(n)._lane_u64(n)
+    return sorted(seen)
+
+
+def _apply(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """GF(2) product of a packed bit matrix with each of B packed states.
+
+    The jump product the nibble tables replaced, kept as their oracle.
+    ``rows`` is (256, 4) little-endian words, row r holding the input bits
+    that output bit r sums; ``states`` is (B, 4).  Returns (B, 4).
+    """
+    acc = states[:, None, 0] & rows[:, 0]
+    for w in range(1, 4):
+        acc ^= states[:, None, w] & rows[:, w]
+    # Parity of each word by folding halves (np.bitwise_count needs NumPy 2).
+    for shift in (32, 16, 8, 4, 2, 1):
+        acc ^= acc >> shift
+    parity = (acc & 1).astype(np.uint8)
+    return np.packbits(parity, axis=1, bitorder="little").view("<u8")
+
+
+def _transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose a 256x256 bit matrix held as (256, 4) packed words."""
+    bits = np.unpackbits(m.view(np.uint8), axis=1, bitorder="little")
+    return np.packbits(bits.T.copy(), axis=1, bitorder="little").view("<u8")
+
+
+_JUMP_ROWS: dict = {}
+
+
+def _jump_rows(j: int) -> np.ndarray:
+    """M^(2^j) as packed rows, squared from M's rows as the replaced cache did."""
+    if j not in _JUMP_ROWS:
+        if j == 0:
+            cols = np.zeros((4, 256), dtype="<u8")
+            for i in range(256):
+                cols[i // 64, i] = 1 << (i % 64)
+            _step_lanes(cols, np.empty(256, dtype="<u8"))
+            _JUMP_ROWS[j] = _transpose(np.ascontiguousarray(cols.T))
+        else:
+            half = _jump_rows(j - 1)
+            _JUMP_ROWS[j] = _transpose(_apply(half, _transpose(half)))
+    return _JUMP_ROWS[j]
+
+
+class TestJumpOracle:
+    """The nibble-table jump against stepping and the packed-row product."""
+
+    def test_powers_cover_the_lane_kernel(self, monkeypatch):
+        """Powers run from 0 to the last doubling of the largest fill.
+
+        That doubling jumps half of a 2 * _FILL_CHUNK-draw fill ahead.
+        """
+        powers = requested_powers(monkeypatch)
+        assert powers == list(range(len(powers)))
+        assert 1 << powers[-1] == _FILL_CHUNK
+
+    def test_tables_equal_scalar_steps(self, monkeypatch):
+        """M^(2^j) applied to a state equals 2^j ``next_u64`` calls."""
+        for j in requested_powers(monkeypatch):
+            r = Rng(100 + j)
+            state = np.array([r._s], dtype="<u8")
+            for _ in range(2**j):
+                r.next_u64()
+            assert [int(x) for x in _jump(_jump_table(j), state)[0]] == r._s
+
+    def test_tables_equal_packed_rows(self, monkeypatch):
+        """The table product equals the packed-row parity product, word for word."""
+        r = Rng(7)
+        states = np.array(
+            [[r.next_u64() for _ in range(4)] for _ in range(61)]
+            + [[0, 0, 0, 0], [2**64 - 1] * 4, [1, 0, 0, 1 << 63]],
+            dtype="<u8",
+        )
+        for j in requested_powers(monkeypatch):
+            got = _jump(_jump_table(j), states)
+            assert got.tobytes() == _apply(_jump_rows(j), states).tobytes()
