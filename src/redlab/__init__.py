@@ -13,7 +13,7 @@ from .checkpoint import load_model, load_tensors, save_model, save_tensors
 from .config import RunConfig, build_model, load_config
 from .datagen import ScenePair, degrade, load_pairs, make_corpus, make_pair, make_scene, save_pairs
 from .dynconv import DynamicConv, candidate_similarity
-from .enhancer import ToyEnhancer, collect_adr_inputs, evaluate, train
+from .enhancer import ToyEnhancer, evaluate, train
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -70,7 +70,6 @@ __all__ = [
     "build_model",
     "candidate_similarity",
     "child_seed",
-    "collect_adr_inputs",
     "default_selectors",
     "degradation_score",
     "degrade",

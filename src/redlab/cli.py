@@ -30,7 +30,7 @@ from .checkpoint import (
 from .config import ADR_AXES, build_model, load_config
 from .datagen import load_pairs, make_corpus, save_pairs
 from .dynconv import candidate_similarity
-from .enhancer import collect_adr_inputs, evaluate, train
+from .enhancer import evaluate, train
 from .errors import ConfigurationError, DivergenceError, RedlabError
 from .pog import degradation_score
 from .redundancy import (
@@ -132,12 +132,14 @@ def _cmd_degrade_score(args) -> int:
     model = load_model(args.ckpt)
     pairs = load_pairs(args.data)
     lows = [p.low for p in pairs[:8]]
+    adr_blocks = model.reallocation_blocks()
     taps: dict = {}
     for low in lows:
-        for path, f_in in collect_adr_inputs(model, low).items():
-            taps.setdefault(path, []).append(f_in)
+        seen: dict = {}
+        model.forward(low, seen.__setitem__)
+        for path in adr_blocks:
+            taps.setdefault(path, []).append(seen[path])
     scores = {}
-    adr_blocks = model.reallocation_blocks()
     for path, inputs in taps.items():
         adr = adr_blocks[path]
         scores[f"{path}.gen1"] = degradation_score(adr.gen1, inputs)

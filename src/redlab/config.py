@@ -16,6 +16,7 @@ at any nesting level — is rejected outright.  A silent typo in, say,
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -81,8 +82,9 @@ class RunConfig:
         lr = doc.get("lr", 1e-3)
         if isinstance(lr, bool) or not isinstance(lr, (int, float)):
             raise ConfigurationError(f"config.lr must be a number, got {lr!r}")
-        if lr < 0:
-            raise ConfigurationError(f"config.lr must be >= 0, got {lr}")
+        # NaN fails every comparison; an int past the float range would overflow float()
+        if not 0 <= lr <= sys.float_info.max:
+            raise ConfigurationError(f"config.lr must be finite and >= 0, got {lr}")
 
         widths = check_list(doc.get("widths", [8, 16]), 2, "config.widths")
         for w in widths:

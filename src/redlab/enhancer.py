@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
 
+# observe(path, tensor): watches a forward; see ToyEnhancer.resume
+Observer = Callable[[str, Tensor], object]
+
 
 class Conv2dLayer:
     """Same-padded convolution with bias, kernel from :func:`~redlab.tensor.init_uniform`."""
@@ -45,7 +49,7 @@ class Conv2dLayer:
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
         self.c_out = c_out
 
-    def forward(self, x: Tensor, capture: dict | None = None, path: str = "") -> Tensor:
+    def forward(self, x: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
         return T.add(T.conv2d(x, self.kernel), T.reshape(self.bias, (self.c_out, 1, 1)))
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
@@ -74,7 +78,7 @@ class ChannelAttentionBlock:
         else:
             self.adr = None
 
-    def forward(self, f: Tensor, capture: dict | None = None, path: str = "") -> Tensor:
+    def forward(self, f: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
         if f.data.shape[0] != self.d:
             raise DimensionError(
                 f"attention block expects {self.d} channels, got {f.data.shape[0]}"
@@ -83,10 +87,8 @@ class ChannelAttentionBlock:
         k = self.k_conv.forward(f)
         v = self.v_conv.forward(f)
         if self.adr is not None:
-            if capture is not None:
-                capture.setdefault("adr_inputs", {})[f"{path}.adr"] = T.concat_channels(
-                    [q, k, v]
-                )
+            if observe is not None:
+                observe(f"{path}.adr", T.concat_channels([q, k, v]))
             q, k, v = reallocate(self.adr, q, k, v)
         d, hh, ww = self.d, f.data.shape[1], f.data.shape[2]
         qm = T.reshape(q, (d, hh * ww))
@@ -95,8 +97,6 @@ class ChannelAttentionBlock:
         qh = T.div(qm, T.sqrt(T.add(T.sum_last(T.square(qm)), 1e-24)))
         kh = T.div(km, T.sqrt(T.add(T.sum_last(T.square(km)), 1e-24)))
         a = T.softmax(T.mul(T.matmul(qh, T.transpose2d(kh)), self.tau))
-        if capture is not None:
-            capture.setdefault("attention", {})[path] = a.data
         out = self.out_conv.forward(T.reshape(T.matmul(a, vm), (d, hh, ww)))
         return T.add(out, f)
 
@@ -115,7 +115,7 @@ class EncoderStage:
     def __init__(self, rng: Rng, c_in: int, c_out: int):
         self.conv = Conv2dLayer(rng, c_in, c_out, 3)
 
-    def forward(self, x: Tensor, capture: dict | None = None, path: str = "") -> Tensor:
+    def forward(self, x: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
         return T.downsample2x_mean(T.relu(self.conv.forward(x)))
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
@@ -139,9 +139,9 @@ class DecoderStage:
             self.dynamic = False
         self.attn = ChannelAttentionBlock(rng, c_out, adr_dims)
 
-    def forward(self, x: Tensor, capture: dict | None, path: str) -> Tensor:
+    def forward(self, x: Tensor, observe: Observer | None, path: str) -> Tensor:
         y = self.conv.forward(T.upsample2x(x))
-        return self.attn.forward(T.relu(y), capture, f"{path}.attn")
+        return self.attn.forward(T.relu(y), observe, f"{path}.attn")
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         sub = "dynconv" if self.dynamic else "conv"
@@ -212,7 +212,7 @@ class ToyEnhancer:
         self.head = Conv2dLayer(rng, w1, 3, 3)
         # (path, stage) for every stage, in forward order: the one place these
         # parameter paths are spelled out.  Each stage maps its input alone
-        # (plus the optional capture) to the next stage's input.
+        # (plus the optional observer) to the next stage's input.
         self.stages = (
             ("encoder.stage1", self.enc1),
             ("encoder.stage2", self.enc2),
@@ -241,34 +241,30 @@ class ToyEnhancer:
         clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
         return clone
 
-    def forward(
-        self, x: Tensor, capture: dict | None = None, stage_inputs: list | None = None
-    ) -> Tensor:
-        """The enhanced image; ``stage_inputs``, if given, receives each stage's input."""
+    def forward(self, x: Tensor, observe: Observer | None = None) -> Tensor:
+        """The enhanced image; ``observe``, if given, watches the forward (see :meth:`resume`)."""
         if x.data.ndim != 3 or x.data.shape[0] != 3:
             raise DimensionError(f"expected [3, H, W] input, got {x.data.shape}")
         h, w = x.data.shape[1], x.data.shape[2]
         if h % 4 or w % 4:
             raise DimensionError(f"H and W must be divisible by 4, got {h}x{w}")
-        return self.resume(x, 0, capture, stage_inputs)
+        return self.resume(x, 0, observe)
 
-    def resume(
-        self,
-        y: Tensor,
-        start: int,
-        capture: dict | None = None,
-        stage_inputs: list | None = None,
-    ) -> Tensor:
+    def resume(self, y: Tensor, start: int, observe: Observer | None = None) -> Tensor:
         """The forward from ``stages[start]`` on, given that stage's input ``y``.
 
-        ``resume(stage_inputs[k], k)``, with the list a forward recorded,
-        equals that forward's output as long as no parameter of the stages
-        before ``k`` changed in between.
+        ``observe(path, tensor)``, if given, is called in forward order with
+        each stage's path and input, and, inside each attention block that
+        carries reallocation, with ``<block path>.adr`` (a key of
+        :meth:`reallocation_blocks`) and the Q/K/V stack its generators
+        condition on.  ``resume(seen[path_k], k)``, with the input a forward
+        showed for stage k, equals that forward's output as long as no
+        parameter of the stages before ``k`` changed in between.
         """
         for path, stage in self.stages[start:]:
-            if stage_inputs is not None:
-                stage_inputs.append(y)
-            y = stage.forward(y, capture, path)
+            if observe is not None:
+                observe(path, y)
+            y = stage.forward(y, observe, path)
         return T.clamp01(y)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -299,13 +295,6 @@ class ToyEnhancer:
         for _, t in self.named_parameters():
             t.grad = None
         self.frozen = True
-
-
-def collect_adr_inputs(model: ToyEnhancer, x: Tensor) -> dict:
-    """Concatenated Q/K/V conditioning tensors per reallocation block path."""
-    capture: dict = {}
-    model.forward(x, capture)
-    return capture.get("adr_inputs", {})
 
 
 @dataclass

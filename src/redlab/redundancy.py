@@ -129,8 +129,9 @@ def reset_layer(model, selector: LayerSelector, rng: Rng):
 
 def _base_pass(model, x: Tensor) -> tuple:
     """(output, input of every stage) of one forward of the unreset model."""
-    stage_inputs: list = []
-    return model.forward(x, stage_inputs=stage_inputs), stage_inputs
+    seen: dict = {}
+    out = model.forward(x, seen.__setitem__)
+    return out, [seen[path] for path, _ in model.stages]
 
 
 def _first_stage(probe, path: str) -> int:

@@ -243,12 +243,12 @@ class Rng:
         Equal to ``uniform(lo, hi)`` called once per element in row-major
         order, and leaves the stream where those calls would.
         """
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _FILL_CHUNK):
-            m = min(n - start, _FILL_CHUNK)
-            out[start : start + m] = lo + (hi - lo) * self._doubles(m)
-        return out.reshape(shape)
+        out = np.empty(shape, dtype=np.float64)  # refuses a bad shape before any draw
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _FILL_CHUNK):
+            m = min(flat.size - start, _FILL_CHUNK)
+            flat[start : start + m] = lo + (hi - lo) * self._doubles(m)
+        return out
 
     def normal(self, sigma: float = 1.0) -> float:
         """One N(0, sigma^2) draw via Box-Muller (two uniforms per draw)."""
@@ -258,17 +258,17 @@ class Rng:
 
     def fill_normal(self, shape, sigma: float = 1.0) -> np.ndarray:
         """Row-major array of ``normal(sigma)`` draws, as repeated calls give."""
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _FILL_CHUNK):
-            m = min(n - start, _FILL_CHUNK)
+        out = np.empty(shape, dtype=np.float64)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _FILL_CHUNK):
+            m = min(flat.size - start, _FILL_CHUNK)
             d = self._doubles(2 * m)
             log_u1 = np.fromiter(map(math.log, (1.0 - d[0::2]).tolist()), np.float64, m)
             cos_u2 = np.fromiter(
                 map(math.cos, (2.0 * math.pi * d[1::2]).tolist()), np.float64, m
             )
-            out[start : start + m] = sigma * np.sqrt(-2.0 * log_u1) * cos_u2
-        return out.reshape(shape)
+            flat[start : start + m] = sigma * np.sqrt(-2.0 * log_u1) * cos_u2
+        return out
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias, for 1 <= n <= 2**64."""

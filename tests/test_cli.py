@@ -186,6 +186,17 @@ class TestTrain:
         assert len(err.splitlines()) == 1
         assert not any(name.startswith("model") for name in os.listdir(tmp_path))
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_lr_exits_two(self, tmp_path, capsys, lr):
+        """json parses "lr": NaN and Infinity; the config refuses both before training."""
+        cfg = write_config(tmp_path, steps=1, lr=lr)
+        data = gen_corpus(tmp_path, count=1)
+        code = run(["train", "--config", cfg, "--data", data,
+                    "--out", str(tmp_path / "model")])
+        assert code == 2
+        assert "config.lr must be finite" in capsys.readouterr().err
+        assert not any(name.startswith("model") for name in os.listdir(tmp_path))
+
     def test_history_sits_beside_suffixed_checkpoint(self, tmp_path):
         """--out m.bin.json saves m.bin.json/m.bin.bin and history m.bin.loss.csv."""
         cfg = write_config(tmp_path, steps=2)

@@ -51,6 +51,9 @@ class TestSchema:
             {"steps": "many"},
             {"lr": -0.1},
             {"lr": "fast"},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"lr": 10 ** 400},
             {"seed": -1},
             {"widths": [8]},
             {"widths": [8, 0]},

@@ -13,7 +13,6 @@ from redlab.datagen import make_corpus
 from redlab.enhancer import (
     ChannelAttentionBlock,
     ToyEnhancer,
-    collect_adr_inputs,
     evaluate,
     train,
 )
@@ -71,21 +70,6 @@ class TestAttentionBlock:
         f = Rng(3).fill_uniform((4, 4, 4), 0.1, 0.9)
         out = block.forward(Tensor(f))
         assert np.array_equal(out.data, f)
-
-    def test_rows_sum_to_one_at_every_block(self):
-        """Every captured attention matrix has unit row sums."""
-        model = ToyEnhancer(Rng(4), adr_blocks=(True, True))
-        capture = {}
-        model.forward(fresh_input(5), capture)
-        paths = sorted(capture["attention"])
-        assert paths == [
-            "decoder.block1.attn",
-            "decoder.block2.attn",
-            "latent.attn",
-        ]
-        for a in capture["attention"].values():
-            assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10
-            assert a.min() >= 0.0
 
     def test_channel_mismatch_rejected(self):
         block = ChannelAttentionBlock(Rng(0), 4)
@@ -191,15 +175,12 @@ class TestForward:
         assert out.data.shape == (3, 8, 8)
 
     def test_adr_conditioning_taps_have_expected_shapes(self):
-        """Captured Q/K/V stacks sit at each decoder block's resolution."""
+        """Observed Q/K/V stacks sit at each decoder block's resolution."""
         model = ToyEnhancer(Rng(22), adr_blocks=(True, True))
-        taps = collect_adr_inputs(model, fresh_input(23, 16, 16))
-        assert sorted(taps) == [
-            "decoder.block1.attn.adr",
-            "decoder.block2.attn.adr",
-        ]
-        assert taps["decoder.block1.attn.adr"].data.shape == (24, 8, 8)
-        assert taps["decoder.block2.attn.adr"].data.shape == (24, 16, 16)
+        seen = {}
+        model.forward(fresh_input(23, 16, 16), seen.__setitem__)
+        assert seen["decoder.block1.attn.adr"].data.shape == (24, 8, 8)
+        assert seen["decoder.block2.attn.adr"].data.shape == (24, 16, 16)
 
 
 def step_tape_length(**kw):
@@ -210,6 +191,44 @@ def step_tape_length(**kw):
     with tape:
         T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
     return len(tape)
+
+
+class TestObserver:
+    """``observe(path, tensor)`` sees each stage's input and each ADR block's Q/K/V stack."""
+
+    @pytest.mark.parametrize("adr_blocks", [(False, False), (True, False), (False, True),
+                                            (True, True)])
+    @pytest.mark.parametrize("dyn_candidates", [0, 3])
+    def test_paths_in_forward_order(self, adr_blocks, dyn_candidates):
+        model = ToyEnhancer(Rng(30), adr_blocks=adr_blocks, dyn_candidates=dyn_candidates)
+        paths = []
+        model.forward(fresh_input(31), lambda path, _: paths.append(path))
+        want = []
+        for path, _ in model.stages:
+            want.append(path)
+            want += [key for key in model.reallocation_blocks() if key.startswith(path + ".")]
+        assert paths == want
+        assert [p for p in paths if p.endswith(".adr")] == list(model.reallocation_blocks())
+        assert len(paths) == len(model.stages) + sum(adr_blocks)
+
+    def test_resume_observes_from_its_start_stage(self):
+        model = ToyEnhancer(Rng(32), adr_blocks=(True, True))
+        seen = {}
+        model.forward(fresh_input(33), seen.__setitem__)
+        paths = []
+        model.resume(seen["decoder.block2"], 4, lambda path, _: paths.append(path))
+        assert paths == ["decoder.block2", "decoder.block2.attn.adr", "head"]
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    def test_observer_leaves_output_bytes_unchanged(self, frozen):
+        model = ToyEnhancer(Rng(34), adr_blocks=(True, True), dyn_candidates=3)
+        if frozen:
+            model.freeze()
+        x = fresh_input(35, 16, 16)
+        seen = {}
+        watched = model.forward(x, seen.__setitem__).data
+        assert watched.tobytes() == model.forward(x).data.tobytes()
+        assert len(seen) == len(model.stages) + 2
 
 
 class TestStages:
@@ -229,12 +248,11 @@ class TestStages:
         model = ToyEnhancer(Rng(25), adr_blocks=(True, True))
         model.freeze()
         x = fresh_input(26, 16, 16)
-        recorded = []
-        want = model.forward(x, stage_inputs=recorded).data
-        assert len(recorded) == len(model.stages)
-        assert recorded[0] is x
-        for k in range(len(model.stages)):
-            assert np.array_equal(model.resume(recorded[k], k).data, want)
+        seen = {}
+        want = model.forward(x, seen.__setitem__).data
+        assert seen["encoder.stage1"] is x
+        for k, (path, _) in enumerate(model.stages):
+            assert np.array_equal(model.resume(seen[path], k).data, want)
 
     def test_training_step_tape_length(self):
         """The benchmark's 32x32 ADR model records 143 tape entries per step:

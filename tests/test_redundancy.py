@@ -402,14 +402,14 @@ class TestResume:
 
     @pytest.fixture
     def resume_starts(self, monkeypatch):
-        """Start stages of every resumed (not recording) ToyEnhancer forward."""
+        """Start stages of every resumed (not observed) ToyEnhancer forward."""
         starts = []
         resume = ToyEnhancer.resume
 
-        def spy(self, y, start, capture=None, stage_inputs=None):
-            if stage_inputs is None:
+        def spy(self, y, start, observe=None):
+            if observe is None:
                 starts.append(start)
-            return resume(self, y, start, capture, stage_inputs)
+            return resume(self, y, start, observe)
 
         monkeypatch.setattr(ToyEnhancer, "resume", spy)
         yield starts

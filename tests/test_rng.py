@@ -199,12 +199,22 @@ class TestLaneKernel:
         assert r.fill_normal(shape, 1.0).shape == np.empty(shape).shape
         assert r.next_u64() == Rng(13).next_u64()
 
-    @pytest.mark.parametrize("shape", [(-1,), (2, -3), (-600,)])
+    @pytest.mark.parametrize("shape", [(-1,), (2, -3), (-600,), (-2, -3)])
     def test_negative_shape_rejected(self, shape):
+        """Refused before any draw, also where the dimensions multiply to a positive size."""
         r = Rng(13)
         with pytest.raises(ValueError):
             r.fill_uniform(shape, 0.0, 1.0)
         with pytest.raises(ValueError):
+            r.fill_normal(shape, 1.0)
+        assert r.next_u64() == Rng(13).next_u64()
+
+    @pytest.mark.parametrize("shape", [(2.5, 2), 4.0])
+    def test_float_shape_rejected_before_drawing(self, shape):
+        r = Rng(13)
+        with pytest.raises(TypeError):
+            r.fill_uniform(shape, 0.0, 1.0)
+        with pytest.raises(TypeError):
             r.fill_normal(shape, 1.0)
         assert r.next_u64() == Rng(13).next_u64()
 
