@@ -117,7 +117,8 @@ def save_pairs(dirpath: str, pairs: list) -> None:
 
 def load_pairs(dirpath: str) -> list:
     """Read a corpus back; a pair with a non-finite pixel is malformed input,
-    and so is a tensor that belongs to no pair."""
+    and so is a pair whose two tensors are not both [3, H, W] of one shape,
+    or a tensor that belongs to no pair."""
     tensors, meta = load_tensors(os.path.join(dirpath, "corpus"))
     if meta.get("kind") != "corpus":
         raise ContractError(f"not a corpus directory: {dirpath!r}")
@@ -138,6 +139,12 @@ def load_pairs(dirpath: str) -> list:
         for name in (clean, low):
             if not np.isfinite(tensors[name]).all():
                 raise ContractError(f"corpus tensor {name} in {dirpath!r} holds non-finite values")
+        shapes = tensors[clean].shape, tensors[low].shape
+        if len(shapes[0]) != 3 or shapes[0][0] != 3 or shapes[0] != shapes[1]:
+            raise ContractError(
+                f"corpus pair {i} in {dirpath!r} is not two [3, H, W] tensors of one shape: "
+                f"clean {list(shapes[0])}, low {list(shapes[1])}"
+            )
         paired.update((clean, low))
         pairs.append(
             ScenePair(

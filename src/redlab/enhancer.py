@@ -50,7 +50,7 @@ class Conv2dLayer:
         self.c_out = c_out
 
     def forward(self, x: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
-        return T.add(T.conv2d(x, self.kernel), T.reshape(self.bias, (self.c_out, 1, 1)))
+        return T.conv2d(x, self.kernel, self.bias)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.kernel", self.kernel), (f"{prefix}.bias", self.bias)]
@@ -90,14 +90,7 @@ class ChannelAttentionBlock:
             if observe is not None:
                 observe(f"{path}.adr", T.concat_channels([q, k, v]))
             q, k, v = reallocate(self.adr, q, k, v)
-        d, hh, ww = self.d, f.data.shape[1], f.data.shape[2]
-        qm = T.reshape(q, (d, hh * ww))
-        km = T.reshape(k, (d, hh * ww))
-        vm = T.reshape(v, (d, hh * ww))
-        qh = T.div(qm, T.sqrt(T.add(T.sum_last(T.square(qm)), 1e-24)))
-        kh = T.div(km, T.sqrt(T.add(T.sum_last(T.square(km)), 1e-24)))
-        a = T.softmax(T.mul(T.matmul(qh, T.transpose2d(kh)), self.tau))
-        out = self.out_conv.forward(T.reshape(T.matmul(a, vm), (d, hh, ww)))
+        out = self.out_conv.forward(attention(q, k, v, self.tau))
         return T.add(out, f)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
@@ -109,6 +102,55 @@ class ChannelAttentionBlock:
         if self.adr is not None:
             out += self.adr.named_parameters(f"{prefix}.adr")
         return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, tau: Tensor) -> Tensor:
+    """Transposed attention of [d, H, W] Q/K/V: V's channel rows mixed by
+    ``softmax(tau * qh @ kh.T)``, qh and kh being Q's and K's rows over their
+    guarded L2 norms ``sqrt(sum(row ** 2) + 1e-24)``.
+
+    One taped operation.  Its forward runs the NumPy operations of the chain
+    reshape -> square -> sum_last -> add -> sqrt -> div (Q, then K) ->
+    transpose2d -> matmul -> mul -> softmax -> matmul -> reshape in the same
+    order, and its VJP evaluates each of their VJPs in reverse tape order
+    (K's normalization before Q's, each division's numerator term before
+    its square's), so the mix and every gradient equal that chain's bit for bit.
+    """
+    d, hh, ww = q.data.shape
+    qm = q.data.reshape(d, hh * ww)
+    km = k.data.reshape(d, hh * ww)
+    vm = v.data.reshape(d, hh * ww)
+    q_norm = np.sqrt(np.sum(qm * qm, axis=-1, keepdims=True) + 1e-24)
+    qh = qm / q_norm
+    k_norm = np.sqrt(np.sum(km * km, axis=-1, keepdims=True) + 1e-24)
+    kh = km / k_norm
+    kh_t = kh.T
+    z = qh @ kh_t
+    a = T._softmax_forward(z * tau.data)
+    out = T._wrap((a @ vm).reshape(d, hh, ww))
+
+    def vjp(g, needs):
+        g_o = g.reshape(d, hh * ww)
+        g_v = (a.T @ g_o).reshape(v.data.shape) if needs[2] else None
+        g_zt = T._softmax_vjp(g_o @ vm.T, a)
+        g_tau = T._unbroadcast(g_zt * z, tau.data.shape) if needs[3] else None
+        g_z = g_zt * tau.data
+        g_k = g_q = None
+        if needs[1]:
+            g_k = _normalized_rows_vjp((qh.T @ g_z).T, km, k_norm).reshape(k.data.shape)
+        if needs[0]:
+            g_q = _normalized_rows_vjp(g_z @ kh_t.T, qm, q_norm).reshape(q.data.shape)
+        return (g_q, g_k, g_v, g_tau)
+
+    return T._record(out, (q, k, v, tau), vjp)
+
+
+def _normalized_rows_vjp(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Gradient of ``x`` given ``g`` at ``x / norm``, with norm = sqrt(sum_last(x * x) + 1e-24)."""
+    g_x = g / norm
+    g_norm = T._unbroadcast(-g * x / (norm * norm), norm.shape)
+    g_sum = g_norm * 0.5 / norm
+    return g_x + 2.0 * x * np.broadcast_to(g_sum, x.shape).copy()
 
 
 class EncoderStage:
@@ -320,9 +362,10 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     """Adam on batch-1 mean-absolute error, deterministic per seed.
 
     The sample order reshuffles every epoch from a child stream of ``seed``.
-    Raises on a frozen model.  A non-finite loss, or a forward or loss that
-    fails on non-finite values from a finite input, raises
-    :class:`DivergenceError` with the failing step recorded on it; a
+    Raises on a frozen model, and :class:`DimensionError` naming the first
+    pair whose low and reference shapes differ.  A non-finite loss, or a
+    forward or loss that fails on non-finite values from a finite input,
+    raises :class:`DivergenceError` with the failing step recorded on it; a
     non-finite input raises :class:`ContractError`.
     """
     if model.frozen:
@@ -331,6 +374,12 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
         raise ContractError(f"steps must be >= 1, got {steps}")
     if not pairs:
         raise ContractError("training needs at least one pair")
+    for i, pair in enumerate(pairs):
+        low, ref = _as_low_ref(pair)
+        if low.data.shape != ref.data.shape:
+            raise DimensionError(
+                f"pair {i}: low {low.data.shape} and reference {ref.data.shape} shapes differ"
+            )
     named = model.named_parameters()
     shapes = [t.data.shape for _, t in named]
     arena = model.arena

@@ -185,7 +185,6 @@ def generate(gen: PogGenerator, f_in: Tensor) -> Tensor:
     # decode MLP (mlp2's 2-D form), one scalar per row
     h2 = s @ dm.w1.data.T
     np.add(h2, dm.b1.data.reshape(1, -1), out=h2)
-    active2 = h2 > 0.0
     np.maximum(h2, 0.0, out=h2)
     scalars = h2 @ dm.w2.data.T + dm.b2.data.reshape(1, -1)
     c_in, c_out, d_k = gen.target_shape
@@ -197,7 +196,7 @@ def generate(gen: PogGenerator, f_in: Tensor) -> Tensor:
         g_db2 = _sum_rows(g).reshape(dm.b2.data.shape)
         g_dw2 = (h2.T @ g).T
         g_pre2 = g @ dm.w2.data
-        np.multiply(g_pre2, active2, out=g_pre2)
+        np.multiply(g_pre2, h2 > 0.0, out=g_pre2)
         g_db1 = _sum_rows(g_pre2).reshape(dm.b1.data.shape)
         g_dw1 = (s.T @ g_pre2).T
         g_s = g_pre2 @ dm.w1.data

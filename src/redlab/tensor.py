@@ -435,8 +435,13 @@ def _clip(shift: int, n: int):
     return slice(t0, t1), slice(t0 - shift, t1 - shift)
 
 
-def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Same-padded stride-1 convolution of [C_in,H,W] with [C_out,C_in,k,k]."""
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Same-padded stride-1 convolution of [C_in,H,W] with [C_out,C_in,k,k].
+
+    An optional [C_out] ``bias`` is added per output channel in the same
+    record.  Values and gradients equal those of the chain
+    ``add(conv2d(x, kernel), reshape(bias, (C_out, 1, 1)))`` bit for bit.
+    """
     if x.data.ndim != 3:
         raise DimensionError("conv2d input must be [C, H, W]")
     if kernel.data.ndim != 4:
@@ -453,7 +458,12 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     c, h, w = x.data.shape
     cols = _im2col(x.data, kh)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
-    out = _wrap((kmat @ cols).reshape(c_out, h, w))
+    y = (kmat @ cols).reshape(c_out, h, w)
+    if bias is not None:
+        if bias.data.shape != (c_out,):
+            raise DimensionError(f"conv2d bias must be [{c_out}], got {bias.data.shape}")
+        np.add(y, bias.data.reshape(c_out, 1, 1), out=y)
+    out = _wrap(y)
 
     def vjp(g, needs):
         gmat = g.reshape(c_out, h * w)
@@ -462,9 +472,12 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
             gx = _col2im(kmat.T @ gmat, c, h, w, kh)
         if needs[1]:
             gk = (gmat @ cols.T).reshape(kernel.data.shape)
-        return (gx, gk)
+        if bias is None:
+            return (gx, gk)
+        gb = _unbroadcast(g, (c_out, 1, 1)).reshape(c_out) if needs[2] else None
+        return (gx, gk, gb)
 
-    return _record(out, (x, kernel), vjp)
+    return _record(out, (x, kernel) if bias is None else (x, kernel, bias), vjp)
 
 
 def softmax(v: Tensor) -> Tensor:
@@ -484,11 +497,11 @@ def softmax(v: Tensor) -> Tensor:
 
 def _softmax_forward(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a finite array; ContractError otherwise."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ContractError("softmax input must be finite")
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from redlab.redundancy import (
 from redlab.enhancer import ToyEnhancer
 from redlab.errors import DivergenceError
 from redlab.rng import Rng
+from redlab.tensor import Tensor
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -521,6 +522,15 @@ BAD_PROBE_INPUTS = [
 ]
 
 
+# (case, how pair 1's clean [3, 16, 16] target is cut, expected error text)
+BAD_TRAIN_CORPORA = [
+    ("clean_2d_beside_rgb_low", lambda clean: clean[0],
+     "clean [16, 16], low [3, 16, 16]"),
+    ("clean_smaller_than_low", lambda clean: clean[:, ::2, ::2],
+     "clean [3, 8, 8], low [3, 16, 16]"),
+]
+
+
 @pytest.fixture(scope="module")
 def probe_inputs(tmp_path_factory):
     """An untrained checkpoint and a two-pair corpus that probe accepts."""
@@ -552,6 +562,21 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("cut,message", [case[1:] for case in BAD_TRAIN_CORPORA],
+                             ids=[case[0] for case in BAD_TRAIN_CORPORA])
+    def test_train_exits_two(self, tmp_path, capsys, cut, message):
+        """A pair whose clean and low shapes differ is malformed input."""
+        pairs = make_corpus(9, 2, 16, 16)
+        pairs[1].clean = Tensor(cut(pairs[1].clean.data))
+        save_pairs(str(tmp_path / "data"), pairs)
+        cfg = write_config(tmp_path, steps=2)
+        code = run(["train", "--config", cfg, "--data", str(tmp_path / "data"),
+                    "--out", str(tmp_path / "model")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not any(name.startswith("model") for name in os.listdir(tmp_path))
 
 
 @pytest.fixture(scope="module")

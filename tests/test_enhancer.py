@@ -7,17 +7,20 @@ import hashlib
 import numpy as np
 import pytest
 
+from redlab import enhancer
 from redlab import tensor as T
 from redlab.checkpoint import load_model, save_model
 from redlab.datagen import make_corpus
 from redlab.enhancer import (
     ChannelAttentionBlock,
+    Conv2dLayer,
     ToyEnhancer,
+    attention,
     evaluate,
     train,
 )
 from redlab.errors import ConfigurationError, ContractError, DimensionError, DivergenceError
-from redlab.redundancy import LayerSelector, psnr, reset_layer
+from redlab.redundancy import LayerSelector, default_selectors, dmr, psnr, reset_layer
 from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
 
@@ -81,6 +84,103 @@ class TestAttentionBlock:
         block = ChannelAttentionBlock(Rng(6), 4)
         out = block.forward(Tensor(np.zeros((4, 4, 4))))
         assert np.all(np.isfinite(out.data))
+
+
+def composed_attention(q, k, v, tau):
+    """The attention core as the 19-record chain it replaces: the byte oracle
+    for the single-record ``enhancer.attention``."""
+    d, hh, ww = q.data.shape
+    qm = T.reshape(q, (d, hh * ww))
+    km = T.reshape(k, (d, hh * ww))
+    vm = T.reshape(v, (d, hh * ww))
+    qh = T.div(qm, T.sqrt(T.add(T.sum_last(T.square(qm)), 1e-24)))
+    kh = T.div(km, T.sqrt(T.add(T.sum_last(T.square(km)), 1e-24)))
+    a = T.softmax(T.mul(T.matmul(qh, T.transpose2d(kh)), tau))
+    return T.reshape(T.matmul(a, vm), (d, hh, ww))
+
+
+def composed_conv_forward(layer, x, observe=None, path=""):
+    """``Conv2dLayer.forward`` as the convolve, reshape-bias, add chain it replaces."""
+    return T.add(T.conv2d(x, layer.kernel), T.reshape(layer.bias, (layer.c_out, 1, 1)))
+
+
+def signed_features(seed, shape):
+    """Values of both signs with exact +0.0 and -0.0 entries; channel 0 is all zero
+    when there are several, so the normalization guard is exercised."""
+    x = Rng(seed).fill_uniform(shape, -1.0, 1.0)
+    x.reshape(-1)[::7] = -0.0
+    x.reshape(-1)[3::5] = 0.0
+    if shape[0] > 1:
+        x[0] = 0.0
+    return x
+
+
+def attention_bytes(op, shape, tau, tape):
+    """Mix and, on a tape, the q, k, v and tau gradients of ``<op(q, k, v, tau), g>``."""
+    ts = [Tensor(signed_features(seed, shape), requires_grad=tape) for seed in (1, 2, 3)]
+    ts.append(Tensor(np.asarray(tau), requires_grad=tape))
+    if not tape:
+        return [op(*ts).data.tobytes()], 0
+    g = Tensor(signed_features(4, shape))
+    tp = T.Tape()
+    with tp:
+        out = op(*ts)
+        loss = T.sum_all(T.mul(out, g))
+    T.backward(tp, loss)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in ts], len(tp)
+
+
+ATTENTION_SHAPES = [(4, 6, 5), (8, 4, 4), (3, 1, 1), (1, 2, 3), (2, 1, 7)]
+
+
+class TestAttentionOracle:
+    """``enhancer.attention`` is one taped operation whose bytes, signed zeros
+    included, equal those of the composed chain it replaces."""
+
+    @pytest.mark.parametrize("tape", [True, False], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("tau", [1.0, -2.5])
+    @pytest.mark.parametrize("shape", ATTENTION_SHAPES)
+    def test_mix_and_gradients(self, shape, tau, tape):
+        got, records = attention_bytes(attention, shape, tau, tape)
+        want, _ = attention_bytes(composed_attention, shape, tau, tape)
+        assert got == want
+        if tape:
+            assert records == 3  # attention, mul, sum_all
+
+    def test_gradients(self):
+        """Q, K, V and tau gradients match central differences."""
+        rng = Rng(5)
+        params = [Tensor(rng.fill_uniform((3, 2, 4), -1.0, 1.0), requires_grad=True)
+                  for _ in range(3)]
+        params.append(Tensor(np.asarray(1.5), requires_grad=True))
+        g = Tensor(rng.fill_uniform((3, 2, 4), -1.0, 1.0))
+
+        def f(ps):
+            return T.sum_all(T.mul(attention(*ps), g))
+
+        assert T.finite_diff_check(f, params) < 1e-6
+
+    @pytest.mark.parametrize("kw", [{}, {"adr_blocks": (True, True)},
+                                    {"adr_blocks": (True, True), "dyn_candidates": 3}],
+                             ids=["plain", "adr", "adr_dynconv"])
+    def test_training_and_dmr_replay_on_the_composed_layers(self, kw, monkeypatch):
+        """20-step loss histories, trained arenas, last gradients and ``dmr``
+        terms are equal bytes with the composed conv and attention chains."""
+        pairs = make_corpus(3, 2, 16, 16)
+
+        def run():
+            model = ToyEnhancer(Rng(7), **kw)
+            state = train(model, pairs, 20, 11)
+            grads = b"".join(t.grad.tobytes() for _, t in model.named_parameters())
+            model.freeze()
+            report = dmr(model, default_selectors(model), [p.low for p in pairs], 5)
+            history = np.array(state.loss_history).tobytes()
+            return history, model.arena.tobytes(), grads, report.terms.tobytes()
+
+        got = run()
+        monkeypatch.setattr(Conv2dLayer, "forward", composed_conv_forward)
+        monkeypatch.setattr(enhancer, "attention", composed_attention)
+        assert got == run()
 
 
 class TestAdrIdentityEmbedding:
@@ -255,22 +355,38 @@ class TestStages:
             assert np.array_equal(model.resume(seen[path], k).data, want)
 
     def test_training_step_tape_length(self):
-        """The benchmark's 32x32 ADR model records 143 tape entries per step:
-        the plain model's 123, plus 5 per reallocation block for concat, two
+        """The benchmark's 32x32 ADR model records 55 tape entries per step:
+        the plain model's 35, plus 5 per reallocation block for concat, two
         convolutions, ReLU and the residual add, 3 for its split, and 1 per
         generator."""
-        assert step_tape_length(adr_blocks=(True, True), adr_dims=(4, 16, 3)) == 143
+        assert step_tape_length(adr_blocks=(True, True), adr_dims=(4, 16, 3)) == 55
 
     def test_plain_training_step_tape_length(self):
-        assert step_tape_length() == 123
+        """One record per convolution (bias included) and per attention core:
+        3 per encoder stage (convolution, ReLU, downsampling), 6 per attention
+        block (Q/K/V and output convolutions, the core, the residual add),
+        3 more per decoder stage (upsampling, convolution, ReLU), 1 for the
+        head, 1 for the clamp and 3 for the loss: 6 + 6 + 18 + 1 + 1 + 3."""
+        assert step_tape_length() == 35
 
     def test_adr_dynconv_training_step_tape_length(self):
-        """A dynamic decoder convolution takes 13 records more than a static one:
-        pooling, its MLP, softmax and candidate mixing, less the bias add."""
-        assert step_tape_length(adr_blocks=(True, True), dyn_candidates=3) == 169
+        """A dynamic decoder convolution takes 15 records more than a static one:
+        pooling, its 9-record MLP, softmax, and 4 for candidate mixing."""
+        assert step_tape_length(adr_blocks=(True, True), dyn_candidates=3) == 85
 
 
 class TestTraining:
+    def test_mismatched_pair_shapes_rejected(self):
+        """A reference that would broadcast against the output names its pair."""
+        pairs = make_corpus(24, 3, 8, 8)
+        pairs = [(p.low, p.clean) for p in pairs]
+        pairs[2] = (pairs[2][0], Tensor(pairs[2][1].data[0]))
+        model = ToyEnhancer(Rng(24))
+        before = model.arena.copy()
+        with pytest.raises(DimensionError, match="pair 2"):
+            train(model, pairs, steps=1, seed=25)
+        assert np.array_equal(model.arena, before)
+
     def test_zero_learning_rate_changes_nothing(self):
         """lr = 0 leaves every parameter bit-identical."""
         model = ToyEnhancer(Rng(24))

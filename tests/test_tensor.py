@@ -733,3 +733,67 @@ class TestKernelOracles:
         monkeypatch.setattr(T, "upsample2x", upsample2x_oracle)
         monkeypatch.setattr(T, "downsample2x_mean", downsample2x_mean_oracle)
         assert got == run()
+
+
+def composed_conv2d(x, kernel, bias):
+    """A biased convolution as the chain of three records it replaces: the byte
+    oracle for ``T.conv2d(x, kernel, bias)``."""
+    return T.add(T.conv2d(x, kernel), T.reshape(bias, (bias.data.shape[0], 1, 1)))
+
+
+def conv_bias_bytes(conv, x, kernel, bias, g, tape=True):
+    """Output and, on a tape, the x, kernel and bias gradients of ``<conv, g>``, as bytes."""
+    ts = [T.Tensor(a, requires_grad=tape) for a in (x, kernel, bias)]
+    if not tape:
+        return [conv(*ts).data.tobytes()]
+    tp = T.Tape()
+    with tp:
+        y = conv(*ts)
+        loss = T.sum_all(T.mul(y, T.Tensor(g)))
+    T.backward(tp, loss)
+    return [y.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+
+BIAS_SHAPES = [(3, 6, 10), (2, 7, 5), (4, 1, 1), (1, 1, 9)]
+
+
+class TestConvBiasOracle:
+    """``T.conv2d(x, kernel, bias)`` is one record whose bytes, signed zeros
+    included, equal those of the add-of-reshaped-bias chain."""
+
+    @pytest.mark.parametrize("tape", [True, False], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("shape", BIAS_SHAPES)
+    def test_output_and_gradients(self, shape, k, tape):
+        c, h, w = shape
+        x = signed_values(10, shape)
+        kernel = signed_values(11, (3, c, k, k))
+        bias = signed_values(12, (3,))
+        g = signed_values(13, (3, h, w))
+        got = conv_bias_bytes(T.conv2d, x, kernel, bias, g, tape)
+        assert got == conv_bias_bytes(composed_conv2d, x, kernel, bias, g, tape)
+
+    def test_one_record(self):
+        x = T.Tensor(signed_values(14, (2, 4, 4)), requires_grad=True)
+        tape = T.Tape()
+        with tape:
+            T.conv2d(x, T.Tensor(signed_values(15, (3, 2, 3, 3))), T.Tensor(np.ones(3)))
+        assert len(tape) == 1
+
+    def test_rejects_bias_of_wrong_width(self):
+        with pytest.raises(DimensionError):
+            T.conv2d(T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((3, 2, 1, 1))),
+                     T.Tensor(np.zeros(2)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gradients(self, k):
+        """Input, kernel and bias gradients match central differences."""
+        rng = Rng(16 + k)
+        x = T.Tensor(rng.fill_uniform((2, 5, 4), -1.0, 1.0), requires_grad=True)
+        kernel = T.Tensor(rng.fill_uniform((3, 2, k, k), -0.5, 0.5), requires_grad=True)
+        bias = T.Tensor(rng.fill_uniform((3,), -0.5, 0.5), requires_grad=True)
+
+        def f(params):
+            return T.mean_all(T.square(T.conv2d(*params)))
+
+        assert T.finite_diff_check(f, [x, kernel, bias]) < 1e-6
