@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -196,7 +197,7 @@ def _read(path: str) -> tuple:
                 f"expected {expected}"
             )
         expected = offset + length
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         if length != count * 8:
             raise ContractError(f"length mismatch for tensor {entry['name']!r}")
         if offset + length > len(blob):

@@ -116,15 +116,17 @@ def save_pairs(dirpath: str, pairs: list) -> None:
 
 
 def load_pairs(dirpath: str) -> list:
-    """Read a corpus back; a pair with a non-finite pixel is malformed input,
-    and so is a pair whose two tensors are not both [3, H, W] of one shape,
-    or a tensor that belongs to no pair."""
+    """Read a corpus back; a corpus with no pairs is malformed input, and so
+    is a pair with a non-finite pixel, a pair whose two tensors are not both
+    [3, H, W] of one shape, or a tensor that belongs to no pair."""
     tensors, meta = load_tensors(os.path.join(dirpath, "corpus"))
     if meta.get("kind") != "corpus":
         raise ContractError(f"not a corpus directory: {dirpath!r}")
     entries = meta.get("pairs")
     if not isinstance(entries, list):
         raise ContractError(f"corpus index in {dirpath!r} has no 'pairs' list")
+    if not entries:
+        raise ContractError(f"corpus {dirpath!r} holds no pairs")
     pairs = []
     paired = set()
     for i, entry in enumerate(entries):

@@ -274,10 +274,7 @@ class ToyEnhancer:
         memo[id(self.arena)] = arena
         named = self.named_parameters()
         for (_, t), view in zip(named, _carve(arena, [t.data.shape for _, t in named])):
-            twin = Tensor(view, requires_grad=t.requires_grad)
-            if t.grad is not None:
-                twin.grad = t.grad.copy()
-            memo[id(t)] = twin
+            memo[id(t)] = Tensor(view, requires_grad=t.requires_grad)
         clone = object.__new__(type(self))
         memo[id(self)] = clone
         clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
@@ -326,16 +323,13 @@ class ToyEnhancer:
         return found
 
     def freeze(self) -> None:
-        """Cache the generators' normalized embeddings and drop every gradient.
+        """Cache the generators' normalized embeddings for inference.
 
-        A frozen model cannot train, so its gradients are never read again,
-        and copies of it (reset probes) need not carry them.  Call it again
-        after writing a frozen model's parameters to re-derive the caches.
+        Call it again after writing a frozen model's parameters to re-derive
+        the caches.
         """
         for adr in self.reallocation_blocks().values():
             adr.freeze()
-        for _, t in self.named_parameters():
-            t.grad = None
         self.frozen = True
 
 

@@ -30,18 +30,17 @@ _NODE_COUNTER = itertools.count()
 
 
 class Tensor:
-    """Dense float64 array with optional gradient buffer.
+    """Dense float64 array, taped when a :class:`Tape` is active.
 
-    ``requires_grad`` marks leaf tensors (parameters); gradients are
-    deposited into ``grad`` by :func:`backward`, additively.
+    ``requires_grad`` marks leaf tensors (parameters); :func:`backward`
+    writes their gradients into arrays its caller passes.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id")
+    __slots__ = ("data", "requires_grad", "node_id")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         self.data = arr
-        self.grad = None
         self.requires_grad = requires_grad
         self.node_id = next(_NODE_COUNTER)
 
@@ -60,8 +59,6 @@ class Tensor:
 
     def __deepcopy__(self, memo):
         t = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        if self.grad is not None:
-            t.grad = self.grad.copy()
         memo[id(self)] = t
         return t
 
@@ -73,7 +70,6 @@ def _wrap(arr: np.ndarray) -> Tensor:
     """Internal constructor that trusts dtype/layout of `arr`."""
     t = Tensor.__new__(Tensor)
     t.data = arr
-    t.grad = None
     t.requires_grad = False
     t.node_id = next(_NODE_COUNTER)
     return t
@@ -98,7 +94,8 @@ class Tape:
         tape = Tape()
         with tape:
             loss = mse(conv2d(x, k), target)
-        backward(tape, loss)
+        g_k = np.empty_like(k.data)
+        backward(tape, loss, [(k, g_k)])
 
     A tape is confined to a single evaluation context; tapes do not nest.
     """
@@ -145,24 +142,19 @@ def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor, into: Sequence | None = None) -> None:
-    """Populate gradients of every tracked tensor with d(loss)/d(tensor).
+def backward(tape: Tape, loss: Tensor, into: Sequence) -> None:
+    """Write d(loss)/d(tensor) into the caller's destination arrays.
 
-    Accumulation is additive: over repeated uses of a node within the tape,
-    and into any pre-existing ``grad`` buffers across calls.  Tracked
-    tensors the loss does not depend on receive a zero gradient.
-
-    ``into``, a sequence of (tensor, destination array) pairs that covers
-    every tracked tensor, replaces the additive deposit: each listed tensor's
-    gradient is copied into its destination (zeros if the loss does not reach
-    it), and ``grad`` becomes that array.  The bytes are those a first
-    additive call would leave.
+    ``into`` is a sequence of (tensor, destination array) pairs that covers
+    every tracked tensor.  Each listed tensor's gradient, summed over its
+    uses within the tape, is copied into its destination; a tensor the loss
+    does not reach gets +0.0.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("loss must be a Tensor")
     if loss.data.size != 1:
         raise ContractError("loss must be scalar")
-    if into is not None and not tape._tracked.keys() <= {t.node_id for t, _ in into}:
+    if not tape._tracked.keys() <= {t.node_id for t, _ in into}:
         raise ContractError("backward destinations must cover every tracked tensor")
     grads = {loss.node_id: np.ones_like(loss.data)}
     for out_id, inputs, needs, vjp in reversed(tape._records):
@@ -174,22 +166,12 @@ def backward(tape: Tape, loss: Tensor, into: Sequence | None = None) -> None:
                 continue
             prev = grads.get(t.node_id)
             grads[t.node_id] = gi if prev is None else prev + gi
-    if into is not None:
-        for t, dst in into:
-            g = grads.get(t.node_id)
-            if g is None:
-                dst[...] = 0.0
-            else:
-                dst[...] = g.reshape(dst.shape)
-            t.grad = dst
-        return
-    for nid, t in tape._tracked.items():
-        g = grads.get(nid)
+    for t, dst in into:
+        g = grads.get(t.node_id)
         if g is None:
-            g = np.zeros_like(t.data)
+            dst[...] = 0.0
         else:
-            g = g.reshape(t.data.shape)
-        t.grad = g.copy() if t.grad is None else t.grad + g
+            dst[...] = g.reshape(dst.shape)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -708,7 +690,8 @@ def finite_diff_check(
     """Max relative error between tape gradients and central differences.
 
     ``f(params)`` must deterministically build a scalar loss from the given
-    parameter tensors (and must not open a tape of its own).  The analytic
+    parameter tensors (and must not open a tape of its own), and ``params``
+    must hold every ``requires_grad`` tensor it uses.  The analytic
     gradient is computed once via :func:`backward`; each checked coordinate
     is then perturbed by +-eps in place and the central difference
     (f(p+eps) - f(p-eps)) / (2 eps) compared against it.  Relative error
@@ -722,15 +705,11 @@ def finite_diff_check(
         raise ContractError("eps must lie in [1e-7, 1e-3]")
     if sample is not None and sample < 1:
         raise ContractError(f"sample must be at least 1 coordinate, got {sample}")
-    for p in params:
-        p.grad = None
     tape = Tape()
     with tape:
         loss = f(params)
-    backward(tape, loss)
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
+    analytic = [np.empty_like(p.data) for p in params]
+    backward(tape, loss, list(zip(params, analytic)))
     coords = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
     if sample is not None and sample < len(coords):
         r = rng if rng is not None else Rng(0)

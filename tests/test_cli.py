@@ -371,6 +371,19 @@ class TestDegradeScore:
         assert doc["degradation_scores"] == {}
         assert doc["candidate_similarity"] == {}
 
+    def test_empty_corpus_exits_two_without_output(self, tmp_path, capsys):
+        """A corpus saved with no pairs is malformed input, not an empty report."""
+        model = ToyEnhancer(Rng(0), adr_blocks=(True, True))
+        model.freeze()
+        save_model(model, str(tmp_path / "model"))
+        save_pairs(str(tmp_path / "data"), [])
+        out = tmp_path / "scores.json"
+        assert run(["degrade-score", "--ckpt", str(tmp_path / "model"),
+                    "--data", str(tmp_path / "data"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "holds no pairs" in err
+        assert not out.exists()
+
 
 class TestAblate:
     def test_grid_produces_one_row_per_combination(self, tmp_path):
@@ -506,6 +519,12 @@ BAD_PROBE_INPUTS = [
     ("corpus_pair_without_record", "data/corpus.json",
      _rewrite_json(_edit(lambda doc: doc["meta"]["pairs"][1].pop("record"))),
      "corpus pair 1"),
+    # 2**32 * 2**32 elements wrap to 0 in int64, which a length of 0 would match
+    ("corpus_shape_overflowing_int64", "data/corpus.json",
+     _rewrite_json(_edit(lambda doc: doc["tensors"].append(dict(
+         doc["tensors"][0], name="pair0002.clean", shape=[2**32, 2**32],
+         offset=sum(e["length"] for e in doc["tensors"]), length=0)))),
+     "length mismatch"),
 ] + [
     (f"model_meta_{case}", "model.json",
      _rewrite_json(_edit(lambda doc, key=key, value=value: doc["meta"].update({key: value}))),

@@ -23,6 +23,7 @@ from redlab.errors import ConfigurationError, ContractError, DimensionError, Div
 from redlab.redundancy import LayerSelector, default_selectors, dmr, psnr, reset_layer
 from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
+from tape_helpers import grads, step_grads
 
 
 def fresh_input(seed, h=8, w=8):
@@ -126,8 +127,7 @@ def attention_bytes(op, shape, tau, tape):
     with tp:
         out = op(*ts)
         loss = T.sum_all(T.mul(out, g))
-    T.backward(tp, loss)
-    return [out.data.tobytes()] + [t.grad.tobytes() for t in ts], len(tp)
+    return [out.data.tobytes()] + [gt.tobytes() for gt in grads(tp, loss, ts)], len(tp)
 
 
 ATTENTION_SHAPES = [(4, 6, 5), (8, 4, 4), (3, 1, 1), (1, 2, 3), (2, 1, 7)]
@@ -164,18 +164,19 @@ class TestAttentionOracle:
                                     {"adr_blocks": (True, True), "dyn_candidates": 3}],
                              ids=["plain", "adr", "adr_dynconv"])
     def test_training_and_dmr_replay_on_the_composed_layers(self, kw, monkeypatch):
-        """20-step loss histories, trained arenas, last gradients and ``dmr``
-        terms are equal bytes with the composed conv and attention chains."""
+        """20-step loss histories, trained arenas, the trained model's gradients
+        and ``dmr`` terms are equal bytes with the composed conv and attention
+        chains."""
         pairs = make_corpus(3, 2, 16, 16)
 
         def run():
             model = ToyEnhancer(Rng(7), **kw)
             state = train(model, pairs, 20, 11)
-            grads = b"".join(t.grad.tobytes() for _, t in model.named_parameters())
+            trained = step_grads(model, pairs[0])
             model.freeze()
             report = dmr(model, default_selectors(model), [p.low for p in pairs], 5)
             history = np.array(state.loss_history).tobytes()
-            return history, model.arena.tobytes(), grads, report.terms.tobytes()
+            return history, model.arena.tobytes(), trained, report.terms.tobytes()
 
         got = run()
         monkeypatch.setattr(Conv2dLayer, "forward", composed_conv_forward)
@@ -534,16 +535,12 @@ def reference_adam(model, pairs, steps, seed, lr=1e-3):
             order = list(range(len(pairs)))
             rng.shuffle(order)
         pair = pairs[order.pop(0)]
-        for _, p in named:
-            p.grad = None
         tape = T.Tape()
         with tape:
             loss = T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
         history.append(loss.item())
-        T.backward(tape, loss)
         t = step + 1
-        for name, p in named:
-            g = p.grad
+        for (name, p), g in zip(named, grads(tape, loss, [p for _, p in named])):
             m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
             v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
             m_hat = m[name] / (1.0 - 0.9 ** t)
@@ -583,7 +580,6 @@ class TestArena:
         assert twin.arena.tobytes() == model.arena.tobytes()
         for (name, a), (_, b) in zip(model.named_parameters(), twin.named_parameters()):
             assert a is not b and a.node_id != b.node_id, name
-            assert np.array_equal(a.grad, b.grad) and not np.shares_memory(a.grad, b.grad)
         x = fresh_input(64)
         assert np.array_equal(twin.forward(x).data, model.forward(x).data)
 

@@ -153,24 +153,6 @@ class TestResetLayer:
                 digest.update(t.data.astype("<f8").tobytes())
         assert digest.hexdigest() == "cdde8cd2b8fe64b9ee2139eed31066a9bb823d99a4d17fecc32c116a98ab4ba4"
 
-    def test_copy_of_frozen_model_carries_no_gradient(self):
-        """freeze() drops the gradients training left; dmr never reads them."""
-        model = ToyEnhancer(Rng(100), adr_blocks=(True, True))
-        pairs = make_corpus(101, 4, 8, 8)
-        train(model, pairs, steps=5, seed=102)
-        kept = {name: t.grad for name, t in model.named_parameters()}
-        assert all(g is not None for g in kept.values())
-        model.freeze()
-        probe = reset_layer(model, LayerSelector("decoder.block1.attn.adr", "dynamic"), Rng(5))
-        assert all(t.grad is None for _, t in model.named_parameters())
-        assert all(t.grad is None for _, t in probe.named_parameters())
-        lows = [p.low for p in pairs]
-        terms = dmr(model, default_selectors(model), lows, 3).terms
-        for name, t in model.named_parameters():
-            t.grad = kept[name]
-        again = dmr(model, default_selectors(model), lows, 3).terms
-        assert terms.tobytes() == again.tobytes()
-
     @pytest.mark.parametrize("path", ["decoder.block1.attn.adr.gen1.embeddings",
                                       "decoder.block2.attn.adr"])
     def test_reset_re_derives_frozen_caches(self, path, tmp_path):

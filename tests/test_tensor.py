@@ -12,6 +12,7 @@ from redlab.dynconv import DynamicConv
 from redlab.enhancer import Conv2dLayer
 from redlab.errors import ContractError, DimensionError
 from redlab.rng import Rng
+from tape_helpers import grads
 
 
 def conv_naive(x, k):
@@ -133,14 +134,12 @@ class TestElementwise:
             return T.mean_all(T.square(T.mul(T.add(params[0], params[1]), params[1])))
 
         assert T.finite_diff_check(f, [a, b]) < 1e-6
-        a.grad = None
-        b.grad = None
         tape = T.Tape()
         with tape:
             loss = T.sum_all(T.add(a, b))
-        T.backward(tape, loss)
-        assert a.grad.shape == (4, 1)
-        assert np.allclose(a.grad, 6.0)
+        ga, _ = grads(tape, loss, [a, b])
+        assert ga.shape == (4, 1)
+        assert np.allclose(ga, 6.0)
 
     def test_div_and_sqrt_gradients(self):
         for seed in range(5):
@@ -160,8 +159,8 @@ class TestElementwise:
         tape = T.Tape()
         with tape:
             loss = T.sum_all(T.relu(x))
-        T.backward(tape, loss)
-        assert np.array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
+        (gx,) = grads(tape, loss, [x])
+        assert np.array_equal(gx, [0.0, 0.0, 1.0, 1.0])
 
     def test_clamp01_values_and_gradient(self):
         x = T.Tensor(np.array([-0.5, 0.25, 0.75, 1.5]), requires_grad=True)
@@ -170,16 +169,16 @@ class TestElementwise:
         tape = T.Tape()
         with tape:
             loss = T.sum_all(T.clamp01(x))
-        T.backward(tape, loss)
-        assert np.array_equal(x.grad, [0.0, 1.0, 1.0, 0.0])
+        (gx,) = grads(tape, loss, [x])
+        assert np.array_equal(gx, [0.0, 1.0, 1.0, 0.0])
 
     def test_abs_gradient(self):
         x = T.Tensor(np.array([-1.5, 2.0]), requires_grad=True)
         tape = T.Tape()
         with tape:
             loss = T.sum_all(T.absolute(x))
-        T.backward(tape, loss)
-        assert np.array_equal(x.grad, [-1.0, 1.0])
+        (gx,) = grads(tape, loss, [x])
+        assert np.array_equal(gx, [-1.0, 1.0])
 
 
 class TestMatmulAndPool:
@@ -385,8 +384,8 @@ class TestHandValues:
         tape = T.Tape()
         with tape:
             loss = T.square(x)
-        T.backward(tape, loss)
-        assert np.allclose(x.grad, 6.0)
+        (gx,) = grads(tape, loss, [x])
+        assert np.allclose(gx, 6.0)
 
     def test_quadratic_loss_near_exact(self):
         """Central differences are exact for quadratics up to roundoff."""
@@ -439,8 +438,8 @@ class TestTapeSemantics:
         tape = T.Tape()
         with tape:
             loss = T.sum_all(T.mul(x, x))
-        T.backward(tape, loss)
-        assert np.allclose(x.grad, 4.0)
+        (gx,) = grads(tape, loss, [x])
+        assert np.allclose(gx, 4.0)
 
     def test_unreached_tracked_gets_zero(self):
         """Loss independent of a tracked tensor yields an explicit zero grad."""
@@ -450,23 +449,18 @@ class TestTapeSemantics:
         with tape:
             _ = T.square(a)
             loss = T.sum_all(T.square(b))
-        T.backward(tape, loss)
-        assert np.array_equal(a.grad, np.zeros(3))
-
-    def test_grad_accumulates_across_backwards(self):
-        x = T.Tensor(np.array([3.0]), requires_grad=True)
-        for _ in range(3):
-            tape = T.Tape()
-            with tape:
-                loss = T.sum_all(x)
-            T.backward(tape, loss)
-        assert np.allclose(x.grad, 3.0)
+        ga, _ = grads(tape, loss, [a, b])
+        assert np.array_equal(ga, np.zeros(3))
 
     def test_no_tape_records_nothing(self):
-        """Ops outside a tape never touch gradient state."""
+        """Ops before a tape is entered and after it exits are not recorded."""
         x = T.Tensor(np.ones(4), requires_grad=True)
+        tape = T.Tape()
         _ = T.square(x)
-        assert x.grad is None
+        with tape:
+            pass
+        _ = T.square(x)
+        assert len(tape) == 0 and not tape._tracked
 
     def test_nested_tapes_rejected(self):
         with T.Tape():
@@ -480,33 +474,33 @@ class TestTapeSemantics:
         with tape:
             y = T.square(x)
         with pytest.raises(ContractError):
-            T.backward(tape, y)
+            T.backward(tape, y, [(x, np.empty(3))])
 
     def test_destinations_receive_the_additive_bytes(self):
-        """Gradients copied into destination views equal a first additive
-        backward's bytes, signed zeros included; an unreached leaf gets +0.0."""
-        def run(into):
-            a = T.Tensor(signed_values(20, (3, 4)), requires_grad=True)
-            b = T.Tensor(signed_values(21, (4,)), requires_grad=True)
-            unused = T.Tensor(np.ones(2), requires_grad=True)
-            unused.grad = np.full(2, 5.0)
-            tape = T.Tape()
-            with tape:
-                _ = T.square(unused)
-                y = T.relu(T.mul(T.add(a, T.reshape(b, (1, 4))), a))
-                loss = T.sum_all(T.mul(y, T.Tensor(signed_values(22, (3, 4)))))
-            leaves = (a, b, unused)
-            if into:
-                flat = np.full(18, np.nan)
-                views = [flat[:12].reshape(3, 4), flat[12:16], flat[16:]]
-                T.backward(tape, loss, list(zip(leaves, views)))
-                assert all(t.grad is v for t, v in zip(leaves, views))
-                return flat.tobytes()
-            unused.grad = None
-            T.backward(tape, loss)
-            return b"".join(t.grad.tobytes() for t in leaves)
+        """Views of one NaN-filled buffer receive the hand-derived gradients,
+        summed over a leaf's uses, signed zeros included; an unreached leaf
+        gets +0.0.
 
-        assert run(into=True) == run(into=False)
+        With y = a * b + a and loss = sum(y * c): dL/da = c + c * b and
+        dL/db = c * a, elementwise."""
+        a = T.Tensor(np.array([[1.5, -2.0], [0.5, 3.0]]), requires_grad=True)
+        b = T.Tensor(np.array([2.0, -0.0, 0.0, -1.0]), requires_grad=True)
+        unused = T.Tensor(np.ones(2), requires_grad=True)
+        c = T.Tensor(np.array([[1.0, 2.0], [-0.0, -4.0]]))
+        tape = T.Tape()
+        with tape:
+            _ = T.square(unused)
+            y = T.add(T.mul(a, T.reshape(b, (2, 2))), a)
+            loss = T.sum_all(T.mul(y, c))
+        flat = np.full(10, np.nan)
+        views = [flat[:4].reshape(2, 2), flat[4:8], flat[8:]]
+        T.backward(tape, loss, list(zip((a, b, unused), views)))
+        want = np.array([
+            3.0, 2.0, -0.0, 0.0,    # c + c*b: 1+2, 2+(-0), -0+(-0), -4+4
+            1.5, -4.0, -0.0, -12.0,  # c*a
+            0.0, 0.0,                # unreached
+        ])
+        assert flat.tobytes() == want.tobytes()
 
     def test_destinations_must_cover_every_tracked_leaf(self):
         a = T.Tensor(np.ones(2), requires_grad=True)
@@ -514,9 +508,10 @@ class TestTapeSemantics:
         tape = T.Tape()
         with tape:
             loss = T.sum_all(T.mul(a, b))
+        dst = np.full(2, np.nan)
         with pytest.raises(ContractError, match="every tracked tensor"):
-            T.backward(tape, loss, [(a, np.empty(2))])
-        assert a.grad is None and b.grad is None
+            T.backward(tape, loss, [(a, dst)])
+        assert np.isnan(dst).all()
 
     def test_deepcopy_gets_fresh_identity(self):
         """Copied tensors share no buffers and no tape identity."""
@@ -551,6 +546,18 @@ class TestFiniteDiffCheck:
                 T.finite_diff_check(f, [x], sample=sample)
         assert T.finite_diff_check(f, [x], sample=None) < 1e-6
         assert T.finite_diff_check(f, [x], sample=1) < 1e-6
+
+    def test_params_must_cover_every_leaf_f_uses(self):
+        """A requires_grad tensor f uses but params omits has no destination."""
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        w = T.Tensor(np.full(2, 3.0), requires_grad=True)
+
+        def f(params):
+            return T.sum_all(T.mul(params[0], w))
+
+        with pytest.raises(ContractError, match="every tracked tensor"):
+            T.finite_diff_check(f, [x])
+        assert T.finite_diff_check(f, [x, w]) < 1e-6
 
     def test_detects_wrong_gradient(self):
         """A deliberately broken gradient is flagged, not silently passed."""
@@ -651,15 +658,15 @@ def signed_values(seed, shape):
     return x
 
 
-def vjp_of(op, x, g):
-    """(op(x), d<op(x), g>/dx) through the tape; the upstream gradient is g exactly."""
+def vjp_of(op, x, g, leaves=()):
+    """(op(x), d<op(x), g>/dx, and d<op(x), g>/dt for each other leaf t op
+    uses) through the tape; the upstream gradient is g exactly."""
     xt = T.Tensor(x, requires_grad=True)
     tape = T.Tape()
     with tape:
         y = op(xt)
         loss = T.sum_all(T.mul(y, T.Tensor(g)))
-    T.backward(tape, loss)
-    return y.data, xt.grad
+    return (y.data, *grads(tape, loss, [xt, *leaves]))
 
 
 CONV_SHAPES = [(3, 6, 10), (2, 7, 5), (4, 1, 3), (1, 2, 9)]
@@ -689,8 +696,8 @@ class TestKernelOracles:
 
         def run():
             kt = T.Tensor(kernel, requires_grad=True)
-            y, gx = vjp_of(lambda xt: T.conv2d(xt, kt), x, g)
-            return y.tobytes(), gx.tobytes(), kt.grad.tobytes()
+            y, gx, gk = vjp_of(lambda xt: T.conv2d(xt, kt), x, g, [kt])
+            return y.tobytes(), gx.tobytes(), gk.tobytes()
 
         got = run()
         monkeypatch.setattr(T, "_im2col", im2col_oracle)
@@ -750,8 +757,7 @@ def conv_bias_bytes(conv, x, kernel, bias, g, tape=True):
     with tp:
         y = conv(*ts)
         loss = T.sum_all(T.mul(y, T.Tensor(g)))
-    T.backward(tp, loss)
-    return [y.data.tobytes()] + [t.grad.tobytes() for t in ts]
+    return [y.data.tobytes()] + [gt.tobytes() for gt in grads(tp, loss, ts)]
 
 
 BIAS_SHAPES = [(3, 6, 10), (2, 7, 5), (4, 1, 1), (1, 1, 9)]
