@@ -103,7 +103,12 @@ def make_corpus(seed: int, count: int, h: int, w: int) -> list:
 
 
 def save_pairs(dirpath: str, pairs: list) -> None:
-    """Export a corpus as a tensor blob plus JSON index under `dirpath`."""
+    """Export a corpus as a tensor blob plus JSON index under `dirpath`.
+
+    A corpus with no pairs is refused before anything is written, as
+    ``load_pairs`` would refuse it."""
+    if not pairs:
+        raise ContractError(f"corpus {dirpath!r} needs at least one pair")
     named = []
     index = []
     for i, pair in enumerate(pairs):

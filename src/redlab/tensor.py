@@ -105,7 +105,7 @@ class Tape:
     def __init__(self):
         self._records = []        # (out_id, inputs, needs, vjp)
         self._connected = set()   # ids of tensors produced on this tape
-        self._tracked = {}        # id -> leaf tensor with requires_grad
+        self._tracked = set()     # ids of leaves with requires_grad
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
@@ -134,7 +134,7 @@ def _record(out: Tensor, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
         needs.append(need)
         live = live or need
         if t.requires_grad:
-            tape._tracked[t.node_id] = t
+            tape._tracked.add(t.node_id)
     if not live:
         return out
     tape._connected.add(out.node_id)
@@ -154,7 +154,7 @@ def backward(tape: Tape, loss: Tensor, into: Sequence) -> None:
         raise ContractError("loss must be a Tensor")
     if loss.data.size != 1:
         raise ContractError("loss must be scalar")
-    if not tape._tracked.keys() <= {t.node_id for t, _ in into}:
+    if not tape._tracked <= {t.node_id for t, _ in into}:
         raise ContractError("backward destinations must cover every tracked tensor")
     grads = {loss.node_id: np.ones_like(loss.data)}
     for out_id, inputs, needs, vjp in reversed(tape._records):

@@ -372,11 +372,16 @@ class TestDegradeScore:
         assert doc["candidate_similarity"] == {}
 
     def test_empty_corpus_exits_two_without_output(self, tmp_path, capsys):
-        """A corpus saved with no pairs is malformed input, not an empty report."""
+        """A corpus with no pairs is malformed input, not an empty report.
+
+        ``save_pairs`` refuses to write one, so the container is written
+        directly."""
         model = ToyEnhancer(Rng(0), adr_blocks=(True, True))
         model.freeze()
         save_model(model, str(tmp_path / "model"))
-        save_pairs(str(tmp_path / "data"), [])
+        checkpoint.save_tensors(
+            str(tmp_path / "data" / "corpus"), [], {"kind": "corpus", "pairs": []}
+        )
         out = tmp_path / "scores.json"
         assert run(["degrade-score", "--ckpt", str(tmp_path / "model"),
                     "--data", str(tmp_path / "data"), "--out", str(out)]) == 2

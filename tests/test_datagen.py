@@ -143,6 +143,19 @@ class TestDiskRoundTrip:
         with pytest.raises(ContractError, match=f"pair0001.{part} .* non-finite"):
             load_pairs(str(tmp_path / "corpus"))
 
+    def test_empty_pair_list_writes_nothing(self, tmp_path):
+        """No pairs is refused before any write: a new directory is not
+        made, and a corpus already there keeps its bytes."""
+        with pytest.raises(ContractError, match="at least one pair"):
+            save_pairs(str(tmp_path / "new"), [])
+        assert not (tmp_path / "new").exists()
+        old = tmp_path / "old"
+        save_pairs(str(old), make_corpus(13, 2, 8, 8))
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        with pytest.raises(ContractError, match="at least one pair"):
+            save_pairs(str(old), [])
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+
     def test_wrong_directory_rejected(self, tmp_path):
         from redlab.checkpoint import save_tensors
 

@@ -1,6 +1,7 @@
 """Determinism and distribution checks for the pseudorandom generator."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -338,3 +339,43 @@ class TestJumpOracle:
         for j in requested_powers(monkeypatch):
             got = _jump(_jump_table(j), states)
             assert got.tobytes() == _apply(_jump_rows(j), states).tobytes()
+
+
+def mapped_cos(x: np.ndarray) -> np.ndarray:
+    """``math.cos`` of each element: the cosine ``Rng.normal`` takes, and the
+    form ``np.cos`` replaced in ``fill_normal``."""
+    return np.fromiter(map(math.cos, x.tolist()), np.float64, x.size)
+
+
+class TestCosineOracle:
+    """``np.cos`` against ``math.cos``, byte for byte.
+
+    ``fill_normal`` takes its cosine from NumPy's float64 loop, which calls
+    the C library's ``cos`` as ``math.cos`` (and so ``Rng.normal``) does; a
+    NumPy whose loop rounds differently fails here by name, beside the
+    goldens and the lane-kernel fills that compare with ``Rng.normal``.
+    """
+
+    def test_golden_fill_arguments(self):
+        """Every cosine argument of the (3, 64, 64) normal golden."""
+        d = Rng(1)._doubles(2 * 3 * 64 * 64)
+        x = 2.0 * math.pi * d[1::2]
+        assert np.cos(x).tobytes() == mapped_cos(x).tobytes()
+
+    def test_rng_arguments(self):
+        """2^20 arguments 2 pi u, contiguous and strided."""
+        x = 2.0 * math.pi * Rng(20)._doubles(1 << 20)
+        assert np.cos(x).tobytes() == mapped_cos(x).tobytes()
+        assert np.cos(x[1::3]).tobytes() == mapped_cos(x[1::3]).tobytes()
+
+    def test_edge_arguments(self):
+        """Signed zeros, the double 2 pi and the one below it, the largest
+        argument a fill forms, and the doubles around each k pi / 4
+        (k = 0..8), where the cosine is +-1, 0 or +-sqrt(2) / 2."""
+        x = [0.0, -0.0, 2.0 * math.pi, 2.0 * math.pi * (1.0 - 2.0**-53)]
+        x.append(float(np.nextafter(2.0 * math.pi, 0.0)))
+        for k in range(9):
+            c = k * math.pi / 4
+            x += [float(np.nextafter(c, -1.0)), c, float(np.nextafter(c, 8.0))]
+        x = np.array(x)
+        assert np.cos(x).tobytes() == mapped_cos(x).tobytes()

@@ -460,7 +460,7 @@ class TestTapeSemantics:
         with tape:
             pass
         _ = T.square(x)
-        assert len(tape) == 0 and not tape._tracked
+        assert len(tape) == 0 and tape._tracked == set()
 
     def test_nested_tapes_rejected(self):
         with T.Tape():
@@ -501,6 +501,17 @@ class TestTapeSemantics:
             0.0, 0.0,                # unreached
         ])
         assert flat.tobytes() == want.tobytes()
+
+    def test_tape_tracks_leaf_ids(self):
+        """A tape tracks the node ids of the leaves that need a gradient,
+        not the tensors, and nothing for a constant input."""
+        a = T.Tensor(np.ones(2), requires_grad=True)
+        b = T.Tensor(np.ones(2), requires_grad=True)
+        c = T.Tensor(np.ones(2))
+        tape = T.Tape()
+        with tape:
+            _ = T.sum_all(T.mul(T.mul(a, b), T.add(c, a)))
+        assert tape._tracked == {a.node_id, b.node_id}
 
     def test_destinations_must_cover_every_tracked_leaf(self):
         a = T.Tensor(np.ones(2), requires_grad=True)
