@@ -37,7 +37,6 @@ from .redundancy import (
     probe_sweep,
     psnr,
     reset_layer,
-    write_dmr_csv,
     write_probe_csv,
 )
 from .rng import Rng, child_seed, splitmix64
@@ -95,6 +94,5 @@ __all__ = [
     "save_tensors",
     "splitmix64",
     "train",
-    "write_dmr_csv",
     "write_probe_csv",
 ]

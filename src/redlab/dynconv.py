@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import pog
 from . import tensor as T
-from .errors import ConfigurationError, DegenerateCandidateError, DimensionError
+from .errors import ConfigurationError, DegenerateCandidateError
 from .rng import Rng
-from .tensor import MlpParams, Tensor
+from .tensor import Tensor
 
 
 class DynamicConv:
@@ -41,12 +42,9 @@ class DynamicConv:
         return out
 
     def generate(self, x: Tensor) -> Tensor:
-        """Effective kernel for this input: the softmax-weighted candidate sum."""
-        if x.data.ndim != 3 or x.data.shape[0] != self.c_in:
-            raise DimensionError(
-                f"expected [{self.c_in}, H, W] input, got {x.data.shape}"
-            )
-        pi = T.softmax(T.mlp2(T.global_avg_pool(x), self.att_mlp))
+        """Effective kernel for this input: the candidate sum weighted by POG's
+        weight head, :func:`pog.compute_weights`."""
+        pi = pog.compute_weights(x, self.att_mlp)
         flat = T.reshape(self.candidates, (self.k, self.c_out * self.c_in * self.d_k ** 2))
         mixed = T.matmul(T.reshape(pi, (1, self.k)), flat)
         return T.reshape(mixed, (self.c_out, self.c_in, self.d_k, self.d_k))

@@ -114,7 +114,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, tau: Tensor) -> Tensor:
     transpose2d -> matmul -> mul -> softmax -> matmul -> reshape in the same
     order, and its VJP evaluates each of their VJPs in reverse tape order
     (K's normalization before Q's, each division's numerator term before
-    its square's), so the mix and every gradient equal that chain's bit for bit.
+    its square's), so the mix and every gradient equal that chain's
+    (``composed_attention`` in ``tests/composed.py``) bit for bit.
     """
     d, hh, ww = q.data.shape
     qm = q.data.reshape(d, hh * ww)
@@ -298,8 +299,12 @@ class ToyEnhancer:
         :meth:`reallocation_blocks`) and the Q/K/V stack its generators
         condition on.  ``resume(seen[path_k], k)``, with the input a forward
         showed for stage k, equals that forward's output as long as no
-        parameter of the stages before ``k`` changed in between.
+        parameter of the stages before ``k`` changed in between.  A ``start``
+        that is not an index into :attr:`stages` raises :class:`ContractError`.
         """
+        n = len(self.stages)
+        if isinstance(start, bool) or not isinstance(start, int) or not 0 <= start < n:
+            raise ContractError(f"resume start must be a stage index in [0, {n}), got {start!r}")
         for path, stage in self.stages[start:]:
             if observe is not None:
                 observe(path, y)

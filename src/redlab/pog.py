@@ -62,9 +62,43 @@ def build_basis(n_i: Tensor) -> Tensor:
 
 
 def compute_weights(f_in: Tensor, mlp: MlpParams) -> Tensor:
-    """Simplex weight vector for one conditioning input: softmax(mlp(pool))."""
-    _check_conditioning(f_in.data, mlp)
-    return T.softmax(T.mlp2(T.global_avg_pool(f_in), mlp))
+    """Simplex weight vector for one conditioning input: softmax(mlp(pool)),
+    as one taped operation (see :func:`_weight_head`)."""
+    y, vjp = _weight_head(f_in.data, mlp)
+    return T._record(T._wrap(y), (f_in, mlp.w1, mlp.b1, mlp.w2, mlp.b2), vjp)
+
+
+def _weight_head(x: np.ndarray, mlp: MlpParams):
+    """Untaped softmax of a 2-layer MLP of the per-channel mean of [C, H, W] ``x``.
+
+    Returns the [D_out] weights and their VJP ``vjp(g, needs)``, which gives
+    the gradients of ``x`` (only when ``needs[0]``), w1, b1, w2 and b2.  The
+    forward runs the NumPy operations of the chain global average pool ->
+    two-layer MLP on a column -> softmax in order, and the VJP each of their
+    VJPs in reverse order, so values and gradients equal that chain's
+    (``composed_weights`` in ``tests/composed.py``) bit for bit.
+    """
+    _check_conditioning(x, mlp)
+    c, h, w = x.shape
+    col = x.reshape(c, h * w).mean(axis=1).reshape(c, 1)
+    pre1 = mlp.w1.data @ col + mlp.b1.data.reshape(-1, 1)
+    h1 = np.maximum(pre1, 0.0)
+    y = T._softmax_forward((mlp.w2.data @ h1 + mlp.b2.data.reshape(-1, 1)).reshape(-1))
+
+    def vjp(g, needs):
+        g_o = T._softmax_vjp(g, y).reshape(-1, 1)
+        g_b2 = g_o.reshape(mlp.b2.data.shape)
+        g_w2 = g_o @ h1.T
+        g_pre1 = (mlp.w2.data.T @ g_o) * (pre1 > 0.0)
+        g_b1 = g_pre1.reshape(mlp.b1.data.shape)
+        g_w1 = g_pre1 @ col.T
+        g_x = None
+        if needs[0]:
+            g_pool = (mlp.w1.data.T @ g_pre1).reshape(c)
+            g_x = np.broadcast_to(g_pool[:, None, None] / (h * w), x.shape).copy()
+        return g_x, g_w1, g_b1, g_w2, g_b2
+
+    return y, vjp
 
 
 def _check_conditioning(x: np.ndarray, mlp: MlpParams) -> None:
@@ -148,11 +182,13 @@ def generate(gen: PogGenerator, f_in: Tensor) -> Tensor:
     """Full pipeline: normalize, weight, reflect, decode, reshape to kernel.
 
     One taped operation.  Its forward runs the NumPy operations of the chain
-    ``normalize_embeddings`` (skipped when frozen) -> ``compute_weights`` ->
-    ``specific_embedding`` -> ``T.mlp2`` in the same order, and its VJP
-    evaluates each of their VJPs in reverse tape order, summing the two uses
-    of the normalized rows and of the weight row as ``backward`` would.  So
-    kernels and gradients equal that chain's bit for bit.  [N, D_e]
+    ``normalize_embeddings`` (skipped when frozen) -> the weight head of
+    ``compute_weights`` -> ``specific_embedding`` -> the decode MLP applied
+    to each row in the same order, and its VJP evaluates each of their VJPs
+    in reverse tape order, summing the two uses of the normalized rows and
+    of the weight row as ``backward`` would.  So kernels and gradients equal
+    that chain's (``composed_generate`` in ``tests/composed.py``) bit for
+    bit.  [N, D_e]
     intermediates are written in place (``out=``) where their inputs are
     spent, which changes no value and keeps fewer of them alive.
     """
@@ -167,22 +203,15 @@ def generate(gen: PogGenerator, f_in: Tensor) -> Tensor:
         norms = np.sqrt(np.sum(n_p, axis=-1, keepdims=True))
         _check_norms(norms)
         np.divide(e, norms, out=n_p)
-    x = f_in.data
     wm, dm = gen.weight_mlp, gen.decode_mlp
-    _check_conditioning(x, wm)
-    c, h, w = x.shape
-    # weight MLP on the pooled input (mlp2's 1-D form), then softmax
-    col = x.reshape(c, h * w).mean(axis=1).reshape(c, 1)
-    pre1 = wm.w1.data @ col + wm.b1.data.reshape(-1, 1)
-    h1 = np.maximum(pre1, 0.0)
-    y = T._softmax_forward((wm.w2.data @ h1 + wm.b2.data.reshape(-1, 1)).reshape(-1))
+    y, head_vjp = _weight_head(f_in.data, wm)
     # reflect every row: s_i = W - (<n_i, W> * 2) n_i
     wr = y.reshape(1, -1)
     s = n_p * wr
     dots2 = np.sum(s, axis=-1, keepdims=True) * 2.0
     np.multiply(dots2, n_p, out=s)
     np.subtract(wr, s, out=s)
-    # decode MLP (mlp2's 2-D form), one scalar per row
+    # decode MLP on every row, one scalar per row
     h2 = s @ dm.w1.data.T
     np.add(h2, dm.b1.data.reshape(1, -1), out=h2)
     np.maximum(h2, 0.0, out=h2)
@@ -206,18 +235,7 @@ def generate(gen: PogGenerator, f_in: Tensor) -> Tensor:
         np.multiply(tmp, n_p, out=tmp)
         g_dots = np.sum(tmp, axis=1, keepdims=True) * 2.0
         g_wr = _sum_rows(g_s) + _sum_rows(np.multiply(g_dots, n_p, out=tmp))
-        # softmax and weight MLP
-        g_o = T._softmax_vjp(g_wr.reshape(y.shape), y).reshape(-1, 1)
-        g_wb2 = g_o.reshape(wm.b2.data.shape)
-        g_ww2 = g_o @ h1.T
-        g_pre1 = (wm.w2.data.T @ g_o) * (pre1 > 0.0)
-        g_wb1 = g_pre1.reshape(wm.b1.data.shape)
-        g_ww1 = g_pre1 @ col.T
-        g_x = None
-        if needs[0]:
-            g_pool = (wm.w1.data.T @ g_pre1).reshape(c)
-            g_x = np.broadcast_to(g_pool[:, None, None] / (h * w), x.shape).copy()
-        grads = (g_x, g_ww1, g_wb1, g_ww2, g_wb2, g_dw1, g_db1, g_dw2, g_db2)
+        grads = head_vjp(g_wr.reshape(y.shape), needs) + (g_dw1, g_db1, g_dw2, g_db2)
         if e is None:
             return grads
         np.add(g_np, np.multiply(g_dots, wr, out=tmp), out=g_np)

@@ -266,15 +266,6 @@ def parse_selector(spec_str: str) -> LayerSelector:
     return LayerSelector(spec_str.strip(), "static")
 
 
-def write_dmr_csv(report: DmrReport, path: str) -> None:
-    """One row per (selector, image) term."""
-    rows = [["selector", "kind", "image_index", "term_db"]]
-    for i, sel in enumerate(report.selectors):
-        for j in range(report.m):
-            rows.append([sel.path, sel.kind, j, repr(float(report.terms[i, j]))])
-    write_files({path: csv_text(rows)})
-
-
 def dmr_summary(report: DmrReport) -> dict:
     return {
         "dmr": report.dmr,

@@ -328,17 +328,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError("transpose2d expects a 2-D tensor")
-    out = _wrap(x.data.T)
-
-    def vjp(g, needs):
-        return (g.T,)
-
-    return _record(out, (x,), vjp)
-
-
 # --------------------------------------------------------------------------
 # Linear algebra and convolution
 # --------------------------------------------------------------------------
@@ -492,19 +481,6 @@ def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * (g - inner)
 
 
-def global_avg_pool(f: Tensor) -> Tensor:
-    """Per-channel spatial mean: [C, H, W] -> [C]."""
-    if f.data.ndim != 3:
-        raise DimensionError("global_avg_pool input must be [C, H, W]")
-    c, h, w = f.data.shape
-    out = _wrap(f.data.reshape(c, h * w).mean(axis=1))
-
-    def vjp(g, needs):
-        return (np.broadcast_to(g[:, None, None] / (h * w), f.data.shape).copy(),)
-
-    return _record(out, (f,), vjp)
-
-
 # --------------------------------------------------------------------------
 # Channel concat / split
 # --------------------------------------------------------------------------
@@ -648,32 +624,6 @@ def init_mlp(rng: Rng, d_in: int, d_hidden: int, d_out: int) -> MlpParams:
         w2=Tensor(init_uniform(rng, (d_out, d_hidden)), requires_grad=True),
         b2=Tensor(np.zeros(d_out), requires_grad=True),
     )
-
-
-def mlp2(x: Tensor, params: MlpParams) -> Tensor:
-    """Two-layer MLP with ReLU between the layers.
-
-    A 1-D input [d_in] maps to [d_out]; a 2-D input [B, d_in] is treated as
-    a batch of rows and maps to [B, d_out].
-    """
-    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
-    if x.data.ndim == 1:
-        if x.data.shape[0] != w1.data.shape[1]:
-            raise DimensionError(
-                f"mlp2 expects input width {w1.data.shape[1]}, got {x.data.shape[0]}"
-            )
-        col = reshape(x, (x.data.shape[0], 1))
-        h = relu(add(matmul(w1, col), reshape(b1, (b1.data.shape[0], 1))))
-        out = add(matmul(w2, h), reshape(b2, (b2.data.shape[0], 1)))
-        return reshape(out, (w2.data.shape[0],))
-    if x.data.ndim == 2:
-        if x.data.shape[1] != w1.data.shape[1]:
-            raise DimensionError(
-                f"mlp2 expects input width {w1.data.shape[1]}, got {x.data.shape[1]}"
-            )
-        h = relu(add(matmul(x, transpose2d(w1)), reshape(b1, (1, b1.data.shape[0]))))
-        return add(matmul(h, transpose2d(w2)), reshape(b2, (1, b2.data.shape[0])))
-    raise DimensionError("mlp2 input must be 1-D or 2-D")
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,126 @@
+"""Composed chains: the byte oracles for redlab's fused operations.
+
+``pog.compute_weights``, ``pog.generate``, ``tensor.conv2d`` with a bias and
+``enhancer.attention`` are each one tape record that replaced a chain of
+one-record primitives.  The chains live here, with the primitives that only
+they use (``transpose2d``, ``global_avg_pool`` and both forms of ``mlp2``),
+and :func:`oracle_bytes` runs a fused operation or its chain so that tests
+can compare the two byte for byte.
+"""
+
+import numpy as np
+
+from redlab import pog
+from redlab import tensor as T
+from redlab.errors import DimensionError
+from redlab.tensor import MlpParams, Tensor, _record, _wrap, add, matmul, relu, reshape
+from tape_helpers import grads
+
+
+def transpose2d(x: Tensor) -> Tensor:
+    if x.data.ndim != 2:
+        raise DimensionError("transpose2d expects a 2-D tensor")
+    out = _wrap(x.data.T)
+
+    def vjp(g, needs):
+        return (g.T,)
+
+    return _record(out, (x,), vjp)
+
+
+def global_avg_pool(f: Tensor) -> Tensor:
+    """Per-channel spatial mean: [C, H, W] -> [C]."""
+    if f.data.ndim != 3:
+        raise DimensionError("global_avg_pool input must be [C, H, W]")
+    c, h, w = f.data.shape
+    out = _wrap(f.data.reshape(c, h * w).mean(axis=1))
+
+    def vjp(g, needs):
+        return (np.broadcast_to(g[:, None, None] / (h * w), f.data.shape).copy(),)
+
+    return _record(out, (f,), vjp)
+
+
+def mlp2(x: Tensor, params: MlpParams) -> Tensor:
+    """Two-layer MLP with ReLU between the layers.
+
+    A 1-D input [d_in] maps to [d_out]; a 2-D input [B, d_in] is treated as
+    a batch of rows and maps to [B, d_out].
+    """
+    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
+    if x.data.ndim == 1:
+        if x.data.shape[0] != w1.data.shape[1]:
+            raise DimensionError(
+                f"mlp2 expects input width {w1.data.shape[1]}, got {x.data.shape[0]}"
+            )
+        col = reshape(x, (x.data.shape[0], 1))
+        h = relu(add(matmul(w1, col), reshape(b1, (b1.data.shape[0], 1))))
+        out = add(matmul(w2, h), reshape(b2, (b2.data.shape[0], 1)))
+        return reshape(out, (w2.data.shape[0],))
+    if x.data.ndim == 2:
+        if x.data.shape[1] != w1.data.shape[1]:
+            raise DimensionError(
+                f"mlp2 expects input width {w1.data.shape[1]}, got {x.data.shape[1]}"
+            )
+        h = relu(add(matmul(x, transpose2d(w1)), reshape(b1, (1, b1.data.shape[0]))))
+        return add(matmul(h, transpose2d(w2)), reshape(b2, (1, b2.data.shape[0])))
+    raise DimensionError("mlp2 input must be 1-D or 2-D")
+
+
+def composed_weights(f_in, mlp):
+    """The weight head as the 11-record chain pool -> 1-D ``mlp2`` -> softmax:
+    the byte oracle for the single-record ``pog.compute_weights``."""
+    return T.softmax(mlp2(global_avg_pool(f_in), mlp))
+
+
+def composed_generate(gen, f_in):
+    """The generator as a chain of its published sub-steps, one tape record per
+    primitive: the byte oracle for the single-record ``pog.generate``.  Its
+    weights come from :func:`composed_weights`, not from the fused head."""
+    n_p = gen._cached_norm if gen.frozen else pog.normalize_embeddings(gen.embeddings)
+    w = composed_weights(f_in, gen.weight_mlp)
+    s = pog.specific_embedding(n_p, w)
+    c_in, c_out, d_k = gen.target_shape
+    return T.reshape(mlp2(s, gen.decode_mlp), (c_out, c_in, d_k, d_k))
+
+
+def composed_attention(q, k, v, tau):
+    """The attention core as the 19-record chain it replaces: the byte oracle
+    for the single-record ``enhancer.attention``."""
+    d, hh, ww = q.data.shape
+    qm = T.reshape(q, (d, hh * ww))
+    km = T.reshape(k, (d, hh * ww))
+    vm = T.reshape(v, (d, hh * ww))
+    qh = T.div(qm, T.sqrt(T.add(T.sum_last(T.square(qm)), 1e-24)))
+    kh = T.div(km, T.sqrt(T.add(T.sum_last(T.square(km)), 1e-24)))
+    a = T.softmax(T.mul(T.matmul(qh, transpose2d(kh)), tau))
+    return T.reshape(T.matmul(a, vm), (d, hh, ww))
+
+
+def composed_conv2d(x, kernel, bias):
+    """A biased convolution as the chain of three records it replaces: the byte
+    oracle for ``T.conv2d(x, kernel, bias)``."""
+    return T.add(T.conv2d(x, kernel), T.reshape(bias, (bias.data.shape[0], 1, 1)))
+
+
+def composed_conv_forward(layer, x, observe=None, path=""):
+    """``Conv2dLayer.forward`` as the convolve, reshape-bias, add chain it replaces."""
+    return composed_conv2d(x, layer.kernel, layer.bias)
+
+
+def oracle_bytes(op, inputs, cotangent):
+    """``op(*inputs)`` and the tape records it took, as ``(bytes list, count)``.
+
+    With a ``cotangent`` array the list holds the output and the gradient of
+    ``<op(*inputs), cotangent>`` for each of ``inputs``, which must cover every
+    leaf ``op`` tracks; the count includes the two loss records.  With
+    ``cotangent`` None, ``op`` runs outside a tape: the list holds the output
+    only and the count is 0.
+    """
+    if cotangent is None:
+        return [op(*inputs).data.tobytes()], 0
+    tape = T.Tape()
+    with tape:
+        out = op(*inputs)
+        loss = T.sum_all(T.mul(out, Tensor(cotangent)))
+    return [out.data.tobytes()] + [g.tobytes() for g in grads(tape, loss, inputs)], len(tape)

@@ -6,7 +6,7 @@ import pytest
 from redlab import tensor as T
 from redlab.dynconv import DynamicConv, candidate_similarity
 from redlab.errors import ConfigurationError, DegenerateCandidateError, DimensionError
-from redlab.pog import degradation_score
+from redlab.pog import compute_weights, degradation_score
 from redlab.rng import Rng
 from redlab.tensor import Tensor
 
@@ -36,7 +36,7 @@ class TestDynForward:
             dc = DynamicConv(Rng(seed), 3, 2, 3, k=3)
             x = Tensor(Rng(seed + 50).fill_uniform((3, 6, 6), 0.0, 1.0))
             got = dc.forward(x).data
-            pi = T.softmax(T.mlp2(T.global_avg_pool(x), dc.att_mlp)).data
+            pi = compute_weights(x, dc.att_mlp).data
             want = np.zeros_like(got)
             for j in range(3):
                 want += pi[j] * T.conv2d(x, Tensor(dc.candidates.data[j])).data

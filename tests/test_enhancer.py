@@ -23,6 +23,7 @@ from redlab.errors import ConfigurationError, ContractError, DimensionError, Div
 from redlab.redundancy import LayerSelector, default_selectors, dmr, psnr, reset_layer
 from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
+from composed import composed_attention, composed_conv_forward, oracle_bytes
 from tape_helpers import grads, step_grads
 
 
@@ -87,24 +88,6 @@ class TestAttentionBlock:
         assert np.all(np.isfinite(out.data))
 
 
-def composed_attention(q, k, v, tau):
-    """The attention core as the 19-record chain it replaces: the byte oracle
-    for the single-record ``enhancer.attention``."""
-    d, hh, ww = q.data.shape
-    qm = T.reshape(q, (d, hh * ww))
-    km = T.reshape(k, (d, hh * ww))
-    vm = T.reshape(v, (d, hh * ww))
-    qh = T.div(qm, T.sqrt(T.add(T.sum_last(T.square(qm)), 1e-24)))
-    kh = T.div(km, T.sqrt(T.add(T.sum_last(T.square(km)), 1e-24)))
-    a = T.softmax(T.mul(T.matmul(qh, T.transpose2d(kh)), tau))
-    return T.reshape(T.matmul(a, vm), (d, hh, ww))
-
-
-def composed_conv_forward(layer, x, observe=None, path=""):
-    """``Conv2dLayer.forward`` as the convolve, reshape-bias, add chain it replaces."""
-    return T.add(T.conv2d(x, layer.kernel), T.reshape(layer.bias, (layer.c_out, 1, 1)))
-
-
 def signed_features(seed, shape):
     """Values of both signs with exact +0.0 and -0.0 entries; channel 0 is all zero
     when there are several, so the normalization guard is exercised."""
@@ -116,18 +99,10 @@ def signed_features(seed, shape):
     return x
 
 
-def attention_bytes(op, shape, tau, tape):
-    """Mix and, on a tape, the q, k, v and tau gradients of ``<op(q, k, v, tau), g>``."""
+def attention_inputs(shape, tau, tape):
+    """Q, K, V and tau, all leaves when ``tape``."""
     ts = [Tensor(signed_features(seed, shape), requires_grad=tape) for seed in (1, 2, 3)]
-    ts.append(Tensor(np.asarray(tau), requires_grad=tape))
-    if not tape:
-        return [op(*ts).data.tobytes()], 0
-    g = Tensor(signed_features(4, shape))
-    tp = T.Tape()
-    with tp:
-        out = op(*ts)
-        loss = T.sum_all(T.mul(out, g))
-    return [out.data.tobytes()] + [gt.tobytes() for gt in grads(tp, loss, ts)], len(tp)
+    return ts + [Tensor(np.asarray(tau), requires_grad=tape)]
 
 
 ATTENTION_SHAPES = [(4, 6, 5), (8, 4, 4), (3, 1, 1), (1, 2, 3), (2, 1, 7)]
@@ -141,8 +116,10 @@ class TestAttentionOracle:
     @pytest.mark.parametrize("tau", [1.0, -2.5])
     @pytest.mark.parametrize("shape", ATTENTION_SHAPES)
     def test_mix_and_gradients(self, shape, tau, tape):
-        got, records = attention_bytes(attention, shape, tau, tape)
-        want, _ = attention_bytes(composed_attention, shape, tau, tape)
+        ts = attention_inputs(shape, tau, tape)
+        g = signed_features(4, shape) if tape else None
+        got, records = oracle_bytes(attention, ts, g)
+        want, _ = oracle_bytes(composed_attention, ts, g)
         assert got == want
         if tape:
             assert records == 3  # attention, mul, sum_all
@@ -355,6 +332,14 @@ class TestStages:
         for k, (path, _) in enumerate(model.stages):
             assert np.array_equal(model.resume(seen[path], k).data, want)
 
+    @pytest.mark.parametrize("start", [-1, 6, 99, True, False, 2.0])
+    def test_resume_refuses_a_start_outside_the_stages(self, start):
+        """Only an int index into the six stages resumes; past the end no longer
+        returns the clamped input, and -1 no longer runs the head alone."""
+        model = ToyEnhancer(Rng(25))
+        with pytest.raises(ContractError, match="resume start"):
+            model.resume(fresh_input(26), start)
+
     def test_training_step_tape_length(self):
         """The benchmark's 32x32 ADR model records 55 tape entries per step:
         the plain model's 35, plus 5 per reallocation block for concat, two
@@ -371,9 +356,15 @@ class TestStages:
         assert step_tape_length() == 35
 
     def test_adr_dynconv_training_step_tape_length(self):
-        """A dynamic decoder convolution takes 15 records more than a static one:
-        pooling, its 9-record MLP, softmax, and 4 for candidate mixing."""
-        assert step_tape_length(adr_blocks=(True, True), dyn_candidates=3) == 85
+        """A dynamic decoder convolution takes 5 records more than a static one:
+        the weight head of ``pog.compute_weights`` and 4 for candidate mixing
+        (two reshapes, the matmul, a reshape back), so the two dynamic decoder
+        convolutions add 10 to ADR's 55."""
+        assert step_tape_length(adr_blocks=(True, True), dyn_candidates=3) == 65
+
+    def test_dynconv_training_step_tape_length(self):
+        """The plain model's 35, plus 5 per dynamic decoder convolution."""
+        assert step_tape_length(dyn_candidates=3) == 45
 
 
 class TestTraining:

@@ -15,8 +15,10 @@ from redlab.errors import (
     DegenerateEmbeddingError,
     DimensionError,
 )
+from redlab.redundancy import default_selectors, dmr
 from redlab.rng import Rng
 from redlab.tensor import Tensor
+from composed import composed_generate, composed_weights, mlp2, oracle_bytes
 from tape_helpers import grads, step_grads
 
 
@@ -186,7 +188,7 @@ class TestGenerate:
         n_p = pog.normalize_embeddings(gen.embeddings)
         w = pog.compute_weights(x, gen.weight_mlp)
         s = pog.specific_embedding(n_p, w)
-        decoded = T.mlp2(s, gen.decode_mlp)
+        decoded = mlp2(s, gen.decode_mlp)
         want = decoded.data.reshape(2, 2, 1, 1)
         assert np.array_equal(got, want)
 
@@ -237,38 +239,12 @@ class TestGenerate:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
-def composed_generate(gen, f_in):
-    """The generator as a chain of its published sub-steps, one tape record per
-    primitive: the byte oracle for the single-record ``pog.generate``."""
-    n_p = gen._cached_norm if gen.frozen else pog.normalize_embeddings(gen.embeddings)
-    w = pog.compute_weights(f_in, gen.weight_mlp)
-    s = pog.specific_embedding(n_p, w)
-    c_in, c_out, d_k = gen.target_shape
-    return T.reshape(T.mlp2(s, gen.decode_mlp), (c_out, c_in, d_k, d_k))
-
-
 def signed_cotangent(seed, shape):
     """Upstream gradient of both signs with exact +0.0 and -0.0 entries."""
     g = Rng(seed).fill_uniform(shape, -1.0, 1.0)
     g.reshape(-1)[::7] = -0.0
     g.reshape(-1)[3::5] = 0.0
     return g
-
-
-def generator_bytes(seed, d_c, d_e, target, frozen):
-    """Kernel, input gradient and every parameter gradient of one generate, as bytes."""
-    gen = pog.PogGenerator(Rng(seed), d_c, d_e, target)
-    if frozen:
-        gen.freeze()
-    x = Tensor(Rng(seed + 1).fill_uniform((d_c, 5, 6), -1.0, 1.0), requires_grad=True)
-    c_in, c_out, d_k = target
-    g = Tensor(signed_cotangent(seed + 2, (c_out, c_in, d_k, d_k)))
-    tape = T.Tape()
-    with tape:
-        kernel = gen.generate(x)
-        loss = T.sum_all(T.mul(kernel, g))
-    params = [x] + [t for _, t in gen.named_parameters()]
-    return [kernel.data.tobytes()] + [gt.tobytes() for gt in grads(tape, loss, params)], len(tape)
 
 
 class TestGeneratorOracle:
@@ -278,33 +254,36 @@ class TestGeneratorOracle:
     @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
     @pytest.mark.parametrize("d_e", [2, 16])
     @pytest.mark.parametrize("d_k", [1, 3, 5])
-    def test_kernel_and_gradients(self, d_k, d_e, frozen, monkeypatch):
+    def test_kernel_and_gradients(self, d_k, d_e, frozen):
         """C_in != C_out, and a single-row (1, 1, 1) generator."""
         for seed, d_c, target in ((0, 6, (6, 2, d_k)), (1, 3, (1, 1, d_k))):
-            got, records = generator_bytes(seed, d_c, d_e, target, frozen)
-            monkeypatch.setattr(pog, "generate", composed_generate)
-            want, _ = generator_bytes(seed, d_c, d_e, target, frozen)
-            monkeypatch.undo()
+            gen = pog.PogGenerator(Rng(seed), d_c, d_e, target)
+            if frozen:
+                gen.freeze()
+            x = Tensor(Rng(seed + 1).fill_uniform((d_c, 5, 6), -1.0, 1.0), requires_grad=True)
+            inputs = [x] + [t for _, t in gen.named_parameters()]
+            c_in, c_out, d_k = target
+            g = signed_cotangent(seed + 2, (c_out, c_in, d_k, d_k))
+            got, records = oracle_bytes(lambda x, *_: pog.generate(gen, x), inputs, g)
+            want, _ = oracle_bytes(lambda x, *_: composed_generate(gen, x), inputs, g)
             assert got == want
             assert records == 3  # generate, mul, sum_all
 
     def test_reallocation_gradients(self, monkeypatch):
         """Both generators and the two convolutions share f_in; its four gradient
         terms add in the composed chain's order."""
-        def run():
-            block = AdrBlock(Rng(3), 12, 4, 5, 3)
-            qkv = [Tensor(Rng(4 + i).fill_uniform((4, 6, 6), -1.0, 1.0), requires_grad=True)
-                   for i in range(3)]
-            tape = T.Tape()
-            with tape:
-                out = T.concat_channels(list(reallocate(block, *qkv)))
-                loss = T.sum_all(T.mul(out, Tensor(signed_cotangent(7, (12, 6, 6)))))
-            params = [t for _, t in block.named_parameters()] + qkv
-            return [out.data.tobytes()] + [gt.tobytes() for gt in grads(tape, loss, params)]
+        block = AdrBlock(Rng(3), 12, 4, 5, 3)
+        qkv = [Tensor(Rng(4 + i).fill_uniform((4, 6, 6), -1.0, 1.0), requires_grad=True)
+               for i in range(3)]
+        inputs = [t for _, t in block.named_parameters()] + qkv
+        g = signed_cotangent(7, (12, 6, 6))
 
-        got = run()
+        def op(*ts):
+            return T.concat_channels(list(reallocate(block, *ts[-3:])))
+
+        got, _ = oracle_bytes(op, inputs, g)
         monkeypatch.setattr(pog, "generate", composed_generate)
-        assert got == run()
+        assert got == oracle_bytes(op, inputs, g)[0]
 
     @pytest.mark.parametrize("kw", [{"adr_blocks": (True, True)},
                                     {"adr_blocks": (True, True), "dyn_candidates": 3}],
@@ -322,6 +301,76 @@ class TestGeneratorOracle:
 
         got = run()
         monkeypatch.setattr(pog, "generate", composed_generate)
+        assert got == run()
+
+
+def weight_head_inputs(seed, c, hw, d_e, logits):
+    """Conditioning input of both signs with exact +-0.0 and a fresh C -> C -> D_e
+    head; ``saturated`` logits make the weights exactly one-hot, and ``dead``
+    ones switch every hidden unit off."""
+    mlp = T.init_mlp(Rng(seed), c, c, d_e)
+    if logits == "saturated":
+        mlp.b2.data[d_e // 2] = 1e3
+    if logits == "dead":
+        mlp.b1.data[:] = -1e3
+    x = Tensor(signed_cotangent(seed + 1, (c,) + hw), requires_grad=True)
+    return [x, mlp.w1, mlp.b1, mlp.w2, mlp.b2]
+
+
+def fused_weights(x, *params):
+    return pog.compute_weights(x, T.MlpParams(*params))
+
+
+class TestWeightHeadOracle:
+    """``pog.compute_weights`` is one taped operation whose bytes, signed zeros
+    included, equal those of the pool -> ``mlp2`` -> softmax chain; the
+    dynamic convolution's candidate gate is the same head."""
+
+    @pytest.mark.parametrize("logits", ["plain", "saturated", "dead"])
+    @pytest.mark.parametrize("c, hw, d_e", [(1, (5, 6), 4), (6, (1, 1), 2), (3, (4, 7), 16),
+                                            (8, (2, 2), 3)])
+    def test_weights_and_gradients(self, c, hw, d_e, logits):
+        """x, w1, b1, w2 and b2 gradients under a cotangent with exact +-0.0."""
+        for seed in (0, 1):
+            inputs = weight_head_inputs(seed, c, hw, d_e, logits)
+            g = signed_cotangent(seed + 2, (d_e,))
+            got, records = oracle_bytes(fused_weights, inputs, g)
+            want, _ = oracle_bytes(lambda x, *p: composed_weights(x, T.MlpParams(*p)), inputs, g)
+            assert got == want
+            assert records == 3  # compute_weights, mul, sum_all
+            untaped, _ = oracle_bytes(fused_weights, inputs, None)
+            assert untaped == got[:1]
+
+    def test_gradients(self):
+        """Input and MLP gradients match central differences."""
+        inputs = weight_head_inputs(3, 3, (4, 5), 4, "plain")
+        g = Tensor(Rng(4).fill_uniform((4,), -1.0, 1.0))
+
+        def f(ps):
+            return T.sum_all(T.mul(fused_weights(*ps), g))
+
+        assert T.finite_diff_check(f, inputs) < 1e-6
+
+    @pytest.mark.parametrize("kw", [{"dyn_candidates": 3},
+                                    {"adr_blocks": (True, True), "dyn_candidates": 3}],
+                             ids=["dynconv", "adr_dynconv"])
+    def test_training_and_dmr_replay_on_the_composed_head(self, kw, monkeypatch):
+        """20-step loss histories, trained arenas, the trained model's gradients
+        and ``dmr`` terms are equal bytes when the dynamic convolutions gate
+        through the composed chain."""
+        pairs = make_corpus(3, 2, 16, 16)
+
+        def run():
+            model = ToyEnhancer(Rng(7), **kw)
+            state = train(model, pairs, 20, 11)
+            trained = step_grads(model, pairs[0])
+            model.freeze()
+            report = dmr(model, default_selectors(model), [p.low for p in pairs], 5)
+            history = np.array(state.loss_history).tobytes()
+            return history, model.arena.tobytes(), trained, report.terms.tobytes()
+
+        got = run()
+        monkeypatch.setattr(pog, "compute_weights", composed_weights)
         assert got == run()
 
 

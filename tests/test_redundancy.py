@@ -26,7 +26,6 @@ from redlab.redundancy import (
     psnr,
     reset_layer,
     resolve,
-    write_dmr_csv,
     write_probe_csv,
 )
 from redlab.rng import Rng, child_seed
@@ -474,21 +473,6 @@ class TestSelectors:
 
 
 class TestReports:
-    def test_dmr_csv_round_trips_terms(self, tmp_path):
-        """CSV rows reproduce every term exactly via repr round-trip."""
-        model, _ = trained_model()
-        sels = default_selectors(model)[:2]
-        report = dmr(model, sels, images(27, 2), 9)
-        path = str(tmp_path / "terms.csv")
-        write_dmr_csv(report, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        for row in rows:
-            i = sels.index(LayerSelector(row["selector"], row["kind"]))
-            j = int(row["image_index"])
-            assert float(row["term_db"]) == report.terms[i, j]
-
     def test_dmr_summary_fields(self):
         model, _ = trained_model()
         report = dmr(model, default_selectors(model)[:2], images(28, 2), 13)

@@ -12,6 +12,7 @@ from redlab.dynconv import DynamicConv
 from redlab.enhancer import Conv2dLayer
 from redlab.errors import ContractError, DimensionError
 from redlab.rng import Rng
+from composed import composed_conv2d, global_avg_pool, mlp2, oracle_bytes, transpose2d
 from tape_helpers import grads
 
 
@@ -208,7 +209,7 @@ class TestMatmulAndPool:
 
     def test_global_avg_pool_value(self):
         x = Rng(6).fill_uniform((3, 4, 5), -1.0, 1.0)
-        got = T.global_avg_pool(T.Tensor(x)).data
+        got = global_avg_pool(T.Tensor(x)).data
         assert np.allclose(got, x.mean(axis=(1, 2)), atol=1e-15)
 
 
@@ -276,9 +277,9 @@ class TestMlp:
         rng = Rng(9)
         p = T.init_mlp(rng, 5, 7, 3)
         xb = rng.fill_uniform((4, 5), -1.0, 1.0)
-        batched = T.mlp2(T.Tensor(xb), p).data
+        batched = mlp2(T.Tensor(xb), p).data
         for i in range(4):
-            row = T.mlp2(T.Tensor(xb[i]), p).data
+            row = mlp2(T.Tensor(xb[i]), p).data
             assert np.max(np.abs(batched[i] - row)) < 1e-12
 
     def test_init_bounds(self):
@@ -296,7 +297,7 @@ class TestMlp:
 
         def f(params):
             m = T.MlpParams(*params)
-            return T.mean_all(T.square(T.mlp2(x, m)))
+            return T.mean_all(T.square(mlp2(x, m)))
 
         assert T.finite_diff_check(f, [t for _, t in p.named("")]) < 1e-6
 
@@ -341,11 +342,11 @@ class TestHandValues:
             assert np.max(np.abs(y - 0.2)) < 1e-12
 
     def test_gap_hand_cases(self):
-        assert np.allclose(T.global_avg_pool(T.Tensor(np.full((3, 2, 2), 0.7))).data, 0.7)
+        assert np.allclose(global_avg_pool(T.Tensor(np.full((3, 2, 2), 0.7))).data, 0.7)
         x = np.arange(1.0, 5.0).reshape(1, 2, 2)
-        assert T.global_avg_pool(T.Tensor(x)).data[0] == 2.5
+        assert global_avg_pool(T.Tensor(x)).data[0] == 2.5
         one = Rng(3).fill_uniform((4, 1, 1), -1.0, 1.0)
-        assert np.array_equal(T.global_avg_pool(T.Tensor(one)).data, one[:, 0, 0])
+        assert np.array_equal(global_avg_pool(T.Tensor(one)).data, one[:, 0, 0])
 
     def test_mse_hand_cases(self):
         a = T.Tensor(np.zeros(2))
@@ -364,7 +365,7 @@ class TestHandValues:
             w2=T.Tensor(np.zeros((2, 4))),
             b2=T.Tensor(np.array([0.3, -0.7])),
         )
-        y = T.mlp2(T.Tensor(np.ones(3)), p)
+        y = mlp2(T.Tensor(np.ones(3)), p)
         assert np.array_equal(y.data, [0.3, -0.7])
 
     def test_mlp2_identity_passthrough(self):
@@ -376,7 +377,7 @@ class TestHandValues:
             b2=T.Tensor(np.zeros(3)),
         )
         x = np.array([0.0, 0.5, 2.0])
-        assert np.array_equal(T.mlp2(T.Tensor(x), p).data, x)
+        assert np.array_equal(mlp2(T.Tensor(x), p).data, x)
 
     def test_backward_hand_case(self):
         """d(x^2)/dx at x=3 is 6."""
@@ -413,9 +414,9 @@ class TestEveryOpGradient:
                 mlp = T.MlpParams(w1, b1, w2, b2)
                 act = T.relu(T.conv2d(x, kernel))
                 up = T.upsample2x(T.downsample2x_mean(act))
-                pooled = T.global_avg_pool(up)
-                gates = T.softmax(T.mlp2(pooled, mlp))
-                col = T.matmul(T.transpose2d(wmat), T.reshape(gates, (4, 1)))
+                pooled = global_avg_pool(up)
+                gates = T.softmax(mlp2(pooled, mlp))
+                col = T.matmul(transpose2d(wmat), T.reshape(gates, (4, 1)))
                 mixed = T.mul(up, T.reshape(col, (4, 1, 1)))
                 norm = T.sqrt(T.add(T.sum_last(T.square(T.reshape(pooled, (1, 4)))), 1.0))
                 scaled = T.div(mixed, T.reshape(norm, (1, 1, 1)))
@@ -753,24 +754,6 @@ class TestKernelOracles:
         assert got == run()
 
 
-def composed_conv2d(x, kernel, bias):
-    """A biased convolution as the chain of three records it replaces: the byte
-    oracle for ``T.conv2d(x, kernel, bias)``."""
-    return T.add(T.conv2d(x, kernel), T.reshape(bias, (bias.data.shape[0], 1, 1)))
-
-
-def conv_bias_bytes(conv, x, kernel, bias, g, tape=True):
-    """Output and, on a tape, the x, kernel and bias gradients of ``<conv, g>``, as bytes."""
-    ts = [T.Tensor(a, requires_grad=tape) for a in (x, kernel, bias)]
-    if not tape:
-        return [conv(*ts).data.tobytes()]
-    tp = T.Tape()
-    with tp:
-        y = conv(*ts)
-        loss = T.sum_all(T.mul(y, T.Tensor(g)))
-    return [y.data.tobytes()] + [gt.tobytes() for gt in grads(tp, loss, ts)]
-
-
 BIAS_SHAPES = [(3, 6, 10), (2, 7, 5), (4, 1, 1), (1, 1, 9)]
 
 
@@ -786,9 +769,10 @@ class TestConvBiasOracle:
         x = signed_values(10, shape)
         kernel = signed_values(11, (3, c, k, k))
         bias = signed_values(12, (3,))
-        g = signed_values(13, (3, h, w))
-        got = conv_bias_bytes(T.conv2d, x, kernel, bias, g, tape)
-        assert got == conv_bias_bytes(composed_conv2d, x, kernel, bias, g, tape)
+        g = signed_values(13, (3, h, w)) if tape else None
+        ts = [T.Tensor(a, requires_grad=tape) for a in (x, kernel, bias)]
+        got, _ = oracle_bytes(T.conv2d, ts, g)
+        assert got == oracle_bytes(composed_conv2d, ts, g)[0]
 
     def test_one_record(self):
         x = T.Tensor(signed_values(14, (2, 4, 4)), requires_grad=True)
