@@ -39,8 +39,6 @@ class AdrBlock:
                 f"bottleneck width must satisfy 1 <= d_m < d_c, got d_m={d_m}, d_c={d_c}"
             )
         self.d_c = d_c
-        self.d_m = d_m
-        self.d_k = d_k
         self.gen1 = PogGenerator(rng, d_c, d_e, (d_c, d_m, d_k))
         self.gen2 = PogGenerator(rng, d_c, d_e, (d_m, d_c, d_k))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -132,12 +133,9 @@ def encode_tensors(path: str, named: list, meta: dict) -> dict:
     return {base + ".bin": b"".join(chunks), base + ".json": json_text(manifest)}
 
 
-def save_tensors(path: str, named: list, meta: dict) -> tuple:
-    """Write (name, array) pairs and metadata; returns (manifest, blob) paths."""
-    files = encode_tensors(path, named, meta)
-    write_files(files)
-    blob_path, manifest_path = files
-    return manifest_path, blob_path
+def save_tensors(path: str, named: list, meta: dict) -> None:
+    """Write (name, array) pairs and metadata as ``base.json`` and ``base.bin``."""
+    write_files(encode_tensors(path, named, meta))
 
 
 def _read(path: str) -> tuple:
@@ -231,20 +229,32 @@ def model_tensors(model) -> tuple:
     return [(name, t.data) for name, t in model.named_parameters()], meta
 
 
-def save_model(model, path: str) -> tuple:
+def save_model(model, path: str) -> None:
     """Persist a ToyEnhancer's parameters and rebuild recipe."""
-    return save_tensors(path, *model_tensors(model))
+    save_tensors(path, *model_tensors(model))
 
 
 class _Unfilled:
     """Stands in for the Rng when a model is built only to be filled from a blob.
 
     Every fill is ones: the load overwrites them, and their rows pass the
-    embedding normalisation's degenerate-row check.
+    embedding normalisation's degenerate-row check.  The fills may add up to
+    ``budget`` values, the blob's count; a recipe that asks for more is
+    refused before its array is allocated.  Each zero-filled bias follows a
+    drawn weight at least as large, so a model built within the budget holds
+    about twice the blob's values at most.
     """
 
-    @staticmethod
-    def fill_uniform(shape, low: float, high: float) -> np.ndarray:
+    def __init__(self, budget: int):
+        self.left = budget
+
+    def fill_uniform(self, shape, low: float, high: float) -> np.ndarray:
+        self.left -= math.prod(shape)
+        if self.left < 0:
+            raise ContractError(
+                "enhancer checkpoint meta: its widths, adr_blocks, adr_dims and dyn_candidates "
+                "describe more parameter values than the blob holds"
+            )
         return np.ones(shape)
 
 
@@ -266,7 +276,7 @@ def load_model(model_path: str):
     try:
         # the constructor checks the recipe, so a meta it refuses is malformed input
         model = ToyEnhancer(
-            _Unfilled(),
+            _Unfilled(len(blob) // 8),
             widths=meta["widths"],
             adr_blocks=meta["adr_blocks"],
             adr_dims=meta["adr_dims"],
@@ -276,16 +286,14 @@ def load_model(model_path: str):
     except ConfigurationError as exc:
         raise ContractError(f"enhancer checkpoint meta: {exc}") from None
     named = model.named_parameters()
-    names = [name for name, _ in named]
-    listed = [name for name, *_ in entries]
-    if listed != names:
-        differ = set(listed) ^ set(names)
-        if differ:
-            raise ContractError(f"checkpoint/model parameter mismatch: {sorted(differ)}")
-        raise ContractError("checkpoint does not list the model's parameters in order")
-    for (name, t), (_, shape, _, _) in zip(named, entries):
-        if t.data.shape != shape:
-            raise ContractError(f"shape mismatch for {name}: {t.data.shape} vs {shape}")
+    listed = [(name, shape) for name, shape, _, _ in entries]
+    want = [(name, t.data.shape) for name, t in named]
+    for k, (got, need) in enumerate(itertools.zip_longest(listed, want)):
+        if got != need:
+            raise ContractError(
+                "checkpoint does not list the model's parameters in order: "
+                f"entry {k} is {got}, the model's is {need}"
+            )
     model.arena[...] = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(model.arena).all():
         name = next(name for name, t in named if not np.isfinite(t.data).all())

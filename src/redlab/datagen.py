@@ -63,12 +63,10 @@ def make_scene(rng: Rng, h: int, w: int) -> Tensor:
 
 
 def apply_degradation(
-    clean: Tensor, gamma: float, s: float, sigma: float, noise_rng: Rng | None = None
+    clean: Tensor, gamma: float, s: float, sigma: float, noise_rng: Rng
 ) -> Tensor:
-    """low = clamp(clean^gamma * s + N(0, sigma^2)); noise omitted if no rng."""
-    arr = np.power(clean.data, gamma) * s
-    if noise_rng is not None and sigma > 0.0:
-        arr = arr + noise_rng.fill_normal(clean.data.shape, sigma)
+    """low = clamp(clean^gamma * s + N(0, sigma^2)), the noise drawn from ``noise_rng``."""
+    arr = np.power(clean.data, gamma) * s + noise_rng.fill_normal(clean.data.shape, sigma)
     return Tensor(np.clip(arr, 0.0, 1.0))
 
 

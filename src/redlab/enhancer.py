@@ -47,7 +47,6 @@ class Conv2dLayer:
     def __init__(self, rng: Rng, c_in: int, c_out: int, d_k: int):
         self.kernel = Tensor(T.init_uniform(rng, (c_out, c_in, d_k, d_k)), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
-        self.c_out = c_out
 
     def forward(self, x: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
         return T.conv2d(x, self.kernel, self.bias)
@@ -205,7 +204,7 @@ def _carve(flat: np.ndarray, shapes: list) -> list:
 
 
 class ToyEnhancer:
-    """3xHxW -> 3xHxW enhancer; H and W must be divisible by 4.
+    """3xHxW -> 3xHxW enhancer; H and W must be positive multiples of 4.
 
     ``adr_blocks`` switches reallocation per decoder block; with both off
     (and ``dyn_candidates`` 0) the network holds no dynamic parameters.
@@ -286,8 +285,8 @@ class ToyEnhancer:
         if x.data.ndim != 3 or x.data.shape[0] != 3:
             raise DimensionError(f"expected [3, H, W] input, got {x.data.shape}")
         h, w = x.data.shape[1], x.data.shape[2]
-        if h % 4 or w % 4:
-            raise DimensionError(f"H and W must be divisible by 4, got {h}x{w}")
+        if h < 4 or w < 4 or h % 4 or w % 4:
+            raise DimensionError(f"H and W must be positive multiples of 4, got {h}x{w}")
         return self.resume(x, 0, observe)
 
     def resume(self, y: Tensor, start: int, observe: Observer | None = None) -> Tensor:
@@ -350,21 +349,16 @@ class TrainState:
     loss_history: list = field(default_factory=list)
 
 
-def _as_low_ref(pair):
-    if hasattr(pair, "low"):
-        return pair.low, pair.clean
-    low, ref = pair
-    return low, ref
-
-
 def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     """Adam on batch-1 mean-absolute error, deterministic per seed.
 
-    The sample order reshuffles every epoch from a child stream of ``seed``.
-    Raises on a frozen model, and :class:`DimensionError` naming the first
-    pair whose low and reference shapes differ.  A non-finite loss, or a
-    forward or loss that fails on non-finite values from a finite input,
-    raises :class:`DivergenceError` with the failing step recorded on it; a
+    Each pair holds a ``.low`` input and a ``.clean`` reference tensor, as
+    :class:`~redlab.datagen.ScenePair` does.  The sample order reshuffles
+    every epoch from a child stream of ``seed``.  Raises on a frozen model,
+    and :class:`DimensionError` naming the first pair whose low and
+    reference shapes differ.  A non-finite loss, or a forward or loss that
+    fails on non-finite values from a finite input, raises
+    :class:`DivergenceError` with the failing step recorded on it; a
     non-finite input raises :class:`ContractError`.
     """
     if model.frozen:
@@ -374,10 +368,10 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     if not pairs:
         raise ContractError("training needs at least one pair")
     for i, pair in enumerate(pairs):
-        low, ref = _as_low_ref(pair)
-        if low.data.shape != ref.data.shape:
+        if pair.low.data.shape != pair.clean.data.shape:
             raise DimensionError(
-                f"pair {i}: low {low.data.shape} and reference {ref.data.shape} shapes differ"
+                f"pair {i}: low {pair.low.data.shape} and reference "
+                f"{pair.clean.data.shape} shapes differ"
             )
     named = model.named_parameters()
     shapes = [t.data.shape for _, t in named]
@@ -402,17 +396,17 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
         if not order:
             order = list(range(len(pairs)))
             state.rng.shuffle(order)
-        low, ref = _as_low_ref(pairs[order.pop(0)])
+        pair = pairs[order.pop(0)]
         tape = T.Tape()
         with tape, np.errstate(over="raise", invalid="raise", divide="raise"):
             try:
-                out = model.forward(low)
-                loss = T.mean_all(T.absolute(T.sub(out, ref)))
+                out = model.forward(pair.low)
+                loss = T.mean_all(T.absolute(T.sub(out, pair.clean)))
             except (ContractError, FloatingPointError) as exc:
                 # Only a non-finite value fails here: softmax refuses one, NumPy
                 # raises on overflow.  From a finite input, the parameters
                 # training produced made it: the run diverged.
-                if not np.isfinite(low.data).all():
+                if not np.isfinite(pair.low.data).all():
                     raise ContractError(f"non-finite input at step {step}: {exc}") from None
                 raise DivergenceError(step, f"non-finite forward at step {step}: {exc}") from None
         value = loss.item()
@@ -444,11 +438,10 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
 
 
 def evaluate(model, pairs) -> float:
-    """Mean reconstruction PSNR (dB, I_max = 1) over the given pairs."""
+    """Mean PSNR (dB, I_max = 1) of each pair's ``.low`` forward against its ``.clean``."""
     if not pairs:
         raise ContractError("evaluate needs at least one pair")
     total = 0.0
     for pair in pairs:
-        low, ref = _as_low_ref(pair)
-        total += psnr(model.forward(low), ref, 1.0)
+        total += psnr(model.forward(pair.low), pair.clean, 1.0)
     return total / len(pairs)

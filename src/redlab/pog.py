@@ -152,8 +152,6 @@ class PogGenerator:
         self.embeddings = Tensor(normalize_embeddings(raw).data, requires_grad=True)
         self.weight_mlp = T.init_mlp(rng, d_c, d_c, d_e)
         self.decode_mlp = T.init_mlp(rng, d_e, d_e, 1)
-        self.d_c = d_c
-        self.d_e = d_e
         self.target_shape = (c_in, c_out, d_k)
         self.frozen = False
         self._cached_norm = None

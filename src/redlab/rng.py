@@ -151,11 +151,10 @@ def _jump_table(j: int) -> np.ndarray:
 class Rng:
     """xoshiro256** stream with splitmix64 state expansion."""
 
-    __slots__ = ("seed", "_s")
+    __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self._s = [splitmix64((self.seed + k * _GOLDEN) & _MASK64) for k in range(4)]
+        self._s = [splitmix64((seed + k * _GOLDEN) & _MASK64) for k in range(4)]
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s

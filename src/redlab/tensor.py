@@ -93,7 +93,7 @@ class Tape:
 
         tape = Tape()
         with tape:
-            loss = mse(conv2d(x, k), target)
+            loss = mean_all(absolute(sub(conv2d(x, k), target)))
         g_k = np.empty_like(k.data)
         backward(tape, loss, [(k, g_k)])
 
@@ -296,15 +296,6 @@ def mean_all(x: Tensor) -> Tensor:
 
     def vjp(g, needs):
         return (np.broadcast_to(g / n, x.data.shape).copy(),)
-
-    return _record(out, (x,), vjp)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = _wrap(np.asarray(np.sum(x.data)))
-
-    def vjp(g, needs):
-        return (np.broadcast_to(g, x.data.shape).copy(),)
 
     return _record(out, (x,), vjp)
 
@@ -579,15 +570,8 @@ def downsample2x_mean(x: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Composite operations
+# Parameters
 # --------------------------------------------------------------------------
-
-def mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean squared elementwise difference (scalar)."""
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mse shapes differ: {a.data.shape} vs {b.data.shape}")
-    return mean_all(square(sub(a, b)))
-
 
 @dataclass
 class MlpParams:

@@ -5,7 +5,8 @@
 one-record primitives.  The chains live here, with the primitives that only
 they use (``transpose2d``, ``global_avg_pool`` and both forms of ``mlp2``),
 and :func:`oracle_bytes` runs a fused operation or its chain so that tests
-can compare the two byte for byte.
+can compare the two byte for byte.  ``sum_all`` and ``mse``, the losses
+tests build on the engine, live here too: the package itself uses neither.
 """
 
 import numpy as np
@@ -13,8 +14,36 @@ import numpy as np
 from redlab import pog
 from redlab import tensor as T
 from redlab.errors import DimensionError
-from redlab.tensor import MlpParams, Tensor, _record, _wrap, add, matmul, relu, reshape
+from redlab.tensor import (
+    MlpParams,
+    Tensor,
+    _record,
+    _wrap,
+    add,
+    matmul,
+    mean_all,
+    relu,
+    reshape,
+    square,
+    sub,
+)
 from tape_helpers import grads
+
+
+def sum_all(x: Tensor) -> Tensor:
+    out = _wrap(np.asarray(np.sum(x.data)))
+
+    def vjp(g, needs):
+        return (np.broadcast_to(g, x.data.shape).copy(),)
+
+    return _record(out, (x,), vjp)
+
+
+def mse(a: Tensor, b: Tensor) -> Tensor:
+    """Mean squared elementwise difference (scalar)."""
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"mse shapes differ: {a.data.shape} vs {b.data.shape}")
+    return mean_all(square(sub(a, b)))
 
 
 def transpose2d(x: Tensor) -> Tensor:
@@ -122,5 +151,5 @@ def oracle_bytes(op, inputs, cotangent):
     tape = T.Tape()
     with tape:
         out = op(*inputs)
-        loss = T.sum_all(T.mul(out, Tensor(cotangent)))
+        loss = sum_all(T.mul(out, Tensor(cotangent)))
     return [out.data.tobytes()] + [g.tobytes() for g in grads(tape, loss, inputs)], len(tape)

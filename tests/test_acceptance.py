@@ -30,6 +30,7 @@ from redlab.pog import (
 from redlab.redundancy import LayerSelector, default_selectors, dmr, probe_sweep, psnr
 from redlab.rng import Rng
 from redlab.tensor import Tensor, finite_diff_check
+from composed import mse
 
 CORPUS_SEED = 42     # 64 training pairs at 32x32
 VAL_SEED = 43        # 16 held-out pairs for probing and evaluation
@@ -192,7 +193,7 @@ class TestAcceptance:
         target = Tensor(Rng(3).fill_uniform((2, 2, 3, 3), -0.2, 0.2))
 
         def loss_pog(_):
-            return T.mse(generate(gen, f_in), target)
+            return mse(generate(gen, f_in), target)
 
         err_pog = finite_diff_check(loss_pog, [t for _, t in gen.named_parameters()],
                                     sample=60, rng=Rng(4))
@@ -208,7 +209,7 @@ class TestAcceptance:
 
         def loss_adr(_):
             qs, ks, vs = reallocate(block, q, k, v)
-            return T.add(T.add(T.mse(qs, tq), T.mse(ks, tk)), T.mse(vs, tv))
+            return T.add(T.add(mse(qs, tq), mse(ks, tk)), mse(vs, tv))
 
         err_adr = finite_diff_check(loss_adr, [t for _, t in block.named_parameters()],
                                     sample=60, rng=Rng(7))

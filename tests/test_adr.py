@@ -9,6 +9,7 @@ from redlab.adr import AdrBlock, reallocate
 from redlab.errors import ConfigurationError, DimensionError
 from redlab.rng import Rng
 from redlab.tensor import Tensor
+from composed import mse
 
 
 def make_block(seed, d_c=6, d_m=2, d_e=4, d_k=3):
@@ -109,7 +110,7 @@ class TestGradients:
 
         def f(_):
             qs, ks, vs = reallocate(block, q, k, v)
-            return T.add(T.add(T.mse(qs, tq), T.mse(ks, tk)), T.mse(vs, tv))
+            return T.add(T.add(mse(qs, tq), mse(ks, tk)), mse(vs, tv))
 
         err = T.finite_diff_check(f, params, sample=60, rng=Rng(12))
         assert err < 1e-4

@@ -3,6 +3,7 @@ resaves, and manifest validation failures."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,28 @@ class TestModelCheckpoints:
         (tmp_path / "model.json").write_text(json.dumps(doc))
         with pytest.raises(ContractError, match="in order"):
             load_model(str(tmp_path / "model"))
+
+    @pytest.mark.parametrize("meta", [
+        {"widths": [1000000, 8]},
+        {"dyn_candidates": 2**40},
+        {"adr_blocks": [True, True], "adr_dims": [4, 2**40, 3]},
+        {"adr_blocks": [True, True], "adr_dims": [4, 16, 2**31 + 1]},
+    ])
+    def test_oversize_meta_refused_before_allocating(self, tmp_path, meta):
+        """A recipe needing more values than the blob holds is refused before
+        its parameters are allocated: the whole load peaks below 2 MB."""
+        save_model(ToyEnhancer(Rng(16)), str(tmp_path / "model"))
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["meta"].update(meta)
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="more parameter values than the blob holds"):
+                load_model(str(tmp_path / "model"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_wrong_kind_rejected(self, tmp_path):
         save_tensors(str(tmp_path / "ck"), arrays(10), {"kind": "corpus"})

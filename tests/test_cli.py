@@ -16,7 +16,7 @@ import pytest
 from redlab import checkpoint, cli
 from redlab.checkpoint import load_model, save_model
 from redlab.cli import run
-from redlab.datagen import load_pairs, make_corpus, save_pairs
+from redlab.datagen import ScenePair, load_pairs, make_corpus, save_pairs
 from redlab.redundancy import (
     LayerSelector,
     default_selectors,
@@ -543,6 +543,18 @@ BAD_PROBE_INPUTS = [
         ("text_dyn_candidates", "dyn_candidates", "x"),
         ("text_frozen", "frozen", "no"),
     )
+] + [
+    # recipes needing far more values than the plain checkpoint's blob holds are
+    # refused before their parameters are allocated; the ADR rows switch both blocks on
+    (f"model_meta_oversize_{case}", "model.json",
+     _rewrite_json(_edit(lambda doc, meta=meta: doc["meta"].update(meta))),
+     "describe more parameter values than the blob holds")
+    for case, meta in (
+        ("widths", {"widths": [1000000, 8]}),
+        ("dyn_candidates", {"dyn_candidates": 2**40}),
+        ("adr_d_e", {"adr_blocks": [True, True], "adr_dims": [4, 2**40, 3]}),
+        ("adr_d_k", {"adr_blocks": [True, True], "adr_dims": [4, 16, 2**31 + 1]}),
+    )
 ]
 
 
@@ -584,7 +596,7 @@ class TestMalformedInputs:
         corrupt(root / relpath)
         assert self.probe(root, tmp_path / "p.csv") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("cut,message", [case[1:] for case in BAD_TRAIN_CORPORA],
@@ -600,6 +612,21 @@ class TestMalformedInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not any(name.startswith("model") for name in os.listdir(tmp_path))
+
+    @pytest.mark.parametrize("dynconv", [{"enabled": False}, {"enabled": True, "K": 3}],
+                             ids=["plain", "dynconv"])
+    def test_train_on_zero_size_images_exits_two(self, tmp_path, capsys, dynconv):
+        """0 is divisible by 4, but a [3, 0, 8] image is no input for the forward."""
+        empty = Tensor(np.zeros((3, 0, 8)))
+        save_pairs(str(tmp_path / "data"), [ScenePair(clean=empty, low=empty, seed=0, record={})])
+        cfg = write_config(tmp_path, steps=2, dynconv=dynconv)
+        code = run(["train", "--config", cfg, "--data", str(tmp_path / "data"),
+                    "--out", str(tmp_path / "model")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive multiples of 4, got 0x8" in err
+        assert "Traceback" not in err
         assert not any(name.startswith("model") for name in os.listdir(tmp_path))
 
 

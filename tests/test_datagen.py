@@ -45,9 +45,10 @@ class TestMakeScene:
 
 class TestDegrade:
     def test_identity_parameters_reproduce_clean(self):
-        """gamma=1, s=1, sigma=0 is the exact identity."""
+        """gamma=1, s=1, sigma=0 is the exact identity: the noise is all ±0.0,
+        which leaves non-negative pixels unchanged."""
         clean = make_scene(Rng(7), 16, 16)
-        low = apply_degradation(clean, 1.0, 1.0, 0.0)
+        low = apply_degradation(clean, 1.0, 1.0, 0.0, Rng(8))
         assert np.array_equal(low.data, clean.data)
 
     def test_darkens_bright_scenes(self):

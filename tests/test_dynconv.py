@@ -9,6 +9,7 @@ from redlab.errors import ConfigurationError, DegenerateCandidateError, Dimensio
 from redlab.pog import compute_weights, degradation_score
 from redlab.rng import Rng
 from redlab.tensor import Tensor
+from composed import mse
 
 
 class TestDynForward:
@@ -57,7 +58,7 @@ class TestDynForward:
         tgt = Tensor(Rng(8).fill_uniform((2, 4, 4), 0.0, 1.0))
 
         def f(_):
-            return T.mse(dc.forward(x), tgt)
+            return mse(dc.forward(x), tgt)
 
         err = T.finite_diff_check(f, [t for _, t in dc.named_parameters()], sample=60, rng=Rng(9))
         assert err < 1e-4

@@ -10,7 +10,7 @@ import pytest
 from redlab import enhancer
 from redlab import tensor as T
 from redlab.checkpoint import load_model, save_model
-from redlab.datagen import make_corpus
+from redlab.datagen import ScenePair, make_corpus
 from redlab.enhancer import (
     ChannelAttentionBlock,
     Conv2dLayer,
@@ -23,12 +23,17 @@ from redlab.errors import ConfigurationError, ContractError, DimensionError, Div
 from redlab.redundancy import LayerSelector, default_selectors, dmr, psnr, reset_layer
 from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
-from composed import composed_attention, composed_conv_forward, oracle_bytes
+from composed import composed_attention, composed_conv_forward, oracle_bytes, sum_all
 from tape_helpers import grads, step_grads
 
 
 def fresh_input(seed, h=8, w=8):
     return Tensor(Rng(seed).fill_uniform((3, h, w), 0.0, 1.0))
+
+
+def scene_pair(low, clean):
+    """A pair of given tensors, for train and evaluate."""
+    return ScenePair(clean=clean, low=low, seed=0, record={})
 
 
 def zero_adr_decoders(model):
@@ -133,7 +138,7 @@ class TestAttentionOracle:
         g = Tensor(rng.fill_uniform((3, 2, 4), -1.0, 1.0))
 
         def f(ps):
-            return T.sum_all(T.mul(attention(*ps), g))
+            return sum_all(T.mul(attention(*ps), g))
 
         assert T.finite_diff_check(f, params) < 1e-6
 
@@ -236,6 +241,14 @@ class TestForward:
             model.forward(Tensor(np.zeros((3, 6, 8))))
         with pytest.raises(DimensionError):
             model.forward(Tensor(np.zeros((3, 8, 8, 1))))
+
+    @pytest.mark.parametrize("shape", [(3, 0, 8), (3, 8, 0), (3, 0, 0)])
+    @pytest.mark.parametrize("dyn_candidates", [0, 3])
+    def test_zero_size_image_rejected(self, shape, dyn_candidates):
+        """0 is divisible by 4, but an empty image has nothing to enhance."""
+        model = ToyEnhancer(Rng(18), dyn_candidates=dyn_candidates)
+        with pytest.raises(DimensionError, match="positive multiples of 4"):
+            model.forward(Tensor(np.zeros(shape)))
 
     def test_plain_variant_has_no_dynamic_parameters(self):
         """Both mechanisms off: no reallocation or candidate-bank params."""
@@ -371,8 +384,7 @@ class TestTraining:
     def test_mismatched_pair_shapes_rejected(self):
         """A reference that would broadcast against the output names its pair."""
         pairs = make_corpus(24, 3, 8, 8)
-        pairs = [(p.low, p.clean) for p in pairs]
-        pairs[2] = (pairs[2][0], Tensor(pairs[2][1].data[0]))
+        pairs[2].clean = Tensor(pairs[2].clean.data[0])
         model = ToyEnhancer(Rng(24))
         before = model.arena.copy()
         with pytest.raises(DimensionError, match="pair 2"):
@@ -447,7 +459,7 @@ class TestTraining:
         model = ToyEnhancer(Rng(40))
         low, ref = fresh_input(46), Tensor(np.full((3, 8, 8), 1.7e308))
         with pytest.raises(DivergenceError) as info:
-            train(model, [(low, ref)], steps=1, seed=48)
+            train(model, [scene_pair(low, ref)], steps=1, seed=48)
         assert info.value.step == 0
 
     def test_non_finite_input_is_not_a_divergence(self):
@@ -456,7 +468,7 @@ class TestTraining:
         low, ref = fresh_input(46), fresh_input(47)
         low.data[0, 0, 0] = np.nan
         with pytest.raises(ContractError) as info:
-            train(model, [(low, ref)], steps=1, seed=48)
+            train(model, [scene_pair(low, ref)], steps=1, seed=48)
         assert not isinstance(info.value, DivergenceError)
 
     def test_infinite_input_is_not_a_divergence(self):
@@ -465,7 +477,7 @@ class TestTraining:
         low, ref = fresh_input(46), fresh_input(47)
         low.data[0, 0, 0] = np.inf
         with pytest.raises(ContractError, match="non-finite input at step 0") as info:
-            train(model, [(low, ref)], steps=1, seed=48)
+            train(model, [scene_pair(low, ref)], steps=1, seed=48)
         assert not isinstance(info.value, DivergenceError)
 
     def test_train_inside_an_active_tape_is_not_a_divergence(self):
@@ -492,13 +504,6 @@ class TestTraining:
         model.freeze()
         with pytest.raises(ContractError):
             train(model, pairs, steps=1, seed=0)
-
-    def test_plain_tuple_pairs_accepted(self):
-        """(low, ref) tuples work in place of scene-pair objects."""
-        model = ToyEnhancer(Rng(45))
-        low, ref = fresh_input(46), fresh_input(47)
-        state = train(model, [(low, ref)], steps=3, seed=48)
-        assert len(state.loss_history) == 3
 
 
 def assert_on_arena(model):
@@ -643,7 +648,7 @@ class TestEvaluate:
         """Pairs built from the model's own outputs score the 100 dB cap."""
         model = ToyEnhancer(Rng(49))
         low = fresh_input(50)
-        pairs = [(low, model.forward(low))]
+        pairs = [scene_pair(low, model.forward(low))]
         assert evaluate(model, pairs) == 100.0
 
     def test_single_pair_equals_direct_psnr(self):

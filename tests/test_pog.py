@@ -18,7 +18,7 @@ from redlab.errors import (
 from redlab.redundancy import default_selectors, dmr
 from redlab.rng import Rng
 from redlab.tensor import Tensor
-from composed import composed_generate, composed_weights, mlp2, oracle_bytes
+from composed import composed_generate, composed_weights, mlp2, mse, oracle_bytes, sum_all
 from tape_helpers import grads, step_grads
 
 
@@ -61,7 +61,7 @@ class TestNormalizeEmbeddings:
         tgt = Tensor(Rng(4).fill_uniform((4, 5), -1.0, 1.0))
 
         def f(params):
-            return T.mse(pog.normalize_embeddings(params[0]), tgt)
+            return mse(pog.normalize_embeddings(params[0]), tgt)
 
         assert T.finite_diff_check(f, [e]) < 1e-6
 
@@ -200,7 +200,7 @@ class TestGenerate:
         params = [t for _, t in gen.named_parameters()]
 
         def f(_):
-            return T.mse(gen.generate(x), tgt)
+            return mse(gen.generate(x), tgt)
 
         assert T.finite_diff_check(f, params) < 1e-4
 
@@ -347,7 +347,7 @@ class TestWeightHeadOracle:
         g = Tensor(Rng(4).fill_uniform((4,), -1.0, 1.0))
 
         def f(ps):
-            return T.sum_all(T.mul(fused_weights(*ps), g))
+            return sum_all(T.mul(fused_weights(*ps), g))
 
         assert T.finite_diff_check(f, inputs) < 1e-6
 

@@ -12,7 +12,15 @@ from redlab.dynconv import DynamicConv
 from redlab.enhancer import Conv2dLayer
 from redlab.errors import ContractError, DimensionError
 from redlab.rng import Rng
-from composed import composed_conv2d, global_avg_pool, mlp2, oracle_bytes, transpose2d
+from composed import (
+    composed_conv2d,
+    global_avg_pool,
+    mlp2,
+    mse,
+    oracle_bytes,
+    sum_all,
+    transpose2d,
+)
 from tape_helpers import grads
 
 
@@ -117,7 +125,7 @@ class TestSoftmax:
             w = Rng(seed + 50).fill_uniform((5,), 0.1, 1.0)
 
             def f(params):
-                return T.sum_all(T.mul(T.softmax(params[0]), T.Tensor(w)))
+                return sum_all(T.mul(T.softmax(params[0]), T.Tensor(w)))
 
             assert T.finite_diff_check(f, [v]) < 1e-6
 
@@ -137,7 +145,7 @@ class TestElementwise:
         assert T.finite_diff_check(f, [a, b]) < 1e-6
         tape = T.Tape()
         with tape:
-            loss = T.sum_all(T.add(a, b))
+            loss = sum_all(T.add(a, b))
         ga, _ = grads(tape, loss, [a, b])
         assert ga.shape == (4, 1)
         assert np.allclose(ga, 6.0)
@@ -159,7 +167,7 @@ class TestElementwise:
         assert np.array_equal(y.data, [0.0, 0.0, 0.5, 3.0])
         tape = T.Tape()
         with tape:
-            loss = T.sum_all(T.relu(x))
+            loss = sum_all(T.relu(x))
         (gx,) = grads(tape, loss, [x])
         assert np.array_equal(gx, [0.0, 0.0, 1.0, 1.0])
 
@@ -169,7 +177,7 @@ class TestElementwise:
         assert np.array_equal(y.data, [0.0, 0.25, 0.75, 1.0])
         tape = T.Tape()
         with tape:
-            loss = T.sum_all(T.clamp01(x))
+            loss = sum_all(T.clamp01(x))
         (gx,) = grads(tape, loss, [x])
         assert np.array_equal(gx, [0.0, 1.0, 1.0, 0.0])
 
@@ -177,7 +185,7 @@ class TestElementwise:
         x = T.Tensor(np.array([-1.5, 2.0]), requires_grad=True)
         tape = T.Tape()
         with tape:
-            loss = T.sum_all(T.absolute(x))
+            loss = sum_all(T.absolute(x))
         (gx,) = grads(tape, loss, [x])
         assert np.array_equal(gx, [-1.0, 1.0])
 
@@ -350,13 +358,13 @@ class TestHandValues:
 
     def test_mse_hand_cases(self):
         a = T.Tensor(np.zeros(2))
-        assert T.mse(a, a).item() == 0.0
-        assert T.mse(T.Tensor(np.zeros(3)), T.Tensor(np.ones(3))).item() == 1.0
-        assert T.mse(T.Tensor([0.0, 0.0]), T.Tensor([1.0, 3.0])).item() == 5.0
+        assert mse(a, a).item() == 0.0
+        assert mse(T.Tensor(np.zeros(3)), T.Tensor(np.ones(3))).item() == 1.0
+        assert mse(T.Tensor([0.0, 0.0]), T.Tensor([1.0, 3.0])).item() == 5.0
 
     def test_mse_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            T.mse(T.Tensor(np.zeros(2)), T.Tensor(np.zeros(3)))
+            mse(T.Tensor(np.zeros(2)), T.Tensor(np.zeros(3)))
 
     def test_mlp2_zero_weights_gives_bias(self):
         p = T.MlpParams(
@@ -393,7 +401,7 @@ class TestHandValues:
         x = T.Tensor(Rng(14).fill_uniform((6,), -2.0, 2.0), requires_grad=True)
 
         def f(params):
-            return T.sum_all(T.square(params[0]))
+            return sum_all(T.square(params[0]))
 
         assert T.finite_diff_check(f, [x]) < 1e-8
 
@@ -423,7 +431,7 @@ class TestEveryOpGradient:
                 clipped = T.clamp01(T.sub(scaled, 0.01))
                 parts = T.split_channels(clipped, [2, 2])
                 cat = T.concat_channels([parts[1], parts[0]])
-                l1 = T.mse(T.slice_channels(cat, 0, 2), tgt)
+                l1 = mse(T.slice_channels(cat, 0, 2), tgt)
                 l2 = T.mean_all(T.absolute(T.sub(pooled, 0.51)))
                 return T.add(l1, T.mul(l2, 0.1))
 
@@ -438,7 +446,7 @@ class TestTapeSemantics:
         x = T.Tensor(np.array([2.0]), requires_grad=True)
         tape = T.Tape()
         with tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(T.mul(x, x))
         (gx,) = grads(tape, loss, [x])
         assert np.allclose(gx, 4.0)
 
@@ -449,7 +457,7 @@ class TestTapeSemantics:
         tape = T.Tape()
         with tape:
             _ = T.square(a)
-            loss = T.sum_all(T.square(b))
+            loss = sum_all(T.square(b))
         ga, _ = grads(tape, loss, [a, b])
         assert np.array_equal(ga, np.zeros(3))
 
@@ -492,7 +500,7 @@ class TestTapeSemantics:
         with tape:
             _ = T.square(unused)
             y = T.add(T.mul(a, T.reshape(b, (2, 2))), a)
-            loss = T.sum_all(T.mul(y, c))
+            loss = sum_all(T.mul(y, c))
         flat = np.full(10, np.nan)
         views = [flat[:4].reshape(2, 2), flat[4:8], flat[8:]]
         T.backward(tape, loss, list(zip((a, b, unused), views)))
@@ -511,7 +519,7 @@ class TestTapeSemantics:
         c = T.Tensor(np.ones(2))
         tape = T.Tape()
         with tape:
-            _ = T.sum_all(T.mul(T.mul(a, b), T.add(c, a)))
+            _ = sum_all(T.mul(T.mul(a, b), T.add(c, a)))
         assert tape._tracked == {a.node_id, b.node_id}
 
     def test_destinations_must_cover_every_tracked_leaf(self):
@@ -519,7 +527,7 @@ class TestTapeSemantics:
         b = T.Tensor(np.ones(2), requires_grad=True)
         tape = T.Tape()
         with tape:
-            loss = T.sum_all(T.mul(a, b))
+            loss = sum_all(T.mul(a, b))
         dst = np.full(2, np.nan)
         with pytest.raises(ContractError, match="every tracked tensor"):
             T.backward(tape, loss, [(a, dst)])
@@ -539,7 +547,7 @@ class TestFiniteDiffCheck:
         x = T.Tensor(np.ones(2), requires_grad=True)
 
         def f(params):
-            return T.sum_all(params[0])
+            return sum_all(params[0])
 
         with pytest.raises(ContractError):
             T.finite_diff_check(f, [x], eps=1e-2)
@@ -551,7 +559,7 @@ class TestFiniteDiffCheck:
         x = T.Tensor(np.ones(2), requires_grad=True)
 
         def f(params):
-            return T.sum_all(params[0])
+            return sum_all(params[0])
 
         for sample in (0, -1):
             with pytest.raises(ContractError):
@@ -565,7 +573,7 @@ class TestFiniteDiffCheck:
         w = T.Tensor(np.full(2, 3.0), requires_grad=True)
 
         def f(params):
-            return T.sum_all(T.mul(params[0], w))
+            return sum_all(T.mul(params[0], w))
 
         with pytest.raises(ContractError, match="every tracked tensor"):
             T.finite_diff_check(f, [x])
@@ -581,7 +589,7 @@ class TestFiniteDiffCheck:
         x = T.Tensor(np.ones(3), requires_grad=True)
 
         def f(params):
-            return T.sum_all(bad_op(params[0]))
+            return sum_all(bad_op(params[0]))
 
         assert T.finite_diff_check(f, [x]) > 0.1
 
@@ -677,7 +685,7 @@ def vjp_of(op, x, g, leaves=()):
     tape = T.Tape()
     with tape:
         y = op(xt)
-        loss = T.sum_all(T.mul(y, T.Tensor(g)))
+        loss = sum_all(T.mul(y, T.Tensor(g)))
     return (y.data, *grads(tape, loss, [xt, *leaves]))
 
 
