@@ -29,7 +29,7 @@ from .checkpoint import (
 )
 from .config import ADR_AXES, build_model, load_config
 from .datagen import load_pairs, make_corpus, save_pairs
-from .dynconv import candidate_similarity
+from .dynconv import DynamicConv, candidate_similarity
 from .enhancer import evaluate, train
 from .errors import ConfigurationError, DivergenceError, RedlabError
 from .pog import degradation_score
@@ -124,7 +124,8 @@ def _cmd_dmr(args) -> int:
     images = [p.low for p in pairs]
     report = dmr(model, selectors, images, args.seed)
     write_files({args.out: json_text(dmr_summary(report))})
-    print(f"dmr {report.dmr:.4f} dB over {report.n} selectors x {report.m} images -> {args.out}")
+    n, m = report.terms.shape
+    print(f"dmr {report.dmr:.4f} dB over {n} selectors x {m} images -> {args.out}")
     return 0
 
 
@@ -146,7 +147,7 @@ def _cmd_degrade_score(args) -> int:
         scores[f"{path}.gen2"] = degradation_score(adr.gen2, inputs)
     similarity = {}
     for path, stage in model.stages:
-        if getattr(stage, "dynamic", False):
+        if isinstance(getattr(stage, "conv", None), DynamicConv):
             sim = candidate_similarity(stage.conv)
             similarity[f"{path}.dynconv"] = [list(map(float, row)) for row in sim]
     doc = {
@@ -293,11 +294,12 @@ def run(argv: list) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RedlabError as exc:
+    except (RedlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # a recipe too big to build fails at the first array NumPy cannot allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

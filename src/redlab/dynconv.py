@@ -30,10 +30,6 @@ class DynamicConv:
             T.init_uniform(rng, (k, c_out, c_in, d_k, d_k)), requires_grad=True
         )
         self.att_mlp = T.init_mlp(rng, c_in, c_in, k)
-        self.k = k
-        self.c_in = c_in
-        self.c_out = c_out
-        self.d_k = d_k
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         dot = f"{prefix}." if prefix else ""
@@ -44,10 +40,11 @@ class DynamicConv:
     def generate(self, x: Tensor) -> Tensor:
         """Effective kernel for this input: the candidate sum weighted by POG's
         weight head, :func:`pog.compute_weights`."""
+        shape = self.candidates.data.shape
         pi = pog.compute_weights(x, self.att_mlp)
-        flat = T.reshape(self.candidates, (self.k, self.c_out * self.c_in * self.d_k ** 2))
-        mixed = T.matmul(T.reshape(pi, (1, self.k)), flat)
-        return T.reshape(mixed, (self.c_out, self.c_in, self.d_k, self.d_k))
+        flat = T.reshape(self.candidates, (shape[0], -1))
+        mixed = T.matmul(T.reshape(pi, (1, shape[0])), flat)
+        return T.reshape(mixed, shape[1:])
 
     def forward(self, x: Tensor) -> Tensor:
         """Convolve with the input's effective kernel."""
@@ -60,7 +57,7 @@ def candidate_similarity(dc: DynamicConv) -> np.ndarray:
     Symmetric with unit diagonal; entries near 1 mean the bank has
     collapsed to near-duplicate kernels.
     """
-    flat = dc.candidates.data.reshape(dc.k, -1)
+    flat = dc.candidates.data.reshape(dc.candidates.data.shape[0], -1)
     norms = np.sqrt((flat * flat).sum(axis=1))
     if np.any(norms < 1e-12):
         raise DegenerateCandidateError(

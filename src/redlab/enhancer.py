@@ -175,10 +175,8 @@ class DecoderStage:
     ):
         if dyn_candidates:
             self.conv = DynamicConv(rng, c_in, c_out, 3, dyn_candidates)
-            self.dynamic = True
         else:
             self.conv = Conv2dLayer(rng, c_in, c_out, 3)
-            self.dynamic = False
         self.attn = ChannelAttentionBlock(rng, c_out, adr_dims)
 
     def forward(self, x: Tensor, observe: Observer | None, path: str) -> Tensor:
@@ -186,7 +184,7 @@ class DecoderStage:
         return self.attn.forward(T.relu(y), observe, f"{path}.attn")
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        sub = "dynconv" if self.dynamic else "conv"
+        sub = "dynconv" if isinstance(self.conv, DynamicConv) else "conv"
         out = self.conv.named_parameters(f"{prefix}.{sub}")
         out += self.attn.named_parameters(f"{prefix}.attn")
         return out
@@ -339,13 +337,10 @@ class ToyEnhancer:
 
 @dataclass
 class TrainState:
-    """Everything the optimizer carries between steps."""
+    """Adam's moments, flat and laid out like the model's arena, and each step's loss."""
 
-    params: list
-    m: dict
-    v: dict
-    step: int
-    rng: Rng
+    m: np.ndarray
+    v: np.ndarray
     loss_history: list = field(default_factory=list)
 
 
@@ -374,28 +369,22 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
                 f"{pair.clean.data.shape} shapes differ"
             )
     named = model.named_parameters()
-    shapes = [t.data.shape for _, t in named]
     arena = model.arena
     for name, p in named:
         if p.data.base is not arena:
             raise ContractError(f"parameter {name} is not a view of the model's arena")
-    # Flat Adam buffers beside the arena; m and v are exposed per name as views.
+    # Flat Adam buffers laid out like the arena.
     m, v, g = np.zeros_like(arena), np.zeros_like(arena), np.empty_like(arena)
     a, b = np.empty_like(arena), np.empty_like(arena)
     # backward writes each parameter's gradient straight into its view of g
-    grad_views = list(zip((p for _, p in named), _carve(g, shapes)))
-    state = TrainState(
-        params=named,
-        m={name: view for (name, _), view in zip(named, _carve(m, shapes))},
-        v={name: view for (name, _), view in zip(named, _carve(v, shapes))},
-        step=0,
-        rng=Rng(child_seed(seed, 0)),
-    )
+    grad_views = list(zip((p for _, p in named), _carve(g, [p.data.shape for _, p in named])))
+    state = TrainState(m=m, v=v)
+    rng = Rng(child_seed(seed, 0))
     order: list = []
     for step in range(steps):
         if not order:
             order = list(range(len(pairs)))
-            state.rng.shuffle(order)
+            rng.shuffle(order)
         pair = pairs[order.pop(0)]
         tape = T.Tape()
         with tape, np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -432,7 +421,6 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         np.subtract(arena, b, out=arena)
-        state.step = t
         state.loss_history.append(value)
     return state
 

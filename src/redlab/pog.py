@@ -169,7 +169,7 @@ class PogGenerator:
         Call again after externally mutating ``embeddings`` to refresh the
         cache (layer-reset probing does this).
         """
-        self._cached_norm = Tensor(normalize_embeddings(self.embeddings).data.copy())
+        self._cached_norm = Tensor(normalize_embeddings(self.embeddings).data)
         self.frozen = True
 
     def generate(self, f_in: Tensor) -> Tensor:

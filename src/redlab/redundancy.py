@@ -66,12 +66,8 @@ class ProbeResult:
 class DmrReport:
     """Every per-(selector, image) log term plus the aggregate."""
 
-    selectors: list
-    n: int
-    m: int
     terms: np.ndarray
     dmr: float
-    i_max: float
     cap: float
     seed: int
 
@@ -170,22 +166,12 @@ def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
     if not model.frozen:
         raise ContractError("dmr probes a frozen model; call freeze() first")
     base = [_base_pass(model, x) for x in images]
-    n, m = len(selectors), len(images)
-    terms = np.empty((n, m))
+    terms = np.empty((len(selectors), len(images)))
     for i, sel in enumerate(selectors):
         outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base)
-        for j in range(m):
-            terms[i, j] = psnr(base[j][0], outs[j])
-    return DmrReport(
-        selectors=list(selectors),
-        n=n,
-        m=m,
-        terms=terms,
-        dmr=float(terms.mean()),
-        i_max=1.0,
-        cap=DEFAULT_CAP_DB,
-        seed=seed,
-    )
+        for j, ((out, _), probed) in enumerate(zip(base, outs)):
+            terms[i, j] = psnr(out, probed)
+    return DmrReport(terms=terms, dmr=float(terms.mean()), cap=DEFAULT_CAP_DB, seed=seed)
 
 
 def probe_sweep(
@@ -267,12 +253,13 @@ def parse_selector(spec_str: str) -> LayerSelector:
 
 
 def dmr_summary(report: DmrReport) -> dict:
+    n, m = report.terms.shape
     return {
         "dmr": report.dmr,
-        "n": report.n,
-        "m": report.m,
+        "n": n,
+        "m": m,
         "cap": report.cap,
-        "I_max": report.i_max,
+        "I_max": 1.0,
         "seed": report.seed,
     }
 

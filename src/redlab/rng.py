@@ -21,9 +21,8 @@ four-bit nibbles, the images of its 16 values, so a product is 64 row
 lookups XORed together.  Table 0 is built from one step of the 256 unit
 states and table j by applying table j - 1 twice to them, on first use.
 Timed on 2 vCPUs, a 24576-draw lane fill takes 0.7 ms, 0.3 of them for the
-lane starts, where a per-bit parity product over packed rows took 1.6 and
-1.1 ms.  Lane-major order of the outputs is then exactly the scalar order,
-the state after draw n is read off the lane that holds it, and the
+lane starts.  Lane-major order of the outputs is then exactly the scalar
+order, the state after draw n is read off the lane that holds it, and the
 floating-point transforms use the scalar methods' operations in the scalar
 order.  The normal fill's logarithm stays ``math.log`` element by element:
 NumPy's float64 ``log`` loop is its own implementation, and it rounded
@@ -73,10 +72,6 @@ def splitmix64(x: int) -> int:
 def child_seed(parent: int, index: int) -> int:
     """Derive a reproducible, well-separated seed for sub-stream `index`."""
     return splitmix64((parent ^ index) & _MASK64)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 def _step_lanes(s: np.ndarray, t: np.ndarray) -> None:
@@ -157,17 +152,7 @@ class Rng:
         self._s = [splitmix64((seed + k * _GOLDEN) & _MASK64) for k in range(4)]
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        return self._scalar_u64(1)[0]
 
     def _doubles(self, n: int) -> np.ndarray:
         """The next n ``next_double`` values, drawn in bulk."""
@@ -178,7 +163,7 @@ class Rng:
         return (u >> 11).astype(np.float64) * (2.0 ** -53)
 
     def _scalar_u64(self, n: int) -> list:
-        """The next n ``next_u64`` values from the recurrence on locals."""
+        """The next n draws of the recurrence, run on local variables."""
         mask = _MASK64
         s0, s1, s2, s3 = self._s
         out = [0] * n

@@ -5,15 +5,20 @@
 one-record primitives.  The chains live here, with the primitives that only
 they use (``transpose2d``, ``global_avg_pool`` and both forms of ``mlp2``),
 and :func:`oracle_bytes` runs a fused operation or its chain so that tests
-can compare the two byte for byte.  ``sum_all`` and ``mse``, the losses
-tests build on the engine, live here too: the package itself uses neither.
+can compare the two byte for byte; :func:`replay_bytes` does the same for a
+whole training run and ``dmr``.  ``sum_all`` and ``mse``, the losses tests
+build on the engine, live here too: the package itself uses neither.
 """
 
 import numpy as np
 
 from redlab import pog
 from redlab import tensor as T
+from redlab.datagen import make_corpus
+from redlab.enhancer import ToyEnhancer, train
 from redlab.errors import DimensionError
+from redlab.redundancy import default_selectors, dmr
+from redlab.rng import Rng
 from redlab.tensor import (
     MlpParams,
     Tensor,
@@ -27,7 +32,7 @@ from redlab.tensor import (
     square,
     sub,
 )
-from tape_helpers import grads
+from tape_helpers import grads, step_grads
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -153,3 +158,21 @@ def oracle_bytes(op, inputs, cotangent):
         out = op(*inputs)
         loss = sum_all(T.mul(out, Tensor(cotangent)))
     return [out.data.tobytes()] + [g.tobytes() for g in grads(tape, loss, inputs)], len(tape)
+
+
+def replay_bytes(**kw):
+    """Bytes of a seeded 20-step run of ``ToyEnhancer(Rng(7), **kw)`` on two
+    16x16 pairs: the loss history, the trained arena, the trained model's
+    gradients on the first pair, and the frozen model's ``dmr`` terms.
+
+    An oracle test calls it, monkeypatches the composed chains in, and
+    calls it again; the two tuples must be equal.
+    """
+    pairs = make_corpus(3, 2, 16, 16)
+    model = ToyEnhancer(Rng(7), **kw)
+    state = train(model, pairs, 20, 11)
+    trained = step_grads(model, pairs[0])
+    model.freeze()
+    report = dmr(model, default_selectors(model), [p.low for p in pairs], 5)
+    history = np.array(state.loss_history).tobytes()
+    return history, model.arena.tobytes(), trained, report.terms.tobytes()

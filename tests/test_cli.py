@@ -629,6 +629,22 @@ class TestMalformedInputs:
         assert "Traceback" not in err
         assert not any(name.startswith("model") for name in os.listdir(tmp_path))
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_recipe_too_big_to_allocate_exits_two(self, tmp_path, capsys, command):
+        """A width of 2^40 fails at the first kernel's allocation (216 TiB), before
+        any other, and ``run`` maps the MemoryError to exit 2."""
+        save_pairs(str(tmp_path / "data"), make_corpus(9, 1, 8, 8))
+        cfg = write_config(tmp_path, steps=2, widths=[2 ** 40, 8])
+        before = sorted(os.listdir(tmp_path))
+        argv = {"train": ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "model")],
+                "gradcheck": ["--samples", "4"]}[command]
+        assert run([command, "--config", cfg, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+
 
 @pytest.fixture(scope="module")
 def write_inputs(tmp_path_factory):

@@ -7,19 +7,24 @@ import pytest
 from redlab import pog
 from redlab import tensor as T
 from redlab.adr import AdrBlock, reallocate
-from redlab.datagen import make_corpus
-from redlab.enhancer import ToyEnhancer, train
 from redlab.errors import (
     ConfigurationError,
     ContractError,
     DegenerateEmbeddingError,
     DimensionError,
 )
-from redlab.redundancy import default_selectors, dmr
 from redlab.rng import Rng
 from redlab.tensor import Tensor
-from composed import composed_generate, composed_weights, mlp2, mse, oracle_bytes, sum_all
-from tape_helpers import grads, step_grads
+from composed import (
+    composed_generate,
+    composed_weights,
+    mlp2,
+    mse,
+    oracle_bytes,
+    replay_bytes,
+    sum_all,
+)
+from tape_helpers import grads
 
 
 def random_unit(rng, d):
@@ -289,19 +294,11 @@ class TestGeneratorOracle:
                                     {"adr_blocks": (True, True), "dyn_candidates": 3}],
                              ids=["adr", "adr_dynconv"])
     def test_training_replays_on_the_composed_chain(self, kw, monkeypatch):
-        """20-step loss histories, trained arenas and the trained model's
-        gradients are equal bytes."""
-        pairs = make_corpus(3, 2, 16, 16)
-
-        def run():
-            model = ToyEnhancer(Rng(7), **kw)
-            state = train(model, pairs, 20, 11)
-            trained = step_grads(model, pairs[0])
-            return np.array(state.loss_history).tobytes(), model.arena.tobytes(), trained
-
-        got = run()
+        """20-step loss histories, trained arenas, the trained model's gradients
+        and ``dmr`` terms are equal bytes."""
+        got = replay_bytes(**kw)
         monkeypatch.setattr(pog, "generate", composed_generate)
-        assert got == run()
+        assert got == replay_bytes(**kw)
 
 
 def weight_head_inputs(seed, c, hw, d_e, logits):
@@ -358,20 +355,9 @@ class TestWeightHeadOracle:
         """20-step loss histories, trained arenas, the trained model's gradients
         and ``dmr`` terms are equal bytes when the dynamic convolutions gate
         through the composed chain."""
-        pairs = make_corpus(3, 2, 16, 16)
-
-        def run():
-            model = ToyEnhancer(Rng(7), **kw)
-            state = train(model, pairs, 20, 11)
-            trained = step_grads(model, pairs[0])
-            model.freeze()
-            report = dmr(model, default_selectors(model), [p.low for p in pairs], 5)
-            history = np.array(state.loss_history).tobytes()
-            return history, model.arena.tobytes(), trained, report.terms.tobytes()
-
-        got = run()
+        got = replay_bytes(**kw)
         monkeypatch.setattr(pog, "compute_weights", composed_weights)
-        assert got == run()
+        assert got == replay_bytes(**kw)
 
 
 class TestDegradationScore:

@@ -6,7 +6,6 @@ import copy
 import numpy as np
 import pytest
 
-from redlab import ToyEnhancer, default_selectors, dmr, make_corpus, train
 from redlab import tensor as T
 from redlab.dynconv import DynamicConv
 from redlab.enhancer import Conv2dLayer
@@ -18,6 +17,7 @@ from composed import (
     mlp2,
     mse,
     oracle_bytes,
+    replay_bytes,
     sum_all,
     transpose2d,
 )
@@ -744,22 +744,13 @@ class TestKernelOracles:
 
     def test_training_and_dmr_match_the_oracles(self, monkeypatch):
         """An ADR + dynconv run replays bit for bit on the oracle kernels."""
-        pairs = make_corpus(3, 2, 16, 16)
-
-        def run():
-            model = ToyEnhancer(Rng(7), adr_blocks=(True, True), dyn_candidates=3)
-            state = train(model, pairs, 20, 11)
-            model.freeze()
-            report = dmr(model, default_selectors(model), [p.low for p in pairs], 5)
-            history = np.array(state.loss_history).tobytes()
-            return history, model.arena.tobytes(), report.terms.tobytes()
-
-        got = run()
+        kw = {"adr_blocks": (True, True), "dyn_candidates": 3}
+        got = replay_bytes(**kw)
         monkeypatch.setattr(T, "_im2col", im2col_oracle)
         monkeypatch.setattr(T, "_col2im", col2im_oracle)
         monkeypatch.setattr(T, "upsample2x", upsample2x_oracle)
         monkeypatch.setattr(T, "downsample2x_mean", downsample2x_mean_oracle)
-        assert got == run()
+        assert got == replay_bytes(**kw)
 
 
 BIAS_SHAPES = [(3, 6, 10), (2, 7, 5), (4, 1, 1), (1, 1, 9)]
