@@ -232,13 +232,19 @@ class ToyEnhancer:
         self.adr_dims = tuple(check_int(v, low, "adr_dims") for v, low in zip(adr_dims, (1, 2, 1)))
         self.dyn_candidates = check_int(dyn_candidates, 0, "dyn_candidates")
         w1, w2 = self.widths
-        d_m, _, d_k = self.adr_dims
+        d_m, d_e, d_k = self.adr_dims
         if any(self.adr_blocks) and d_k % 2 == 0:
             raise ConfigurationError(f"kernel size must be odd, got adr_dims D_k = {d_k}")
         if any(self.adr_blocks) and d_m >= 3 * w1:
             # both decoder blocks attend over w1 channels, so Q/K/V concatenate to 3 * w1
             raise ConfigurationError(
                 f"adr_dims D_m must be below 3 * widths[0] = {3 * w1}, got {d_m}"
+            )
+        rows = 3 * w1 * d_m * d_k * d_k
+        if any(self.adr_blocks) and rows * d_e * 8 > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"adr_dims {self.adr_dims} give a generator embedding block of {rows} x {d_e}"
+                " float64 values, more than NumPy can index"
             )
         self.enc1 = EncoderStage(rng, 3, w1)
         self.enc2 = EncoderStage(rng, w1, w2)

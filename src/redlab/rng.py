@@ -24,16 +24,28 @@ Timed on 2 vCPUs, a 24576-draw lane fill takes 0.7 ms, 0.3 of them for the
 lane starts.  Lane-major order of the outputs is then exactly the scalar
 order, the state after draw n is read off the lane that holds it, and the
 floating-point transforms use the scalar methods' operations in the scalar
-order.  The normal fill's logarithm stays ``math.log`` element by element:
-NumPy's float64 ``log`` loop is its own implementation, and it rounded
-3,446 of 10^6 uniform arguments differently.  Its cosine is ``np.cos``,
-whose float64 loop calls the C library's ``cos``, as ``math.cos`` does, so
-the two agree bit for bit; ``TestCosineOracle`` in ``tests/test_rng.py``
-checks that on the NumPy the tests run on.  At (3, 64, 64) on 2 vCPUs the
-mapped ``math.cos`` took 1.0-1.7 ms and ``np.cos`` 0.4 ms.  A fill is
-drawn 65536 elements at a time; each chunk starts where the last one left
-the stream, so chunking changes no value and keeps the temporaries of a
-large fill to a few MB.
+order.  The normal fill's cosine is ``np.cos``, whose float64 loop calls
+the C library's ``cos``, as ``math.cos`` does, so the two agree bit for
+bit; ``TestCosineOracle`` in ``tests/test_rng.py`` checks that on the
+NumPy the tests run on.  NumPy's float64 ``log`` loop is its own
+implementation, and it rounded 3,446 of 10^6 uniform arguments
+differently from ``math.log``, so the logarithm uses Ziv's rounding test
+(A. Ziv, ACM TOMS 17(3), 1991) instead.  ``np.log`` on x87 extended
+(64-bit mantissa) long doubles calls the C library's ``logl``, whose error
+is about 0.001 of a double ulp, and its exact residual to the nearest
+double y says how far the logarithm lies from y.  glibc's and musl's
+``log`` document a worst-case error of 0.519 ulp, so where the logarithm
+lies within 0.481 ulp of y, ``log`` returns y.  An element keeps y when
+the residual is below 0.46875 ulp and y is not a power of two (just above
+a power of two in magnitude, the spacing toward zero is half as wide);
+the rest, 6% of uniform arguments, take ``math.log``.  Where long double
+is not the x87 format the tolerance is 0, and every element takes
+``math.log``.  ``TestLogOracle`` checks the bytes against ``math.log``.
+At (3, 64, 64) on 2 vCPUs the mapped ``math.cos`` took 1.0-1.7 ms and
+``np.cos`` 0.4 ms; the mapped ``math.log`` 1.4-2.6 ms and the checked
+extended log 1.0-1.2 ms.  A fill is drawn 65536 elements at a time; each
+chunk starts where the last one left the stream, so chunking changes no
+value and keeps the temporaries of a large fill to a few MB.
 """
 
 from __future__ import annotations
@@ -55,6 +67,15 @@ _LANE_MIN_DRAWS = 384
 # large fill's temporaries stay a bounded few MB beside its output.
 _FILL_CHUNK = 1 << 16
 
+# The normal fill's logarithm is taken in this dtype, and an element keeps
+# its rounding when the residual is below this many ulps of the result.
+# Without x87 extended long doubles the tolerance is 0, so every element
+# takes math.log (and a float64 log costs little beside it).
+_LOG_DTYPE, _LOG_TOL = (
+    (np.longdouble, 0.46875) if np.finfo(np.longdouble).nmant == 63 else (np.float64, 0.0)
+)
+_MANTISSA = np.uint64((1 << 52) - 1)
+
 
 def splitmix64(x: int) -> int:
     """One splitmix64 step: the first output of the stream seeded with x.
@@ -72,6 +93,25 @@ def splitmix64(x: int) -> int:
 def child_seed(parent: int, index: int) -> int:
     """Derive a reproducible, well-separated seed for sub-stream `index`."""
     return splitmix64((parent ^ index) & _MASK64)
+
+
+def _log(u: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element of u, a float64 array in (0, 1].
+
+    The extended log rounds to the double ``log`` returns wherever its
+    residual passes the rounding check; elements that fail it, and powers
+    of two, are recomputed with ``math.log``.
+    """
+    ext = np.log(u.astype(_LOG_DTYPE))
+    y = ext.astype(np.float64)
+    # ext - y is exact (Sterbenz), and short enough to be a double
+    residual = np.abs((ext - y).astype(np.float64))
+    close = residual >= _LOG_TOL * np.abs(np.spacing(y))
+    # a power of two: the spacing toward zero is half the one np.spacing gives
+    close |= (y.view(np.uint64) & _MANTISSA) == 0
+    at = np.flatnonzero(close)
+    y[at] = list(map(math.log, u[at].tolist()))
+    return y
 
 
 def _step_lanes(s: np.ndarray, t: np.ndarray) -> None:
@@ -253,7 +293,7 @@ class Rng:
         for start in range(0, flat.size, _FILL_CHUNK):
             m = min(flat.size - start, _FILL_CHUNK)
             d = self._doubles(2 * m)
-            log_u1 = np.fromiter(map(math.log, (1.0 - d[0::2]).tolist()), np.float64, m)
+            log_u1 = _log(1.0 - d[0::2])
             cos_u2 = np.cos(2.0 * math.pi * d[1::2])
             flat[start : start + m] = sigma * np.sqrt(-2.0 * log_u1) * cos_u2
         return out

@@ -277,22 +277,25 @@ class TestModelCheckpoints:
         with pytest.raises(ContractError, match="in order"):
             load_model(str(tmp_path / "model"))
 
-    @pytest.mark.parametrize("meta", [
-        {"widths": [1000000, 8]},
-        {"dyn_candidates": 2**40},
-        {"adr_blocks": [True, True], "adr_dims": [4, 2**40, 3]},
-        {"adr_blocks": [True, True], "adr_dims": [4, 16, 2**31 + 1]},
-    ])
-    def test_oversize_meta_refused_before_allocating(self, tmp_path, meta):
-        """A recipe needing more values than the blob holds is refused before
-        its parameters are allocated: the whole load peaks below 2 MB."""
+    @pytest.mark.parametrize("meta,message", [
+        ({"widths": [1000000, 8]}, "more parameter values than the blob holds"),
+        ({"dyn_candidates": 2**40}, "more parameter values than the blob holds"),
+        ({"adr_blocks": [True, True], "adr_dims": [4, 2**40, 3]},
+         "more parameter values than the blob holds"),
+        ({"adr_blocks": [True, True], "adr_dims": [4, 16, 2**31 + 1]},
+         "adr_dims .* more than NumPy can index"),
+    ], ids=["meta0", "meta1", "meta2", "meta3"])
+    def test_oversize_meta_refused_before_allocating(self, tmp_path, meta, message):
+        """A recipe needing more values than the blob holds, or an embedding
+        block NumPy cannot index, is refused before its parameters are
+        allocated: the whole load peaks below 2 MB."""
         save_model(ToyEnhancer(Rng(16)), str(tmp_path / "model"))
         doc = json.loads((tmp_path / "model.json").read_text())
         doc["meta"].update(meta)
         (tmp_path / "model.json").write_text(json.dumps(doc))
         tracemalloc.start()
         try:
-            with pytest.raises(ContractError, match="more parameter values than the blob holds"):
+            with pytest.raises(ContractError, match=message):
                 load_model(str(tmp_path / "model"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -545,15 +545,18 @@ BAD_PROBE_INPUTS = [
     )
 ] + [
     # recipes needing far more values than the plain checkpoint's blob holds are
-    # refused before their parameters are allocated; the ADR rows switch both blocks on
+    # refused before their parameters are allocated; the ADR rows switch both blocks
+    # on, and the D_k row's embedding block is one NumPy cannot index at all
     (f"model_meta_oversize_{case}", "model.json",
-     _rewrite_json(_edit(lambda doc, meta=meta: doc["meta"].update(meta))),
-     "describe more parameter values than the blob holds")
-    for case, meta in (
-        ("widths", {"widths": [1000000, 8]}),
-        ("dyn_candidates", {"dyn_candidates": 2**40}),
-        ("adr_d_e", {"adr_blocks": [True, True], "adr_dims": [4, 2**40, 3]}),
-        ("adr_d_k", {"adr_blocks": [True, True], "adr_dims": [4, 16, 2**31 + 1]}),
+     _rewrite_json(_edit(lambda doc, meta=meta: doc["meta"].update(meta))), message)
+    for case, meta, message in (
+        ("widths", {"widths": [1000000, 8]}, "describe more parameter values than the blob holds"),
+        ("dyn_candidates", {"dyn_candidates": 2**40},
+         "describe more parameter values than the blob holds"),
+        ("adr_d_e", {"adr_blocks": [True, True], "adr_dims": [4, 2**40, 3]},
+         "describe more parameter values than the blob holds"),
+        ("adr_d_k", {"adr_blocks": [True, True], "adr_dims": [4, 16, 2**31 + 1]},
+         "more than NumPy can index"),
     )
 ]
 
@@ -643,6 +646,23 @@ class TestMalformedInputs:
         assert out == ""
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_embedding_block_numpy_cannot_index_exits_two(self, tmp_path, capsys, command):
+        """An ADR D_k of 2^31 + 1 asks for a generator embedding block of more
+        rows than int64 holds; the recipe check refuses it before any draw."""
+        save_pairs(str(tmp_path / "data"), make_corpus(9, 1, 8, 8))
+        cfg = write_config(tmp_path, steps=2,
+                           adr={"enabled": True, "D_m": 4, "D_e": 16, "D_k": 2**31 + 1})
+        before = sorted(os.listdir(tmp_path))
+        argv = {"train": ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "model")],
+                "gradcheck": ["--samples", "4"]}[command]
+        assert run([command, "--config", cfg, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: adr_dims ") and err.count("\n") == 1
+        assert "more than NumPy can index" in err and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == before
 
 

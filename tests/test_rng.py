@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import tracemalloc
+import types
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -232,6 +235,17 @@ class TestLaneKernel:
         assert tables
         assert sum(t.nbytes for t in tables) <= 1 << 20
 
+    def test_large_fill_temporaries_stay_small(self):
+        """Chunking bounds a fill's temporaries: a (3, 512, 512) normal fill
+        (a 6.3 MB output) peaks below 2.5 times its output's bytes."""
+        tracemalloc.start()
+        try:
+            out = Rng(17).fill_normal((3, 512, 512), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * out.nbytes
+
 
 def lane_fill_sizes() -> list:
     """The largest lane-kernel fill of each bit length, up to 2 * _FILL_CHUNK.
@@ -379,3 +393,117 @@ class TestCosineOracle:
             x += [float(np.nextafter(c, -1.0)), c, float(np.nextafter(c, 8.0))]
         x = np.array(x)
         assert np.cos(x).tobytes() == mapped_cos(x).tobytes()
+
+
+def mapped_log(u: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element: the logarithm ``Rng.normal`` takes, and the
+    form ``_log`` replaced in ``fill_normal``."""
+    return np.fromiter(map(math.log, u.tolist()), np.float64, u.size)
+
+
+def fallback_arguments(monkeypatch, u: np.ndarray) -> tuple:
+    """``_log(u)``, and the arguments its rounding check sent to ``math.log``."""
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return math.log(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(rng_module, "math", types.SimpleNamespace(log=spy))
+        got = rng_module._log(u)
+    return got, seen
+
+
+def is_power_of_two(y: np.ndarray) -> np.ndarray:
+    return (y.view(np.uint64) & np.uint64((1 << 52) - 1)) == 0
+
+
+def ulps_to_nearer_double(x: float) -> Decimal:
+    """How far the exact log(x) lies from the nearer double, in the spacing
+    between that double and its neighbour on the log's side."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = Decimal(x).ln()
+        y = float(exact)
+        side = float(np.nextafter(y, 2.0 * float(exact) if exact < Decimal(y) else 0.0))
+        return abs(exact - Decimal(y)) / abs(Decimal(side) - Decimal(y))
+
+
+def edge_log_arguments() -> np.ndarray:
+    """1, the double below it, 2^-k (k = 1..53), and the 129 doubles around
+    each e^-(2^j) (j = -3..5), whose logs sit next to a power of two."""
+    x = [1.0, 1.0 - 2.0**-53] + [2.0**-k for k in range(1, 54)]
+    for j in range(-3, 6):
+        bits = np.float64(math.exp(-(2.0**j))).view(np.int64) + np.arange(-64, 65)
+        x += bits.view(np.float64).tolist()
+    return np.array(x)
+
+
+# Arguments whose exact log (decimal, 50 digits) lies 0.48-0.5 ulp from the
+# nearer double: drawn from 1 - Rng(4242)'s first 2^22 doubles, except the
+# last, whose log lies 0.487 of the half-width spacing above -32.  For the
+# first 16, glibc 2.36's log returns the farther double, and for all but the
+# first and third of those, rounding the extended log alone gives the nearer.
+HARD_LOG_ARGUMENTS = [float.fromhex(h) for h in (
+    "0x1.2d66c0e21d838p-2", "0x1.33dc5049ec3f4p-2", "0x1.9a957b554c238p-2",
+    "0x1.da078ea98509ap-2", "0x1.1a018d2ec53b2p-1", "0x1.2a3fe7a3b8916p-1",
+    "0x1.51aa8dbf51911p-1", "0x1.52153512bc3e3p-1", "0x1.71e67d6b1b41ep-1",
+    "0x1.7e0c0b2c8df51p-1", "0x1.9c3f5ad9af4c1p-1", "0x1.b196723e90d67p-1",
+    "0x1.d268a0bda2ca2p-1", "0x1.de014c5a53d71p-1", "0x1.e9ca214fa7ef9p-1",
+    "0x1.fc93bbea57668p-1",
+    "0x1.ca563af770638p-4", "0x1.548f621803e48p-2", "0x1.9282f7e03bd50p-1",
+    "0x1.c49bd6e257037p-1", "0x1.c8464f7616476p-47",
+)]
+
+
+class TestLogOracle:
+    """``_log`` against ``math.log``, byte for byte.
+
+    ``fill_normal`` takes its logarithm from ``_log``: an extended-precision
+    ``np.log`` whose rounding is kept where a rounding check proves it equals
+    the C library's ``log``, and ``math.log`` elsewhere.  A platform whose
+    ``logl`` or ``log`` errs past the bounds the check relies on fails here
+    by name, beside the goldens and the lane-kernel fills that compare with
+    ``Rng.normal``.
+    """
+
+    def test_golden_fill_arguments(self):
+        """Every log argument of the (3, 64, 64) normal golden."""
+        u = 1.0 - Rng(1)._doubles(2 * 3 * 64 * 64)[0::2]
+        assert rng_module._log(u).tobytes() == mapped_log(u).tobytes()
+
+    def test_rng_arguments(self):
+        """2^20 arguments 1 - u, contiguous and strided."""
+        u = 1.0 - Rng(21)._doubles(1 << 20)
+        assert rng_module._log(u).tobytes() == mapped_log(u).tobytes()
+        assert rng_module._log(u[1::3]).tobytes() == mapped_log(u[1::3]).tobytes()
+
+    def test_edge_arguments(self, monkeypatch):
+        """Every argument whose log is a power of two takes ``math.log``."""
+        u = edge_log_arguments()
+        want = mapped_log(u)
+        got, seen = fallback_arguments(monkeypatch, u)
+        assert got.tobytes() == want.tobytes()
+        at_powers = u[is_power_of_two(want)]
+        assert len(at_powers) > 9
+        assert set(at_powers.tolist()) <= set(seen)
+
+    def test_hard_arguments(self, monkeypatch):
+        """Logs within 0.02 ulp of a rounding boundary all take ``math.log``."""
+        for x in HARD_LOG_ARGUMENTS:
+            assert Decimal("0.48") <= ulps_to_nearer_double(x) <= Decimal("0.5"), x.hex()
+        u = np.array(HARD_LOG_ARGUMENTS)
+        got, seen = fallback_arguments(monkeypatch, u)
+        assert got.tobytes() == mapped_log(u).tobytes()
+        assert seen == HARD_LOG_ARGUMENTS
+
+    def test_without_extended_precision(self, monkeypatch):
+        """With the format guard off, every element takes ``math.log``."""
+        monkeypatch.setattr(rng_module, "_LOG_DTYPE", np.float64)
+        monkeypatch.setattr(rng_module, "_LOG_TOL", 0.0)
+        golden = 1.0 - Rng(1)._doubles(2 * 3 * 64 * 64)[0::2]
+        for u in (golden, edge_log_arguments(), np.array(HARD_LOG_ARGUMENTS)):
+            got, seen = fallback_arguments(monkeypatch, u)
+            assert got.tobytes() == mapped_log(u).tobytes()
+            assert seen == u.tolist()
