@@ -29,7 +29,7 @@ class AdrBlock:
     same concatenated input.
     """
 
-    def __init__(self, rng: Rng, d_c: int, d_m: int, d_e: int = 16, d_k: int = 3):
+    def __init__(self, rng: Rng | T.Planner, d_c: int, d_m: int, d_e: int = 16, d_k: int = 3):
         if d_c % 3 != 0:
             raise ConfigurationError(
                 f"concatenated channel count must be divisible by 3, got {d_c}"

@@ -117,18 +117,18 @@ def encode_tensors(path: str, named: list, meta: dict) -> dict:
             raise ContractError(f"duplicate tensor name {name!r}")
         seen.add(name)
         data = np.ascontiguousarray(arr, dtype=np.float64)
-        raw = data.astype("<f8", copy=False).tobytes()
         entries.append(
             {
                 "name": name,
                 "shape": list(data.shape),
                 "dtype": "f64",
                 "offset": offset,
-                "length": len(raw),
+                "length": data.nbytes,
             }
         )
-        chunks.append(raw)
-        offset += len(raw)
+        # joined straight from the arrays' buffers: one copy, into the blob
+        chunks.append(data.astype("<f8", copy=False))
+        offset += data.nbytes
     manifest = {"format_version": FORMAT_VERSION, "tensors": entries, "meta": meta}
     return {base + ".bin": b"".join(chunks), base + ".json": json_text(manifest)}
 
@@ -138,12 +138,13 @@ def save_tensors(path: str, named: list, meta: dict) -> None:
     write_files(encode_tensors(path, named, meta))
 
 
-def _read(path: str) -> tuple:
-    """(entries, blob, meta) of a checkpoint, with the manifest validated.
+def _open(path: str) -> tuple:
+    """(entries, meta, blob file) of a checkpoint, with the manifest validated.
 
     Each entry is (name, shape, offset, count): ``count`` float64 values at
     byte ``offset`` of the blob.  Names are unique, as :func:`encode_tensors`
-    writes them.
+    writes them.  The blob file is open at its start, none of it read yet,
+    and its size is what the manifest describes; the caller closes it.
     """
     base = base_path(path)
     manifest_path, blob_path = base + ".json", base + ".bin"
@@ -166,8 +167,6 @@ def _read(path: str) -> tuple:
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):
         raise ContractError(f"manifest {manifest_path!r} meta is not an object")
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
     out = []
     seen = set()
     expected = 0
@@ -198,17 +197,22 @@ def _read(path: str) -> tuple:
         count = math.prod(shape)
         if length != count * 8:
             raise ContractError(f"length mismatch for tensor {entry['name']!r}")
-        if offset + length > len(blob):
-            raise ContractError("blob is shorter than the manifest requires")
         out.append((entry["name"], shape, offset, count))
-    if expected != len(blob):
+    fh = open(blob_path, "rb")
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        fh.close()
+        if size < expected:
+            raise ContractError("blob is shorter than the manifest requires")
         raise ContractError("blob is longer than the manifest describes")
-    return out, blob, meta
+    return out, meta, fh
 
 
 def load_tensors(path: str) -> tuple:
     """Read back (ordered {name: array}, meta); validates the manifest."""
-    entries, blob, meta = _read(path)
+    entries, meta, fh = _open(path)
+    with fh:
+        blob = fh.read()
     tensors = {}
     for name, shape, offset, count in entries:
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
@@ -234,69 +238,60 @@ def save_model(model, path: str) -> None:
     save_tensors(path, *model_tensors(model))
 
 
-class _Unfilled:
-    """Stands in for the Rng when a model is built only to be filled from a blob.
-
-    Every fill is ones: the load overwrites them, and their rows pass the
-    embedding normalisation's degenerate-row check.  The fills may add up to
-    ``budget`` values, the blob's count; a recipe that asks for more is
-    refused before its array is allocated.  Each zero-filled bias follows a
-    drawn weight at least as large, so a model built within the budget holds
-    about twice the blob's values at most.
-    """
-
-    def __init__(self, budget: int):
-        self.left = budget
-
-    def fill_uniform(self, shape, low: float, high: float) -> np.ndarray:
-        self.left -= math.prod(shape)
-        if self.left < 0:
-            raise ContractError(
-                "enhancer checkpoint meta: its widths, adr_blocks, adr_dims and dyn_candidates "
-                "describe more parameter values than the blob holds"
-            )
-        return np.ones(shape)
-
-
 def load_model(model_path: str):
     """Reconstruct a ToyEnhancer bit-exactly from its checkpoint.
 
-    The model is built from the metadata without drawing random numbers, and
-    the blob, which lists the parameters in ``named_parameters`` order, is
-    copied into its arena in one piece.  Non-finite parameters are rejected.
+    The model's plan, built from the metadata, is checked against the
+    manifest before anything is allocated: a recipe NumPy cannot index, or
+    one that needs more values than the blob holds, is refused, and so is a
+    manifest that does not list the planned parameters in order.  The blob
+    is then read straight into the model's arena; no random number is drawn.
+    Non-finite parameters are rejected.
     """
-    from .enhancer import ToyEnhancer
+    from .enhancer import ToyEnhancer, plan_size
 
-    entries, blob, meta = _read(model_path)
-    if meta.get("kind") != "toy_enhancer":
-        raise ContractError(f"not an enhancer checkpoint: kind={meta.get('kind')!r}")
-    missing = _MODEL_META_KEYS - meta.keys()
-    if missing:
-        raise ContractError(f"enhancer checkpoint meta lacks {sorted(missing)}")
-    try:
-        # the constructor checks the recipe, so a meta it refuses is malformed input
-        model = ToyEnhancer(
-            _Unfilled(len(blob) // 8),
-            widths=meta["widths"],
-            adr_blocks=meta["adr_blocks"],
-            adr_dims=meta["adr_dims"],
-            dyn_candidates=meta["dyn_candidates"],
-        )
-        check_bool(meta["frozen"], "frozen")
-    except ConfigurationError as exc:
-        raise ContractError(f"enhancer checkpoint meta: {exc}") from None
-    named = model.named_parameters()
-    listed = [(name, shape) for name, shape, _, _ in entries]
-    want = [(name, t.data.shape) for name, t in named]
-    for k, (got, need) in enumerate(itertools.zip_longest(listed, want)):
-        if got != need:
-            raise ContractError(
-                "checkpoint does not list the model's parameters in order: "
-                f"entry {k} is {got}, the model's is {need}"
+    entries, meta, fh = _open(model_path)
+    with fh:
+        if meta.get("kind") != "toy_enhancer":
+            raise ContractError(f"not an enhancer checkpoint: kind={meta.get('kind')!r}")
+        missing = _MODEL_META_KEYS - meta.keys()
+        if missing:
+            raise ContractError(f"enhancer checkpoint meta lacks {sorted(missing)}")
+        values = sum(count for _, _, _, count in entries)
+
+        def read_arena(plan: list) -> np.ndarray:
+            if plan_size(plan, stop=values) > values:
+                raise ContractError(
+                    "enhancer checkpoint meta: its widths, adr_blocks, adr_dims and "
+                    "dyn_candidates describe more parameter values than the blob holds"
+                )
+            listed = [(name, shape) for name, shape, _, _ in entries]
+            want = [(name, shape) for name, shape, _ in plan]
+            for k, (got, need) in enumerate(itertools.zip_longest(listed, want)):
+                if got != need:
+                    raise ContractError(
+                        "checkpoint does not list the model's parameters in order: "
+                        f"entry {k} is {got}, the model's is {need}"
+                    )
+            arena = np.empty(values, dtype="<f8")
+            if fh.readinto(arena) != arena.nbytes:
+                raise ContractError("blob is shorter than the manifest requires")
+            return arena.astype(np.float64, copy=False)
+
+        try:
+            # the constructor checks the recipe, so a meta it refuses is malformed input
+            check_bool(meta["frozen"], "frozen")
+            model = ToyEnhancer(
+                read_arena,
+                widths=meta["widths"],
+                adr_blocks=meta["adr_blocks"],
+                adr_dims=meta["adr_dims"],
+                dyn_candidates=meta["dyn_candidates"],
             )
-    model.arena[...] = np.frombuffer(blob, dtype="<f8")
+        except ConfigurationError as exc:
+            raise ContractError(f"enhancer checkpoint meta: {exc}") from None
     if not np.isfinite(model.arena).all():
-        name = next(name for name, t in named if not np.isfinite(t.data).all())
+        name = next(name for name, t in model.named_parameters() if not np.isfinite(t.data).all())
         raise ContractError(f"checkpoint tensor {name} holds non-finite values")
     if meta["frozen"]:
         model.freeze()

@@ -21,14 +21,12 @@ from .tensor import Tensor
 class DynamicConv:
     """K candidate kernels plus an attention MLP (C_in -> C_in -> K)."""
 
-    def __init__(self, rng: Rng, c_in: int, c_out: int, d_k: int = 3, k: int = 4):
+    def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int, d_k: int = 3, k: int = 4):
         if k < 1:
             raise ConfigurationError(f"need at least one candidate kernel, got {k}")
         if d_k % 2 == 0:
             raise ConfigurationError("kernel size must be odd")
-        self.candidates = Tensor(
-            T.init_uniform(rng, (k, c_out, c_in, d_k, d_k)), requires_grad=True
-        )
+        self.candidates = T.parameter(rng, (k, c_out, c_in, d_k, d_k))
         self.att_mlp = T.init_mlp(rng, c_in, c_in, k)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:

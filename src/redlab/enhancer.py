@@ -44,9 +44,9 @@ Observer = Callable[[str, Tensor], object]
 class Conv2dLayer:
     """Same-padded convolution with bias, kernel from :func:`~redlab.tensor.init_uniform`."""
 
-    def __init__(self, rng: Rng, c_in: int, c_out: int, d_k: int):
-        self.kernel = Tensor(T.init_uniform(rng, (c_out, c_in, d_k, d_k)), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+    def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int, d_k: int):
+        self.kernel = T.parameter(rng, (c_out, c_in, d_k, d_k))
+        self.bias = T.parameter(rng, (c_out,), T.init_zero)
 
     def forward(self, x: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
         return T.conv2d(x, self.kernel, self.bias)
@@ -64,12 +64,12 @@ class ChannelAttentionBlock:
     any non-degenerate row is ~1e-24, far below every stated tolerance).
     """
 
-    def __init__(self, rng: Rng, d: int, adr_dims: tuple | None = None):
+    def __init__(self, rng: Rng | T.Planner, d: int, adr_dims: tuple | None = None):
         self.d = d
         self.q_conv = Conv2dLayer(rng, d, d, 1)
         self.k_conv = Conv2dLayer(rng, d, d, 1)
         self.v_conv = Conv2dLayer(rng, d, d, 1)
-        self.tau = Tensor(np.asarray(1.0), requires_grad=True)
+        self.tau = T.parameter(rng, (1,), _init_one)
         self.out_conv = Conv2dLayer(rng, d, d, 1)
         if adr_dims is not None:
             d_m, d_e, d_k = adr_dims
@@ -101,6 +101,11 @@ class ChannelAttentionBlock:
         if self.adr is not None:
             out += self.adr.named_parameters(f"{prefix}.adr")
         return out
+
+
+def _init_one(rng: Rng, out: np.ndarray) -> None:
+    """Init rule of the attention temperature: 1.0, drawing nothing."""
+    out[...] = 1.0
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, tau: Tensor) -> Tensor:
@@ -154,7 +159,7 @@ def _normalized_rows_vjp(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.n
 
 
 class EncoderStage:
-    def __init__(self, rng: Rng, c_in: int, c_out: int):
+    def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int):
         self.conv = Conv2dLayer(rng, c_in, c_out, 3)
 
     def forward(self, x: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
@@ -167,7 +172,7 @@ class EncoderStage:
 class DecoderStage:
     def __init__(
         self,
-        rng: Rng,
+        rng: Rng | T.Planner,
         c_in: int,
         c_out: int,
         adr_dims: tuple | None,
@@ -201,23 +206,69 @@ def _carve(flat: np.ndarray, shapes: list) -> list:
     return views
 
 
+# float64 values one NumPy array can hold: its byte count must fit in an intp
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+# the recipe argument that sizes a parameter, by a part of its name; widths otherwise
+_SIZE_KEYS = ((".adr.", "adr_dims"), (".dynconv.", "dyn_candidates"))
+
+
+def plan_size(plan: list, stop: int = _MAX_VALUES) -> int:
+    """The float64 values a plan's parameters hold, summed in plan order.
+
+    The sum stops once it passes ``stop``, so a result above ``stop`` may
+    not be the whole plan's.  A sum past what one NumPy array can hold
+    raises :class:`ConfigurationError` naming the recipe argument that sizes
+    the parameter that passed it: ``adr_dims`` inside a reallocation block,
+    ``dyn_candidates`` inside a dynamic conv, ``widths`` elsewhere.
+    """
+    total = 0
+    for name, shape, _ in plan:
+        total += math.prod(shape)
+        if total > _MAX_VALUES:
+            key = next((key for part, key in _SIZE_KEYS if part in name), "widths")
+            raise ConfigurationError(
+                f"{key} give {name} the shape {shape}, which brings the parameters to "
+                f"{total} float64 values, more than NumPy can index"
+            )
+        if total > stop:
+            break
+    return total
+
+
+def _draw(rng: Rng, plan: list) -> np.ndarray:
+    """A new arena holding each planned parameter's initial values, drawn in plan order."""
+    arena = np.empty(plan_size(plan))
+    for (_, _, init), view in zip(plan, _carve(arena, [shape for _, shape, _ in plan])):
+        init(rng, view)
+    return arena
+
+
 class ToyEnhancer:
     """3xHxW -> 3xHxW enhancer; H and W must be positive multiples of 4.
 
     ``adr_blocks`` switches reallocation per decoder block; with both off
     (and ``dyn_candidates`` 0) the network holds no dynamic parameters.
-    Construction consumes the rng in fixed stage order, so a seed pins every
-    initial weight.  A recipe it refuses raises ConfigurationError naming the argument.
+    A recipe it refuses raises ConfigurationError naming the argument.
 
     Every parameter's ``data`` is a view into ``arena``, one contiguous
     float64 buffer laid out in ``named_parameters`` order, which is also the
     order of a checkpoint's blob.  Write parameters in place; a copy of the
     model copies the arena once and gives its tensors views of the copy.
+
+    Construction takes two passes.  The first builds the stages on a
+    :class:`~redlab.tensor.Planner` and lists every parameter as (name, shape,
+    init rule) in ``named_parameters`` order: Python ints, nothing
+    allocated.  The second allocates the arena once, after
+    :func:`plan_size` has refused a plan NumPy cannot index, and draws each
+    parameter into its view from ``rng``, in plan order, so a seed pins
+    every initial weight.  :func:`~redlab.checkpoint.load_model` passes in
+    place of ``rng`` a function that takes the plan and returns the filled
+    arena, and then nothing is drawn.
     """
 
     def __init__(
         self,
-        rng: Rng,
+        rng: Rng | Callable[[list], np.ndarray],
         widths: tuple = (8, 16),
         adr_blocks: tuple = (False, False),
         adr_dims: tuple = (4, 16, 3),
@@ -232,7 +283,7 @@ class ToyEnhancer:
         self.adr_dims = tuple(check_int(v, low, "adr_dims") for v, low in zip(adr_dims, (1, 2, 1)))
         self.dyn_candidates = check_int(dyn_candidates, 0, "dyn_candidates")
         w1, w2 = self.widths
-        d_m, d_e, d_k = self.adr_dims
+        d_m, _, d_k = self.adr_dims
         if any(self.adr_blocks) and d_k % 2 == 0:
             raise ConfigurationError(f"kernel size must be odd, got adr_dims D_k = {d_k}")
         if any(self.adr_blocks) and d_m >= 3 * w1:
@@ -240,22 +291,17 @@ class ToyEnhancer:
             raise ConfigurationError(
                 f"adr_dims D_m must be below 3 * widths[0] = {3 * w1}, got {d_m}"
             )
-        rows = 3 * w1 * d_m * d_k * d_k
-        if any(self.adr_blocks) and rows * d_e * 8 > np.iinfo(np.intp).max:
-            raise ConfigurationError(
-                f"adr_dims {self.adr_dims} give a generator embedding block of {rows} x {d_e}"
-                " float64 values, more than NumPy can index"
-            )
-        self.enc1 = EncoderStage(rng, 3, w1)
-        self.enc2 = EncoderStage(rng, w1, w2)
-        self.latent = ChannelAttentionBlock(rng, w2, None)
+        planner = T.Planner()
+        self.enc1 = EncoderStage(planner, 3, w1)
+        self.enc2 = EncoderStage(planner, w1, w2)
+        self.latent = ChannelAttentionBlock(planner, w2, None)
         self.dec1 = DecoderStage(
-            rng, w2, w1, self.adr_dims if self.adr_blocks[0] else None, self.dyn_candidates
+            planner, w2, w1, self.adr_dims if self.adr_blocks[0] else None, self.dyn_candidates
         )
         self.dec2 = DecoderStage(
-            rng, w1, w1, self.adr_dims if self.adr_blocks[1] else None, self.dyn_candidates
+            planner, w1, w1, self.adr_dims if self.adr_blocks[1] else None, self.dyn_candidates
         )
-        self.head = Conv2dLayer(rng, w1, 3, 3)
+        self.head = Conv2dLayer(planner, w1, 3, 3)
         # (path, stage) for every stage, in forward order: the one place these
         # parameter paths are spelled out.  Each stage maps its input alone
         # (plus the optional observer) to the next stage's input.
@@ -269,8 +315,9 @@ class ToyEnhancer:
         )
         self.frozen = False
         named = self.named_parameters()
-        self.arena = np.concatenate([t.data.reshape(-1) for _, t in named])
-        for (_, t), view in zip(named, _carve(self.arena, [t.data.shape for _, t in named])):
+        plan = [(name, *planner.rules[id(t)]) for name, t in named]
+        self.arena = rng(plan) if callable(rng) else _draw(rng, plan)
+        for (_, t), view in zip(named, _carve(self.arena, [shape for _, shape, _ in plan])):
             t.data = view
 
     def __deepcopy__(self, memo):

@@ -47,6 +47,15 @@ def _check_norms(norms: np.ndarray) -> None:
         raise DegenerateEmbeddingError(f"embedding row norm {norms.min():.3e} below 1e-8")
 
 
+def _init_embeddings(rng: Rng, out: np.ndarray) -> None:
+    """Init rule of generator embeddings: rows uniform in [-1, 1), unit-normalized
+    in place with the operations of :func:`normalize_embeddings`."""
+    out[...] = rng.fill_uniform(out.shape, -1.0, 1.0)
+    norms = np.sqrt(np.sum(out * out, axis=-1, keepdims=True))
+    _check_norms(norms)
+    np.divide(out, norms, out=out)
+
+
 def build_basis(n_i: Tensor) -> Tensor:
     """Materialize the Householder reflector I - 2 n n^T for one unit row.
 
@@ -139,7 +148,7 @@ class PogGenerator:
     them; a frozen generator is immutable.
     """
 
-    def __init__(self, rng: Rng, d_c: int, d_e: int, target_shape: tuple):
+    def __init__(self, rng: Rng | T.Planner, d_c: int, d_e: int, target_shape: tuple):
         c_in, c_out, d_k = target_shape
         if d_e < 2:
             raise ConfigurationError(f"embedding width must be >= 2, got {d_e}")
@@ -147,9 +156,7 @@ class PogGenerator:
             raise ConfigurationError(f"bad generator dimensions {target_shape}")
         if d_k % 2 == 0:
             raise ConfigurationError("kernel size must be odd")
-        n = c_in * c_out * d_k * d_k
-        raw = Tensor(rng.fill_uniform((n, d_e), -1.0, 1.0))
-        self.embeddings = Tensor(normalize_embeddings(raw).data, requires_grad=True)
+        self.embeddings = T.parameter(rng, (c_in * c_out * d_k * d_k, d_e), _init_embeddings)
         self.weight_mlp = T.init_mlp(rng, d_c, d_c, d_e)
         self.decode_mlp = T.init_mlp(rng, d_e, d_e, 1)
         self.target_shape = (c_in, c_out, d_k)

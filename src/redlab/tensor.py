@@ -592,13 +592,51 @@ def init_uniform(rng: Rng, shape: tuple) -> np.ndarray:
     return rng.fill_uniform(shape, -bound, bound)
 
 
-def init_mlp(rng: Rng, d_in: int, d_hidden: int, d_out: int) -> MlpParams:
+def init_weight(rng: Rng, out: np.ndarray) -> None:
+    """Init rule of kernels, candidate banks and MLP weights: :func:`init_uniform`'s draw."""
+    out[...] = init_uniform(rng, out.shape)
+
+
+def init_zero(rng: Rng, out: np.ndarray) -> None:
+    """Init rule of biases: zeros, drawing nothing."""
+    out[...] = 0.0
+
+
+class Planner:
+    """Stands in for the Rng while an owner plans its parameters.
+
+    :func:`parameter` records each tensor here with its shape and init rule,
+    and leaves it unbound: nothing is allocated.  The owner then points every
+    tensor at its view of one buffer (see :class:`~redlab.enhancer.ToyEnhancer`).
+    """
+
+    def __init__(self):
+        self.rules = {}  # id(tensor) -> (shape, init rule)
+
+
+def parameter(rng: Rng | Planner, shape: tuple, init=init_weight) -> Tensor:
+    """A trainable tensor of ``shape`` holding ``init(rng, data)``'s values.
+
+    Given a :class:`Planner` in place of the Rng, the tensor is only recorded in it.
+    """
+    if isinstance(rng, Planner):
+        t = Tensor.__new__(Tensor)
+        t.requires_grad = True
+        t.node_id = next(_NODE_COUNTER)
+        rng.rules[id(t)] = (shape, init)
+        return t
+    data = np.empty(shape)
+    init(rng, data)
+    return Tensor(data, requires_grad=True)
+
+
+def init_mlp(rng: Rng | Planner, d_in: int, d_hidden: int, d_out: int) -> MlpParams:
     """Fresh MLP parameters: weights from :func:`init_uniform`, biases zero."""
     return MlpParams(
-        w1=Tensor(init_uniform(rng, (d_hidden, d_in)), requires_grad=True),
-        b1=Tensor(np.zeros(d_hidden), requires_grad=True),
-        w2=Tensor(init_uniform(rng, (d_out, d_hidden)), requires_grad=True),
-        b2=Tensor(np.zeros(d_out), requires_grad=True),
+        w1=parameter(rng, (d_hidden, d_in)),
+        b1=parameter(rng, (d_hidden,), init_zero),
+        w2=parameter(rng, (d_out, d_hidden)),
+        b2=parameter(rng, (d_out,), init_zero),
     )
 
 

@@ -284,11 +284,14 @@ class TestModelCheckpoints:
          "more parameter values than the blob holds"),
         ({"adr_blocks": [True, True], "adr_dims": [4, 16, 2**31 + 1]},
          "adr_dims .* more than NumPy can index"),
-    ], ids=["meta0", "meta1", "meta2", "meta3"])
+        ({"widths": [2**60, 8]}, "widths .* more than NumPy can index"),
+        ({"widths": [8, 2**60]}, "widths .* more than NumPy can index"),
+        ({"dyn_candidates": 2**60}, "dyn_candidates .* more than NumPy can index"),
+    ], ids=["meta0", "meta1", "meta2", "meta3", "meta4", "meta5", "meta6"])
     def test_oversize_meta_refused_before_allocating(self, tmp_path, meta, message):
-        """A recipe needing more values than the blob holds, or an embedding
-        block NumPy cannot index, is refused before its parameters are
-        allocated: the whole load peaks below 2 MB."""
+        """A recipe needing more values than the blob holds, or more than NumPy
+        can index, is refused before its parameters are allocated: the whole
+        load peaks below 2 MB."""
         save_model(ToyEnhancer(Rng(16)), str(tmp_path / "model"))
         doc = json.loads((tmp_path / "model.json").read_text())
         doc["meta"].update(meta)
@@ -296,6 +299,21 @@ class TestModelCheckpoints:
         tracemalloc.start()
         try:
             with pytest.raises(ContractError, match=message):
+                load_model(str(tmp_path / "model"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_oversized_blob_refused_before_reading(self, tmp_path):
+        """The blob's size is checked against the manifest before any of it is
+        read: 64 MB appended (a sparse extension) costs the load under 2 MB."""
+        save_model(ToyEnhancer(Rng(17)), str(tmp_path / "model"))
+        blob = tmp_path / "model.bin"
+        os.truncate(blob, blob.stat().st_size + 64 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="blob is longer than the manifest describes"):
                 load_model(str(tmp_path / "model"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

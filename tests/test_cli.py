@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redlab import checkpoint, cli
+from redlab import checkpoint, cli, enhancer
 from redlab.checkpoint import load_model, save_model
 from redlab.cli import run
 from redlab.datagen import ScenePair, load_pairs, make_corpus, save_pairs
@@ -633,11 +633,18 @@ class TestMalformedInputs:
         assert not any(name.startswith("model") for name in os.listdir(tmp_path))
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
-    def test_recipe_too_big_to_allocate_exits_two(self, tmp_path, capsys, command):
-        """A width of 2^40 fails at the first kernel's allocation (216 TiB), before
-        any other, and ``run`` maps the MemoryError to exit 2."""
+    def test_recipe_too_big_to_allocate_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        """A width of 2^26 plans about 2^56 values: NumPy can index them, so the
+        size check passes, but no host holds them, and ``run`` maps the arena's
+        MemoryError to exit 2.  The allocation is faked, after the size check,
+        so that the test asks for no memory."""
+        def allocate(rng, plan):
+            raise MemoryError(f"Unable to allocate {8 * enhancer.plan_size(plan)} bytes")
+
+        monkeypatch.setattr(enhancer, "_draw", allocate)
         save_pairs(str(tmp_path / "data"), make_corpus(9, 1, 8, 8))
-        cfg = write_config(tmp_path, steps=2, widths=[2 ** 40, 8])
+        cfg = write_config(tmp_path, steps=2, widths=[2 ** 26, 8])
         before = sorted(os.listdir(tmp_path))
         argv = {"train": ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "model")],
                 "gradcheck": ["--samples", "4"]}[command]
@@ -646,6 +653,29 @@ class TestMalformedInputs:
         assert out == ""
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("key,overrides", [
+        ("widths", {"widths": [2 ** 60, 8]}),
+        ("widths", {"widths": [8, 2 ** 60]}),
+        ("dyn_candidates", {"dynconv": {"enabled": True, "K": 2 ** 60}}),
+    ], ids=["first_width", "second_width", "dynconv_k"])
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_recipe_numpy_cannot_index_exits_two(self, tmp_path, capsys, command, key,
+                                                 overrides):
+        """A width or dynconv K of 2^60 plans more parameter values than NumPy can
+        index; the size check refuses the recipe, naming the argument, before any
+        array is allocated."""
+        save_pairs(str(tmp_path / "data"), make_corpus(9, 1, 8, 8))
+        cfg = write_config(tmp_path, steps=2, **overrides)
+        before = sorted(os.listdir(tmp_path))
+        argv = {"train": ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "model")],
+                "gradcheck": ["--samples", "4"]}[command]
+        assert run([command, "--config", cfg, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert "more than NumPy can index" in err and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])

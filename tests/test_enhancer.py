@@ -3,6 +3,7 @@ training behavior, the parameter arena, evaluation, and shape contracts."""
 
 import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -545,10 +546,80 @@ ARENA_MODELS = {
 }
 
 
+# SHA-256 of the little-endian arena bytes of ToyEnhancer(Rng(seed), **recipe),
+# computed on the per-stage construction that the planned arena replaced
+CONSTRUCTION_GOLDENS = {
+    "plain": ({}, {
+        0: "cc07e00aa45e2974dce02e43a806047fc90b359a8827f3a7f8bc06fb1960fd2c",
+        1: "8a2c69d0f43da60f44a9fb302901aa71c180c458ec4acf5ec95c390e109a9532",
+    }),
+    "adr": ({"adr_blocks": (True, True)}, {
+        0: "49d9630e83193511059c6bacbdfee3a4163c6aecd0d37a64d8f777fdf8903727",
+        1: "060e082eb5f552a6af723d70c9b911bd771ea764351f6ea948efcc402b3b3358",
+    }),
+    "dynconv": ({"dyn_candidates": 3}, {
+        0: "a9bfc675a136316e0805a0e04cb05281b3143159c1c71d01614637a333dccbfc",
+        1: "19c515303b2bc89c350aa54081bd06022f723d8329f66d087bf98768db95331d",
+    }),
+    "adr_dynconv": ({"adr_blocks": (True, True), "dyn_candidates": 3}, {
+        0: "fb70c8339fe19a2266d6ca63e9e180c2638ba4a5eb2fd622e1a10bc7e10af123",
+        1: "643a27ac03f8fb401c511cd6cb4ddd9134ebc383d71978cf47b3d6fb2fb13d9c",
+    }),
+}
+
+
 class TestArena:
     @pytest.mark.parametrize("kw", ARENA_MODELS.values(), ids=ARENA_MODELS.keys())
     def test_construction_binds_every_parameter(self, kw):
         assert_on_arena(ToyEnhancer(Rng(60), **kw))
+
+    def test_construction_goldens(self):
+        """Seeded arenas keep their bytes, and the plan construction passes to
+        its arena function lists named_parameters' names and shapes."""
+        for name, (kw, digests) in CONSTRUCTION_GOLDENS.items():
+            for seed, digest in digests.items():
+                model = ToyEnhancer(Rng(seed), **kw)
+                got = hashlib.sha256(model.arena.astype("<f8").tobytes()).hexdigest()
+                assert got == digest, (name, seed)
+            seen = []
+
+            def zeros(plan):
+                seen.extend(plan)
+                return np.zeros(enhancer.plan_size(plan))
+
+            model = ToyEnhancer(zeros, **kw)
+            assert [(n, shape) for n, shape, _ in seen] == [
+                (n, t.data.shape) for n, t in model.named_parameters()
+            ], name
+
+    @pytest.mark.parametrize("kw,build_bound", [
+        ({"adr_blocks": (True, True)}, 1.5),
+        ({"dyn_candidates": 8}, 1.9),
+    ], ids=["adr", "dynconv_k8"])
+    def test_build_and_load_peaks(self, tmp_path, kw, build_bound):
+        """At widths (64, 128) a build peaks at the arena plus the largest
+        parameter's fresh draw, and a load at the arena plus its finiteness
+        mask.  Measured with NumPy 2.4.6: builds at 1.37x (ADR) and 1.74x
+        (dynconv K=8, whose candidate bank is 54% of the arena) the arena's
+        bytes, loads at 1.13x; building every stage and then concatenating
+        took 2.0x, and loading through such a build 3.0x."""
+        tracemalloc.start()
+        try:
+            model = ToyEnhancer(Rng(76), widths=(64, 128), **kw)
+            build = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arena = model.arena.nbytes
+        save_model(model, str(tmp_path / "m"))
+        del model
+        tracemalloc.start()
+        try:
+            load_model(str(tmp_path / "m"))
+            load = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build < build_bound * arena
+        assert load < 1.25 * arena
 
     def test_seeded_values_unchanged(self):
         """The arena of a seeded ADR + dynconv model holds the values the
