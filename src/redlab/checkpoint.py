@@ -45,8 +45,10 @@ def base_path(path: str) -> str:
 def write_files(files: dict) -> None:
     """Put an ordered group of files in place, all or none.
 
-    ``files`` maps each target path to its text or bytes.  Missing parent
-    directories are created first.  Every file is written to a temporary
+    ``files`` maps each target path to its text, its bytes, or a list of
+    bytes-like chunks (any C-contiguous buffer, a NumPy array included)
+    written one after another.  Missing parent directories are created
+    first.  Every file is written to a temporary
     ``<path>.<pid>.tmp`` beside its target, then the temporaries are moved
     into place in order; on any failure the temporaries, every file already
     moved and every directory this call created are removed.  Each target
@@ -62,7 +64,8 @@ def write_files(files: dict) -> None:
             _make_dirs(os.path.dirname(path), made)
         for path, data in files.items():
             with open(temps[path], "wb") as fh:
-                fh.write(data.encode() if isinstance(data, str) else data)
+                for chunk in data if isinstance(data, list) else [data]:
+                    fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         for path, tmp in temps.items():
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
@@ -102,8 +105,12 @@ def csv_text(rows) -> str:
 
 
 def encode_tensors(path: str, named: list, meta: dict) -> dict:
-    """{blob path: bytes, manifest path: text} of a checkpoint, blob first.
+    """{blob path: chunks, manifest path: text} of a checkpoint, blob first.
 
+    The blob is a list of the arrays' own little-endian float64 buffers, in
+    manifest order, for :func:`write_files` to write one after another.  An
+    array that already is contiguous little-endian float64 is not copied:
+    its chunk is the caller's array, so write the files before changing it.
     Zero-dimensional inputs are stored with shape [1], matching the engine's
     own promotion of scalars to rank-1 tensors.
     """
@@ -126,11 +133,10 @@ def encode_tensors(path: str, named: list, meta: dict) -> dict:
                 "length": data.nbytes,
             }
         )
-        # joined straight from the arrays' buffers: one copy, into the blob
         chunks.append(data.astype("<f8", copy=False))
         offset += data.nbytes
     manifest = {"format_version": FORMAT_VERSION, "tensors": entries, "meta": meta}
-    return {base + ".bin": b"".join(chunks), base + ".json": json_text(manifest)}
+    return {base + ".bin": chunks, base + ".json": json_text(manifest)}
 
 
 def save_tensors(path: str, named: list, meta: dict) -> None:
@@ -208,15 +214,28 @@ def _open(path: str) -> tuple:
     return out, meta, fh
 
 
+def _read_values(fh, count: int) -> np.ndarray:
+    """The next `count` float64 values of an open blob, read with one ``readinto``."""
+    values = np.empty(count, dtype="<f8")
+    if fh.readinto(values) != values.nbytes:
+        raise ContractError("blob is shorter than the manifest requires")
+    return values.astype(np.float64, copy=False)
+
+
 def load_tensors(path: str) -> tuple:
-    """Read back (ordered {name: array}, meta); validates the manifest."""
+    """Read back (ordered {name: array}, meta); validates the manifest.
+
+    The blob is read once into one float64 buffer, and each array is a
+    writable view of its own slice of that buffer, in manifest order; no two
+    views overlap, and the buffer lives as long as any of them.
+    """
     entries, meta, fh = _open(path)
     with fh:
-        blob = fh.read()
+        values = _read_values(fh, sum(count for _, _, _, count in entries))
     tensors = {}
     for name, shape, offset, count in entries:
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        tensors[name] = arr.astype(np.float64).reshape(shape)
+        start = offset // 8
+        tensors[name] = values[start:start + count].reshape(shape)
     return tensors, meta
 
 
@@ -273,10 +292,7 @@ def load_model(model_path: str):
                         "checkpoint does not list the model's parameters in order: "
                         f"entry {k} is {got}, the model's is {need}"
                     )
-            arena = np.empty(values, dtype="<f8")
-            if fh.readinto(arena) != arena.nbytes:
-                raise ContractError("blob is shorter than the manifest requires")
-            return arena.astype(np.float64, copy=False)
+            return _read_values(fh, values)
 
         try:
             # the constructor checks the recipe, so a meta it refuses is malformed input

@@ -121,7 +121,11 @@ def save_pairs(dirpath: str, pairs: list) -> None:
 def load_pairs(dirpath: str) -> list:
     """Read a corpus back; a corpus with no pairs is malformed input, and so
     is a pair with a non-finite pixel, a pair whose two tensors are not both
-    [3, H, W] of one shape, or a tensor that belongs to no pair."""
+    [3, H, W] of one shape, or a tensor that belongs to no pair.
+
+    The pairs' tensors are views of the one buffer :func:`load_tensors`
+    reads, so a load holds one copy of the corpus.
+    """
     tensors, meta = load_tensors(os.path.join(dirpath, "corpus"))
     if meta.get("kind") != "corpus":
         raise ContractError(f"not a corpus directory: {dirpath!r}")

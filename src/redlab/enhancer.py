@@ -208,8 +208,14 @@ def _carve(flat: np.ndarray, shapes: list) -> list:
 
 # float64 values one NumPy array can hold: its byte count must fit in an intp
 _MAX_VALUES = np.iinfo(np.intp).max // 8
-# the recipe argument that sizes a parameter, by a part of its name; widths otherwise
-_SIZE_KEYS = ((".adr.", "adr_dims"), (".dynconv.", "dyn_candidates"))
+# the recipe argument that sizes a parameter, by the first part of its name
+# found here; widths otherwise.  The first layer of a block's weight head
+# comes first because widths alone size it.
+_SIZE_KEYS = (
+    ("weight_mlp.w1", "widths"), ("weight_mlp.b1", "widths"),
+    ("att_mlp.w1", "widths"), ("att_mlp.b1", "widths"),
+    (".adr.", "adr_dims"), (".dynconv.", "dyn_candidates"),
+)
 
 
 def plan_size(plan: list, stop: int = _MAX_VALUES) -> int:
@@ -219,7 +225,10 @@ def plan_size(plan: list, stop: int = _MAX_VALUES) -> int:
     not be the whole plan's.  A sum past what one NumPy array can hold
     raises :class:`ConfigurationError` naming the recipe argument that sizes
     the parameter that passed it: ``adr_dims`` inside a reallocation block,
-    ``dyn_candidates`` inside a dynamic conv, ``widths`` elsewhere.
+    ``dyn_candidates`` inside a dynamic conv, ``widths`` elsewhere and for
+    the first layer of those blocks' weight heads (a generator's
+    ``weight_mlp`` and a dynamic conv's ``att_mlp``), whose shape no other
+    argument changes.
     """
     total = 0
     for name, shape, _ in plan:

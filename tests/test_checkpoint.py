@@ -1,6 +1,7 @@
 """Manifest + blob persistence: bit-exact round-trips, byte-identical
 resaves, and manifest validation failures."""
 
+import errno
 import json
 import os
 import tracemalloc
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from redlab import checkpoint
 from redlab.checkpoint import load_model, load_tensors, save_model, save_tensors, write_files
 from redlab.datagen import make_corpus
 from redlab.enhancer import ToyEnhancer, train
@@ -84,6 +86,32 @@ class TestTensorRoundTrip:
         assert tensors["s"][0] == 0.25
 
 
+    def test_loads_views_of_one_buffer(self, tmp_path):
+        """Every loaded array is a writable view of one float64 buffer, at its
+        manifest offset; no two overlap."""
+        named = arrays(4) + [("gamma.empty", np.zeros((0, 3))), ("gamma.last", np.ones(3))]
+        save_tensors(str(tmp_path / "ck"), named, {})
+        tensors, _ = load_tensors(str(tmp_path / "ck"))
+        assert list(tensors) == [n for n, _ in named]
+        buffer = tensors["alpha.kernel"].base
+        assert buffer.dtype == np.float64 and buffer.size == sum(a.size for _, a in named)
+        start = buffer.__array_interface__["data"][0]
+        offset = 0
+        for name, arr in named:
+            view = tensors[name]
+            assert view.base is buffer and view.flags.writeable, name
+            if view.size:  # an empty view holds no address of its own
+                assert view.__array_interface__["data"][0] == start + offset, name
+            assert np.array_equal(view, arr), name
+            offset += view.nbytes
+        views = list(tensors.values())
+        for i, a in enumerate(views):
+            for b in views[i + 1:]:
+                assert not np.shares_memory(a, b)
+        tensors["gamma.last"][...] = 7.0
+        assert np.array_equal(tensors["beta.table"], named[3][1])
+
+
 class TestAtomicSave:
     """A failed save leaves no file behind; a repeated save rewrites the same bytes."""
 
@@ -106,6 +134,37 @@ class TestAtomicSave:
             write_files(files)
         assert os.listdir(tmp_path) == ["c.csv"]
         assert os.listdir(tmp_path / "c.csv") == []
+
+    def test_failed_second_chunk_leaves_no_file_or_directory(self, tmp_path, monkeypatch):
+        """A list value is written chunk by chunk; when its second chunk fails
+        the temporary and the directories the call made are removed."""
+        writes = []
+        real_open = open
+
+        class SecondWriteFails:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, chunk):
+                writes.append(bytes(chunk))
+                if len(writes) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **kw: SecondWriteFails(real_open(*a, **kw)),
+                            raising=False)
+        chunks = [np.arange(3.0), np.ones(2), np.zeros(1)]
+        with pytest.raises(OSError, match="No space"):
+            write_files({str(tmp_path / "new" / "sub" / "ck.bin"): chunks})
+        assert writes == [chunks[0].tobytes(), chunks[1].tobytes()]
+        assert os.listdir(tmp_path) == []
 
     def test_creates_missing_directories(self, tmp_path):
         write_files({str(tmp_path / "new" / "sub" / "a.csv"): "x\r\n"})

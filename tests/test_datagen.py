@@ -1,6 +1,8 @@
 """Synthetic paired data: ranges, determinism, distinctness, degradation
 physics, record replay, and disk round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,27 @@ class TestDiskRoundTrip:
         save_pairs(str(tmp_path / "corpus"), pairs)
         with pytest.raises(ContractError, match=f"pair0001.{part} .* non-finite"):
             load_pairs(str(tmp_path / "corpus"))
+
+    def test_round_trip_memory_peaks(self, tmp_path):
+        """16 pairs at 64x64 (3.15 MB): a save holds no copy of the blob and a
+        load holds one buffer of it.  Measured with NumPy 2.4.6: a save peaks
+        at 0.026x the corpus's bytes (its manifest text) and a load at 1.013x;
+        joining the blob before writing took 1.03x, and reading the file's
+        bytes and then copying each tensor 2.01x."""
+        pairs = make_corpus(14, 16, 64, 64)
+        corpus = sum(p.clean.data.nbytes + p.low.data.nbytes for p in pairs)
+        tracemalloc.start()
+        try:
+            save_pairs(str(tmp_path / "corpus"), pairs)
+            save = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_pairs(str(tmp_path / "corpus"))
+            load = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 16
+        assert save < 0.05 * corpus
+        assert load < 1.05 * corpus
 
     def test_empty_pair_list_writes_nothing(self, tmp_path):
         """No pairs is refused before any write: a new directory is not

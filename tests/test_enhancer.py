@@ -3,6 +3,7 @@ training behavior, the parameter arena, evaluation, and shape contracts."""
 
 import copy
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,17 @@ class TestRecipe:
     def test_bad_recipe_names_the_argument(self, field, kw):
         """A malformed recipe is a ConfigurationError, not a wrong model or a raw error."""
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            ToyEnhancer(Rng(0), **kw)
+
+    @pytest.mark.parametrize("kw,name", [
+        ({"widths": [268435456, 8], "adr_blocks": (True, True), "adr_dims": (1, 2, 1)},
+         "decoder.block1.attn.adr.gen2.weight_mlp.w1"),
+        ({"widths": [1, 500000000], "dyn_candidates": 1}, "decoder.block1.dynconv.att_mlp.w1"),
+    ], ids=["adr_weight_mlp", "dynconv_att_mlp"])
+    def test_size_check_names_widths_for_weight_heads(self, kw, name):
+        """A weight head's first layer is (3w, 3w) in a generator and (w, w) in
+        a dynamic conv: widths alone size it, so the size check names widths."""
+        with pytest.raises(ConfigurationError, match=f"^widths give {re.escape(name)} the shape"):
             ToyEnhancer(Rng(0), **kw)
 
 
