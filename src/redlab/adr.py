@@ -26,10 +26,11 @@ class AdrBlock:
     ``d_m`` the bottleneck width (must be strictly smaller), ``d_e`` the
     generator embedding width, and ``d_k`` the kernel size.  gen1 maps
     d_c -> d_m channels, gen2 maps back d_m -> d_c; both condition on the
-    same concatenated input.
+    same concatenated input, whose width ``d_c`` the generators' weight MLPs
+    take as their input width.
     """
 
-    def __init__(self, rng: Rng | T.Planner, d_c: int, d_m: int, d_e: int = 16, d_k: int = 3):
+    def __init__(self, rng: Rng | T.Planner, d_c: int, d_m: int, d_e: int, d_k: int):
         if d_c % 3 != 0:
             raise ConfigurationError(
                 f"concatenated channel count must be divisible by 3, got {d_c}"
@@ -38,7 +39,6 @@ class AdrBlock:
             raise ConfigurationError(
                 f"bottleneck width must satisfy 1 <= d_m < d_c, got d_m={d_m}, d_c={d_c}"
             )
-        self.d_c = d_c
         self.gen1 = PogGenerator(rng, d_c, d_e, (d_c, d_m, d_k))
         self.gen2 = PogGenerator(rng, d_c, d_e, (d_m, d_c, d_k))
 
@@ -64,10 +64,9 @@ def reallocate(block: AdrBlock, q: Tensor, k: Tensor, v: Tensor):
             f"Q/K/V shapes differ: {q.data.shape}, {k.data.shape}, {v.data.shape}"
         )
     d = q.data.shape[0]
-    if 3 * d != block.d_c:
-        raise ConfigurationError(
-            f"block expects {block.d_c} concatenated channels, got 3*{d}"
-        )
+    d_c = block.gen1.weight_mlp.w1.data.shape[1]
+    if 3 * d != d_c:
+        raise ConfigurationError(f"block expects {d_c} concatenated channels, got 3*{d}")
     f_in = T.concat_channels([q, k, v])
     p1 = block.gen1.generate(f_in)
     p2 = block.gen2.generate(f_in)

@@ -29,9 +29,9 @@ from .errors import ConfigurationError, ContractError
 
 FORMAT_VERSION = 1
 _ENTRY_KEYS = frozenset({"name", "shape", "dtype", "offset", "length"})
-_MODEL_META_KEYS = frozenset(
-    {"widths", "adr_blocks", "adr_dims", "dyn_candidates", "frozen"}
-)
+# a ToyEnhancer's rebuild recipe: its constructor's keyword arguments, and the
+# attributes it keeps them in, stored under these names in a checkpoint's meta
+_RECIPE_KEYS = ("widths", "adr_blocks", "adr_dims", "dyn_candidates")
 
 
 def base_path(path: str) -> str:
@@ -241,14 +241,8 @@ def load_tensors(path: str) -> tuple:
 
 def model_tensors(model) -> tuple:
     """(named arrays, meta) a ToyEnhancer's checkpoint stores: parameters and recipe."""
-    meta = {
-        "kind": "toy_enhancer",
-        "widths": list(model.widths),
-        "adr_blocks": list(model.adr_blocks),
-        "adr_dims": list(model.adr_dims),
-        "dyn_candidates": model.dyn_candidates,
-        "frozen": bool(model.frozen),
-    }
+    meta = {key: getattr(model, key) for key in _RECIPE_KEYS}
+    meta.update(kind="toy_enhancer", frozen=bool(model.frozen))
     return [(name, t.data) for name, t in model.named_parameters()], meta
 
 
@@ -273,7 +267,7 @@ def load_model(model_path: str):
     with fh:
         if meta.get("kind") != "toy_enhancer":
             raise ContractError(f"not an enhancer checkpoint: kind={meta.get('kind')!r}")
-        missing = _MODEL_META_KEYS - meta.keys()
+        missing = {*_RECIPE_KEYS, "frozen"} - meta.keys()
         if missing:
             raise ContractError(f"enhancer checkpoint meta lacks {sorted(missing)}")
         values = sum(count for _, _, _, count in entries)
@@ -297,13 +291,7 @@ def load_model(model_path: str):
         try:
             # the constructor checks the recipe, so a meta it refuses is malformed input
             check_bool(meta["frozen"], "frozen")
-            model = ToyEnhancer(
-                read_arena,
-                widths=meta["widths"],
-                adr_blocks=meta["adr_blocks"],
-                adr_dims=meta["adr_dims"],
-                dyn_candidates=meta["dyn_candidates"],
-            )
+            model = ToyEnhancer(read_arena, **{key: meta[key] for key in _RECIPE_KEYS})
         except ConfigurationError as exc:
             raise ContractError(f"enhancer checkpoint meta: {exc}") from None
     if not np.isfinite(model.arena).all():

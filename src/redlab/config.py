@@ -137,12 +137,10 @@ class RunConfig:
         }
 
     def replace_adr(self, **axes) -> "RunConfig":
-        """A copy with some of D_m/D_e/D_k overridden (ablation grids)."""
+        """A copy with some of D_m/D_e/D_k overridden (ablation grids); an axis
+        outside :data:`ADR_AXES` is refused as an unknown ``config.adr`` key."""
         doc = self.to_dict()
-        for key, value in axes.items():
-            if key not in ADR_AXES:
-                raise ConfigurationError(f"unknown ablation axis {key!r}")
-            doc["adr"][key] = value
+        doc["adr"].update(axes)
         return RunConfig.from_dict(doc)
 
 

@@ -18,15 +18,21 @@ from .rng import Rng
 from .tensor import Tensor
 
 
-class DynamicConv:
-    """K candidate kernels plus an attention MLP (C_in -> C_in -> K)."""
+# the candidates' kernel size: a decoder stage's 3x3 convolution is what they replace
+_D_K = 3
 
-    def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int, d_k: int = 3, k: int = 4):
+
+class DynamicConv:
+    """K candidate [C_out, C_in, 3, 3] kernels plus an attention MLP (C_in -> C_in -> K).
+
+    Construction draws the candidate bank, then the attention MLP, from
+    ``rng`` in that order.
+    """
+
+    def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int, k: int):
         if k < 1:
             raise ConfigurationError(f"need at least one candidate kernel, got {k}")
-        if d_k % 2 == 0:
-            raise ConfigurationError("kernel size must be odd")
-        self.candidates = T.parameter(rng, (k, c_out, c_in, d_k, d_k))
+        self.candidates = T.parameter(rng, (k, c_out, c_in, _D_K, _D_K))
         self.att_mlp = T.init_mlp(rng, c_in, c_in, k)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:

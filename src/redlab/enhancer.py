@@ -65,7 +65,6 @@ class ChannelAttentionBlock:
     """
 
     def __init__(self, rng: Rng | T.Planner, d: int, adr_dims: tuple | None = None):
-        self.d = d
         self.q_conv = Conv2dLayer(rng, d, d, 1)
         self.k_conv = Conv2dLayer(rng, d, d, 1)
         self.v_conv = Conv2dLayer(rng, d, d, 1)
@@ -78,10 +77,9 @@ class ChannelAttentionBlock:
             self.adr = None
 
     def forward(self, f: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
-        if f.data.shape[0] != self.d:
-            raise DimensionError(
-                f"attention block expects {self.d} channels, got {f.data.shape[0]}"
-            )
+        d = self.q_conv.kernel.data.shape[1]
+        if f.data.shape[0] != d:
+            raise DimensionError(f"attention block expects {d} channels, got {f.data.shape[0]}")
         q = self.q_conv.forward(f)
         k = self.k_conv.forward(f)
         v = self.v_conv.forward(f)
@@ -179,7 +177,7 @@ class DecoderStage:
         dyn_candidates: int,
     ):
         if dyn_candidates:
-            self.conv = DynamicConv(rng, c_in, c_out, 3, dyn_candidates)
+            self.conv = DynamicConv(rng, c_in, c_out, dyn_candidates)
         else:
             self.conv = Conv2dLayer(rng, c_in, c_out, 3)
         self.attn = ChannelAttentionBlock(rng, c_out, adr_dims)
@@ -377,14 +375,15 @@ class ToyEnhancer:
         return out
 
     def reallocation_blocks(self) -> dict:
-        """Attached :class:`AdrBlock`s keyed by parameter path, in forward order."""
-        found = {}
-        for path, stage in self.stages:
-            if isinstance(stage, DecoderStage):
-                path, stage = f"{path}.attn", stage.attn
-            if getattr(stage, "adr", None) is not None:
-                found[f"{path}.adr"] = stage.adr
-        return found
+        """Attached :class:`AdrBlock`s keyed by parameter path, in forward order.
+
+        Only the decoder blocks' attention can carry one; the latent block never does.
+        """
+        return {
+            f"{path}.attn.adr": stage.attn.adr
+            for path, stage in self.stages
+            if isinstance(stage, DecoderStage) and stage.attn.adr is not None
+        }
 
     def freeze(self) -> None:
         """Cache the generators' normalized embeddings for inference.

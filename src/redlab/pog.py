@@ -47,13 +47,26 @@ def _check_norms(norms: np.ndarray) -> None:
         raise DegenerateEmbeddingError(f"embedding row norm {norms.min():.3e} below 1e-8")
 
 
-def _init_embeddings(rng: Rng, out: np.ndarray) -> None:
-    """Init rule of generator embeddings: rows uniform in [-1, 1), unit-normalized
-    in place with the operations of :func:`normalize_embeddings`."""
-    out[...] = rng.fill_uniform(out.shape, -1.0, 1.0)
-    norms = np.sqrt(np.sum(out * out, axis=-1, keepdims=True))
+def _unit_rows(e: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """(rows of [N, D_e] ``e`` over their norms, the [N, 1] norms), untaped.
+
+    Runs the NumPy operations of :func:`normalize_embeddings` in its order,
+    so the rows equal its values bit for bit, and refuses a collapsed row
+    as it does.  The rows are written into ``out`` when given (``e`` itself
+    included).
+    """
+    if e.ndim != 2:
+        raise DimensionError("embeddings must be [N, D_e]")
+    sq = e * e
+    norms = np.sqrt(np.sum(sq, axis=-1, keepdims=True))
     _check_norms(norms)
-    np.divide(out, norms, out=out)
+    return np.divide(e, norms, out=sq if out is None else out), norms
+
+
+def _init_embeddings(rng: Rng, out: np.ndarray) -> None:
+    """Init rule of generator embeddings: rows uniform in [-1, 1), unit-normalized in place."""
+    out[...] = rng.fill_uniform(out.shape, -1.0, 1.0)
+    _unit_rows(out, out)
 
 
 def build_basis(n_i: Tensor) -> Tensor:
@@ -144,8 +157,11 @@ class PogGenerator:
     (d_c -> d_c -> d_e) and a decode MLP (d_e -> d_e -> 1).  Construction
     consumes the rng in that order, so equal seeds rebuild equal generators.
 
-    ``freeze()`` caches the normalized embeddings and stops gradients to
-    them; a frozen generator is immutable.
+    Embeddings start as unit rows (uniform draws normalized in place), and
+    ``generate`` normalizes them again on every call while they train.
+    ``freeze()`` caches the normalized embeddings in ``_cached_norm``, which
+    is ``None`` until then, and stops gradients to them; a frozen generator
+    is immutable.
     """
 
     def __init__(self, rng: Rng | T.Planner, d_c: int, d_e: int, target_shape: tuple):
@@ -160,7 +176,6 @@ class PogGenerator:
         self.weight_mlp = T.init_mlp(rng, d_c, d_c, d_e)
         self.decode_mlp = T.init_mlp(rng, d_e, d_e, 1)
         self.target_shape = (c_in, c_out, d_k)
-        self.frozen = False
         self._cached_norm = None
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
@@ -176,8 +191,7 @@ class PogGenerator:
         Call again after externally mutating ``embeddings`` to refresh the
         cache (layer-reset probing does this).
         """
-        self._cached_norm = Tensor(normalize_embeddings(self.embeddings).data)
-        self.frozen = True
+        self._cached_norm = Tensor(_unit_rows(self.embeddings.data)[0])
 
     def generate(self, f_in: Tensor) -> Tensor:
         return generate(self, f_in)
@@ -197,17 +211,12 @@ def generate(gen: PogGenerator, f_in: Tensor) -> Tensor:
     intermediates are written in place (``out=``) where their inputs are
     spent, which changes no value and keeps fewer of them alive.
     """
-    if gen.frozen:
+    if gen._cached_norm is not None:
         e = None
         n_p = gen._cached_norm.data
     else:
         e = gen.embeddings.data
-        if e.ndim != 2:
-            raise DimensionError("embeddings must be [N, D_e]")
-        n_p = e * e
-        norms = np.sqrt(np.sum(n_p, axis=-1, keepdims=True))
-        _check_norms(norms)
-        np.divide(e, norms, out=n_p)
+        n_p, norms = _unit_rows(e)
     wm, dm = gen.weight_mlp, gen.decode_mlp
     y, head_vjp = _weight_head(f_in.data, wm)
     # reflect every row: s_i = W - (<n_i, W> * 2) n_i

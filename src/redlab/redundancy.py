@@ -102,12 +102,13 @@ def resolve(model, path: str) -> list:
 def reset_layer(model, selector: LayerSelector, rng: Rng):
     """Fresh-random copy of one parameter group; the original is untouched.
 
-    Bias leaves zero out; every other tensor redraws through
-    :func:`~redlab.tensor.init_uniform`, the rule construction draws kernels
-    and MLP weights by.  Two leaves differ from their construction:
-    generator embeddings redraw unnormalised within +-sqrt(1/D_e), which
-    after row normalisation has the direction distribution of construction's
-    +-1 draw, and ``tau`` redraws within +-1 where construction sets 1.0.
+    Bias leaves zero out; every other tensor is redrawn in place by
+    :func:`~redlab.tensor.init_uniform`, the init rule construction draws
+    kernels, candidate banks and MLP weights by.  Two leaves differ from
+    their construction: generator embeddings redraw unnormalised within
+    +-sqrt(1/D_e), which after row normalisation has the direction
+    distribution of construction's +-1 draw, and ``tau`` redraws within +-1
+    where construction sets 1.0.
     Tensors redraw in named_parameters order from the one stream, so a seed
     pins the whole reset.  A frozen copy is frozen again afterwards, which
     re-derives its generator caches.
@@ -117,7 +118,7 @@ def reset_layer(model, selector: LayerSelector, rng: Rng):
         if name.rsplit(".", 1)[-1] in _BIAS_LEAVES:
             t.data[...] = 0.0
         else:
-            t.data[...] = init_uniform(rng, t.data.shape)
+            init_uniform(rng, t.data)
     if probe.frozen:
         probe.freeze()
     return probe

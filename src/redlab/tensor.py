@@ -583,18 +583,15 @@ class MlpParams:
         ]
 
 
-def init_uniform(rng: Rng, shape: tuple) -> np.ndarray:
-    """Fresh weights uniform within +-sqrt(1/fan_in), ``fan_in`` being the product
-    of the axes after the first (after the second for a 5-D ``[K, C_out, C_in,
-    k, k]`` candidate bank); a scalar or a vector draws within +-1."""
+def init_uniform(rng: Rng, out: np.ndarray) -> None:
+    """Init rule of kernels, candidate banks and MLP weights: ``out`` drawn uniform
+    within +-sqrt(1/fan_in), ``fan_in`` being the product of the axes after the
+    first (after the second for a 5-D ``[K, C_out, C_in, k, k]`` candidate bank);
+    a scalar or a vector draws within +-1."""
+    shape = out.shape
     fan_in = math.prod(shape[2:] if len(shape) == 5 else shape[1:])
     bound = (1.0 / fan_in) ** 0.5
-    return rng.fill_uniform(shape, -bound, bound)
-
-
-def init_weight(rng: Rng, out: np.ndarray) -> None:
-    """Init rule of kernels, candidate banks and MLP weights: :func:`init_uniform`'s draw."""
-    out[...] = init_uniform(rng, out.shape)
+    out[...] = rng.fill_uniform(shape, -bound, bound)
 
 
 def init_zero(rng: Rng, out: np.ndarray) -> None:
@@ -614,7 +611,7 @@ class Planner:
         self.rules = {}  # id(tensor) -> (shape, init rule)
 
 
-def parameter(rng: Rng | Planner, shape: tuple, init=init_weight) -> Tensor:
+def parameter(rng: Rng | Planner, shape: tuple, init=init_uniform) -> Tensor:
     """A trainable tensor of ``shape`` holding ``init(rng, data)``'s values.
 
     Given a :class:`Planner` in place of the Rng, the tensor is only recorded in it.

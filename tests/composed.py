@@ -111,7 +111,9 @@ def composed_generate(gen, f_in):
     """The generator as a chain of its published sub-steps, one tape record per
     primitive: the byte oracle for the single-record ``pog.generate``.  Its
     weights come from :func:`composed_weights`, not from the fused head."""
-    n_p = gen._cached_norm if gen.frozen else pog.normalize_embeddings(gen.embeddings)
+    n_p = gen._cached_norm
+    if n_p is None:
+        n_p = pog.normalize_embeddings(gen.embeddings)
     w = composed_weights(f_in, gen.weight_mlp)
     s = pog.specific_embedding(n_p, w)
     c_in, c_out, d_k = gen.target_shape

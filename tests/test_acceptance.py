@@ -357,7 +357,7 @@ class TestAcceptance:
         live = PogGenerator(Rng(33), 3, 8, (2, 2, 3))
         live_score = degradation_score(live, inputs)
 
-        dc = DynamicConv(Rng(34), 3, 2, 3, 4)
+        dc = DynamicConv(Rng(34), 3, 2, 4)
         dc.candidates.data[:] = dc.candidates.data[0]
         sim = candidate_similarity(dc)
         sim_dev = np.abs(sim - 1.0).max()

@@ -9,10 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from redlab import enhancer
+from redlab import cli, enhancer
 from redlab import tensor as T
+from redlab.adr import AdrBlock
 from redlab.checkpoint import load_model, save_model
 from redlab.datagen import ScenePair, make_corpus
+from redlab.dynconv import DynamicConv
 from redlab.enhancer import (
     ChannelAttentionBlock,
     Conv2dLayer,
@@ -22,6 +24,7 @@ from redlab.enhancer import (
     train,
 )
 from redlab.errors import ConfigurationError, ContractError, DimensionError, DivergenceError
+from redlab.pog import PogGenerator
 from redlab.redundancy import LayerSelector, psnr, reset_layer
 from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
@@ -705,6 +708,31 @@ class TestArena:
         assert model.arena.tobytes() == before
 
 
+# block constructors and their named parameters, for the plan-vs-eager oracle
+PLANNED_BLOCKS = {
+    "conv": (lambda rng: Conv2dLayer(rng, 4, 6, 3), lambda b: b.named_parameters("conv")),
+    "mlp": (lambda rng: T.init_mlp(rng, 5, 7, 3), lambda b: b.named("mlp")),
+    "pog": (lambda rng: PogGenerator(rng, 6, 4, (6, 2, 3)), lambda b: b.named_parameters()),
+    "adr": (lambda rng: AdrBlock(rng, 6, 2, 4, 3), lambda b: b.named_parameters()),
+    "dynconv": (lambda rng: DynamicConv(rng, 4, 6, 3), lambda b: b.named_parameters()),
+}
+
+
+class TestPlanEagerOracle:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("block", PLANNED_BLOCKS)
+    def test_planned_draw_equals_eager_build(self, block, seed):
+        """A block planned on a Planner and drawn in named_parameters order
+        holds the bytes an eager build draws in creation order; the two agree
+        only while each block creates its parameters in that order."""
+        build, named = PLANNED_BLOCKS[block]
+        eager = build(Rng(seed))
+        want = b"".join(t.data.tobytes() for _, t in named(eager))
+        planner = T.Planner()
+        plan = [(name, *planner.rules[id(t)]) for name, t in named(build(planner))]
+        assert enhancer._draw(Rng(seed), plan).tobytes() == want
+
+
 class TestGradientIntegrity:
     def test_full_training_loss_gradcheck(self):
         """Sampled coordinates of the training loss pass finite differences."""
@@ -719,6 +747,60 @@ class TestGradientIntegrity:
 
         err = T.finite_diff_check(f, params, eps=1e-4, sample=60, rng=Rng(0))
         assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_adr_dynconv_gradcheck_failure_is_a_kink(self, seed):
+        """``redlab gradcheck --samples 20`` exits 3 for this ADR + dynconv
+        config at seeds 1 and 2 because its worst sampled coordinate lies
+        within eps of a kink, not because a gradient is wrong: there the tape
+        gradient equals one one-sided difference and not the other.  Seed 1's
+        kink is the L1 loss's (an MSE loss passes), seed 2's one inside the
+        network (a ReLU or the clamp)."""
+        # the model, warm-up and loss of the gradcheck command for this config
+        model = ToyEnhancer(Rng(seed), widths=(4, 8), adr_blocks=(True, True),
+                            adr_dims=(2, 8, 3), dyn_candidates=3)
+        corpus = make_corpus(seed, 4, 8, 8)
+        train(model, corpus, steps=cli.GRADCHECK_WARMUP_STEPS, seed=seed, lr=1e-3)
+        pair = corpus[0]
+        params = [t for _, t in model.named_parameters()]
+
+        def f(_=None):
+            return T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
+
+        eps = cli.GRADCHECK_EPS
+        err = T.finite_diff_check(f, params, eps=eps, sample=20, rng=Rng(0))
+        assert err > cli.GRADCHECK_TOL
+        tape = T.Tape()
+        with tape:
+            loss = f()
+        analytic = [np.empty_like(p.data) for p in params]
+        T.backward(tape, loss, list(zip(params, analytic)))
+        base = loss.item()
+        # the coordinates finite_diff_check samples, in its order
+        coords = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
+        order = list(range(len(coords)))
+        Rng(0).shuffle(order)
+
+        def rel(exact, numeric):
+            return abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-8)
+
+        rows = []
+        for i, j in (coords[k] for k in order[:20]):
+            p = params[i]
+            orig = p.data.flat[j]
+            p.data.flat[j] = orig + eps
+            fp = f().item()
+            p.data.flat[j] = orig - eps
+            fm = f().item()
+            p.data.flat[j] = orig
+            exact = float(analytic[i].flat[j])
+            rows.append((rel(exact, (fp - fm) / (2.0 * eps)),
+                         rel(exact, (base - fm) / eps), rel(exact, (fp - base) / eps)))
+        central, *one_sided = max(rows)
+        assert central == err
+        near, far = sorted(one_sided)
+        assert near < 1e-5
+        assert far > 1e-4
 
 
 class TestEvaluate:

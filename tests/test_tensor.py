@@ -315,10 +315,12 @@ class TestInitUniform:
     def test_constructors_draw_through_it(self, seed):
         """Conv kernels, candidate banks and MLP weights are init_uniform draws."""
         def draw(shape):
-            return T.init_uniform(Rng(seed), shape).tobytes()
+            out = np.empty(shape)
+            T.init_uniform(Rng(seed), out)
+            return out.tobytes()
 
         assert Conv2dLayer(Rng(seed), 4, 6, 3).kernel.data.tobytes() == draw((6, 4, 3, 3))
-        bank = DynamicConv(Rng(seed), 4, 6, 3, 2)
+        bank = DynamicConv(Rng(seed), 4, 6, 2)
         assert bank.candidates.data.tobytes() == draw((2, 6, 4, 3, 3))
         assert T.init_mlp(Rng(seed), 5, 7, 3).w1.data.tobytes() == draw((7, 5))
 
