@@ -44,6 +44,9 @@ Observer = Callable[[str, Tensor], object]
 class Conv2dLayer:
     """Same-padded convolution with bias, kernel from :func:`~redlab.tensor.init_uniform`."""
 
+    # resume points inside a stage, as suffixes of its path (see ToyEnhancer.resume)
+    inner_points = ()
+
     def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int, d_k: int):
         self.kernel = T.parameter(rng, (c_out, c_in, d_k, d_k))
         self.bias = T.parameter(rng, (c_out,), T.init_zero)
@@ -59,10 +62,14 @@ class ChannelAttentionBlock:
     """Residual channel attention over 1x1-projected Q/K/V.
 
     The optional reallocation block rewrites Q/K/V between projection and
-    attention.  Row normalization carries a 1e-24 additive guard inside the
-    square root so an all-zero feature map stays finite (relative effect on
-    any non-degenerate row is ~1e-24, far below every stated tolerance).
+    attention.  A forward can resume at the attention core's output
+    (``.out``), which the out projection reads.  Row normalization carries a
+    1e-24 additive guard inside the square root so an all-zero feature map
+    stays finite (relative effect on any non-degenerate row is ~1e-24, far
+    below every stated tolerance).
     """
+
+    inner_points = (".out",)
 
     def __init__(self, rng: Rng | T.Planner, d: int, adr_dims: tuple | None = None):
         self.q_conv = Conv2dLayer(rng, d, d, 1)
@@ -87,8 +94,18 @@ class ChannelAttentionBlock:
             if observe is not None:
                 observe(f"{path}.adr", T.concat_channels([q, k, v]))
             q, k, v = reallocate(self.adr, q, k, v)
-        out = self.out_conv.forward(attention(q, k, v, self.tau))
-        return T.add(out, f)
+        a = attention(q, k, v, self.tau)
+        if observe is not None:
+            observe(f"{path}.out", a)
+        return T.add(self.out_conv.forward(a), f)
+
+    def resume(self, seen: dict, point: str, observe: Observer | None, path: str) -> Tensor:
+        """The block's output from its ``.out`` point, ``seen`` holding the
+        core output there and the block input at ``path``."""
+        a = seen[point]
+        if observe is not None:
+            observe(point, a)
+        return T.add(self.out_conv.forward(a), seen[path])
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         out = self.q_conv.named_parameters(f"{prefix}.qkv.q")
@@ -157,6 +174,8 @@ def _normalized_rows_vjp(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.n
 
 
 class EncoderStage:
+    inner_points = ()
+
     def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int):
         self.conv = Conv2dLayer(rng, c_in, c_out, 3)
 
@@ -168,6 +187,15 @@ class EncoderStage:
 
 
 class DecoderStage:
+    """Upsampling, a 3x3 (or dynamic) convolution and ReLU, then channel attention.
+
+    A forward can resume at the attention block's input (``.attn``), which
+    its Q/K/V projections, temperature and reallocation block read, and at
+    the block's own ``.attn.out`` point.
+    """
+
+    inner_points = (".attn", ".attn.out")
+
     def __init__(
         self,
         rng: Rng | T.Planner,
@@ -183,8 +211,20 @@ class DecoderStage:
         self.attn = ChannelAttentionBlock(rng, c_out, adr_dims)
 
     def forward(self, x: Tensor, observe: Observer | None, path: str) -> Tensor:
-        y = self.conv.forward(T.upsample2x(x))
-        return self.attn.forward(T.relu(y), observe, f"{path}.attn")
+        f = T.relu(self.conv.forward(T.upsample2x(x)))
+        return self._attend(f, observe, f"{path}.attn")
+
+    def resume(self, seen: dict, point: str, observe: Observer | None, path: str) -> Tensor:
+        """The stage's output from one of its inner points."""
+        attn = f"{path}.attn"
+        if point == attn:
+            return self._attend(seen[attn], observe, attn)
+        return self.attn.resume(seen, point, observe, attn)
+
+    def _attend(self, f: Tensor, observe: Observer | None, attn: str) -> Tensor:
+        if observe is not None:
+            observe(attn, f)
+        return self.attn.forward(f, observe, attn)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         sub = "dynconv" if isinstance(self.conv, DynamicConv) else "conv"
@@ -345,28 +385,61 @@ class ToyEnhancer:
         h, w = x.data.shape[1], x.data.shape[2]
         if h < 4 or w < 4 or h % 4 or w % 4:
             raise DimensionError(f"H and W must be positive multiples of 4, got {h}x{w}")
-        return self.resume(x, 0, observe)
+        return self._run(x, 0, observe)
 
-    def resume(self, y: Tensor, start: int, observe: Observer | None = None) -> Tensor:
-        """The forward from ``stages[start]`` on, given that stage's input ``y``.
+    def resume(self, seen: dict, point: str, observe: Observer | None = None) -> Tensor:
+        """The forward from resume point ``point`` on, given the values a
+        forward showed its observer in ``seen``.
 
-        ``observe(path, tensor)``, if given, is called in forward order with
-        each stage's path and input, and, inside each attention block that
-        carries reallocation, with ``<block path>.adr`` (a key of
-        :meth:`reallocation_blocks`) and the Q/K/V stack its generators
-        condition on.  ``resume(seen[path_k], k)``, with the input a forward
-        showed for stage k, equals that forward's output as long as no
-        parameter of the stages before ``k`` changed in between.  A ``start``
-        that is not an index into :attr:`stages` raises :class:`ContractError`.
+        ``observe(key, tensor)``, if given, is called in forward order with
+        each stage's path and input; inside each decoder stage with
+        ``<path>.attn`` and its attention block's input; inside each
+        attention block that carries reallocation with ``<block path>.adr``
+        (a key of :meth:`reallocation_blocks`) and the Q/K/V stack its
+        generators condition on; and inside each attention block with
+        ``<block path>.out`` and the attention core's output.  Every key but
+        the ``.adr`` ones is a resume point (see :meth:`resume_points`).
+        ``resume(seen, point)`` equals that forward's output as long as no
+        parameter a forward reads before ``point`` changed in between; it
+        reads ``seen[point]``, and an ``.out`` point also reads its block's
+        input at the block path.  Anything else raises :class:`ContractError`.
         """
-        n = len(self.stages)
-        if isinstance(start, bool) or not isinstance(start, int) or not 0 <= start < n:
-            raise ContractError(f"resume start must be a stage index in [0, {n}), got {start!r}")
+        for k, (path, stage) in enumerate(self.stages):
+            if point == path:
+                return self._run(seen[point], k, observe)
+            if isinstance(point, str) and point.startswith(path) \
+                    and point[len(path):] in stage.inner_points:
+                return self._run(stage.resume(seen, point, observe, path), k + 1, observe)
+        raise ContractError(f"resume point must be one of {list(self.resume_points())}, "
+                            f"got {point!r}")
+
+    def _run(self, y: Tensor, start: int, observe: Observer | None) -> Tensor:
+        """The forward from ``stages[start]`` on, given that stage's input ``y``."""
         for path, stage in self.stages[start:]:
             if observe is not None:
                 observe(path, y)
             y = stage.forward(y, observe, path)
         return T.clamp01(y)
+
+    def resume_points(self) -> dict:
+        """Every point :meth:`resume` starts at, in forward order, mapped to
+        the names of the parameters a forward first reads after it.
+
+        The points are the stage paths, each decoder stage's ``<path>.attn``
+        and each attention block's ``<block path>.out``.  Each is a prefix
+        of the parameters it owns: a parameter belongs to the last point its
+        name extends, so a decoder block's Q/K/V projections, temperature
+        and reallocation block belong to its ``.attn`` point.
+        """
+        points = {}
+        for path, stage in self.stages:
+            points[path] = []
+            for inner in stage.inner_points:
+                points[path + inner] = []
+        for name, _ in self.named_parameters():
+            owner = [point for point in points if name.startswith(point + ".")][-1]
+            points[owner].append(name)
+        return points
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []

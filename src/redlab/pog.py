@@ -65,7 +65,7 @@ def _unit_rows(e: np.ndarray, out: np.ndarray | None = None) -> tuple:
 
 def _init_embeddings(rng: Rng, out: np.ndarray) -> None:
     """Init rule of generator embeddings: rows uniform in [-1, 1), unit-normalized in place."""
-    out[...] = rng.fill_uniform(out.shape, -1.0, 1.0)
+    rng.fill_uniform(out.shape, -1.0, 1.0, out)
     _unit_rows(out, out)
 
 

@@ -10,10 +10,11 @@ images that actually *improve* under a reset is the POI.
 The probed model is never mutated: every reset operates on a deep copy.
 
 ``dmr`` and ``probe_sweep`` run one base forward per image and keep the
-input of every stage of the model's ``stages`` table.  Each reset forward
-resumes at the first stage owning a reset parameter, from that stage's kept
-input, and matches a whole forward of the reset copy bit for bit.  The kept
-inputs are held for one call, about 115 KB per 32x32 image.
+value at every resume point of the model (``ToyEnhancer.resume_points``):
+each stage's input, each decoder block's attention input and each attention
+core's output.  Each reset forward resumes at the earliest point that owns a
+reset parameter and matches a whole forward of the reset copy bit for bit.
+The kept values are held for one call, about 287 KB per 32x32 image.
 """
 
 from __future__ import annotations
@@ -124,34 +125,25 @@ def reset_layer(model, selector: LayerSelector, rng: Rng):
     return probe
 
 
-def _base_pass(model, x: Tensor) -> tuple:
-    """(output, input of every stage) of one forward of the unreset model."""
+def _base_pass(model, x: Tensor, points: dict) -> tuple:
+    """(output, value at every resume point) of one forward of the unreset model."""
     seen: dict = {}
     out = model.forward(x, seen.__setitem__)
-    return out, [seen[path] for path, _ in model.stages]
+    return out, {point: seen[point] for point in points}
 
 
-def _first_stage(probe, path: str) -> int:
-    """Index of the first stage owning any parameter the selector resolves to.
-
-    Names start with their stage's path and run in stage order, so the first name decides.
-    """
-    first = resolve(probe, path)[0][0]
-    return next((k for k, (stage_path, _) in enumerate(probe.stages)
-                if first.startswith(stage_path + ".")), 0)
-
-
-def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list) -> list:
+def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list, points: dict) -> list:
     """Per-image outputs of ``reset_layer(model, selector, rng)``.
 
-    Each forward resumes at the first stage the reset touches, from the input
-    that stage had in ``base`` (see :func:`_base_pass`): the stages before it
-    own no reset parameter, and ``freeze`` re-derives their frozen caches
-    unchanged.
+    Each forward resumes at the earliest of the model's resume ``points``
+    that owns a reset parameter, from the values kept in ``base`` (see
+    :func:`_base_pass`): a forward reads no reset parameter before that
+    point, and ``freeze`` re-derives the frozen caches it skips unchanged.
     """
     probe = reset_layer(model, selector, rng)
-    k = _first_stage(probe, selector.path)
-    return [probe.resume(inputs[k], k) for _, inputs in base]
+    names = {name for name, _ in resolve(probe, selector.path)}
+    point = next(point for point, owned in points.items() if names.intersection(owned))
+    return [probe.resume(kept, point) for _, kept in base]
 
 
 def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
@@ -166,10 +158,11 @@ def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
         raise ContractError("dmr needs at least one image")
     if not model.frozen:
         raise ContractError("dmr probes a frozen model; call freeze() first")
-    base = [_base_pass(model, x) for x in images]
+    points = model.resume_points()
+    base = [_base_pass(model, x, points) for x in images]
     terms = np.empty((len(selectors), len(images)))
     for i, sel in enumerate(selectors):
-        outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base)
+        outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, points)
         for j, ((out, _), probed) in enumerate(zip(base, outs)):
             terms[i, j] = psnr(out, probed)
     return DmrReport(terms=terms, dmr=float(terms.mean()), cap=DEFAULT_CAP_DB, seed=seed)
@@ -183,12 +176,13 @@ def probe_sweep(
         raise ContractError("probe_sweep needs selectors and seeds")
     if len(low_images) != len(ref_images) or not low_images:
         raise ContractError("probe_sweep needs nonempty paired image lists")
-    base = [_base_pass(model, x) for x in low_images]
+    points = model.resume_points()
+    base = [_base_pass(model, x, points) for x in low_images]
     before = [psnr(out, ref) for (out, _), ref in zip(base, ref_images)]
     rows = []
     for seed in seeds:
         for i, sel in enumerate(selectors):
-            outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base)
+            outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, points)
             after = [psnr(out, ref) for out, ref in zip(outs, ref_images)]
             wins = sum(1 for b, a in zip(before, after) if a > b)
             rows.append(

@@ -267,13 +267,18 @@ class Rng:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_double()
 
-    def fill_uniform(self, shape, lo: float, hi: float) -> np.ndarray:
+    def fill_uniform(self, shape, lo: float, hi: float, out: np.ndarray | None = None) -> np.ndarray:
         """Row-major array of i.i.d. uniforms in [lo, hi).
 
         Equal to ``uniform(lo, hi)`` called once per element in row-major
-        order, and leaves the stream where those calls would.
+        order, and leaves the stream where those calls would.  Given ``out``,
+        a C-contiguous float64 array of ``shape``, the draws land in it and
+        it is returned.
         """
-        out = np.empty(shape, dtype=np.float64)  # refuses a bad shape before any draw
+        if out is None:
+            out = np.empty(shape, dtype=np.float64)  # refuses a bad shape before any draw
+        elif out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
         flat = out.reshape(-1)
         for start in range(0, flat.size, _FILL_CHUNK):
             m = min(flat.size - start, _FILL_CHUNK)

@@ -1,8 +1,10 @@
 """Acceptance gate: ten numbered criteria, each printing one PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.  Tolerances and runtime bounds are stated inline next to each check;
-shared fixtures train the two 2,000-step reference models once per session.
+report.  Tolerances and runtime bounds are stated inline next to each check.
+The two 2,000-step reference models, and criterion 9's replays of their
+trainings, train once per session in worker processes
+(``reference_training.py``); the criteria that use them run last.
 """
 
 import copy
@@ -32,11 +34,7 @@ from redlab.rng import Rng
 from redlab.tensor import Tensor, finite_diff_check
 from composed import mse
 
-CORPUS_SEED = 42     # 64 training pairs at 32x32
 VAL_SEED = 43        # 16 held-out pairs for probing and evaluation
-MODEL_SEED = 7       # construction stream for both 2,000-step variants
-TRAIN_SEED = 11      # shuffle schedule for both variants
-TRAIN_STEPS = 2000
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -45,33 +43,22 @@ def report(num: int, ok: bool, detail: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def corpus64():
-    return make_corpus(CORPUS_SEED, 64, 32, 32)
-
-
-@pytest.fixture(scope="module")
 def val16():
     return make_corpus(VAL_SEED, 16, 32, 32)
 
 
 @pytest.fixture(scope="module")
-def trained_plain(corpus64):
-    model = ToyEnhancer(Rng(MODEL_SEED))
-    t0 = perf_counter()
-    state = train(model, corpus64, steps=TRAIN_STEPS, seed=TRAIN_SEED)
-    elapsed = perf_counter() - t0
+def trained_plain(reference_runs):
+    model, history, elapsed = reference_runs("plain")
     model.freeze()
-    return model, state, elapsed
+    return model, history, elapsed
 
 
 @pytest.fixture(scope="module")
-def trained_adr(corpus64):
-    model = ToyEnhancer(Rng(MODEL_SEED), adr_blocks=(True, True))
-    t0 = perf_counter()
-    state = train(model, corpus64, steps=TRAIN_STEPS, seed=TRAIN_SEED)
-    elapsed = perf_counter() - t0
+def trained_adr(reference_runs):
+    model, history, elapsed = reference_runs("adr")
     model.freeze()
-    return model, state, elapsed
+    return model, history, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -376,25 +363,21 @@ class TestAcceptance:
             f"{sim_dev:.2e}, {elapsed:.2f}s (<5s)",
         )
 
-    def test_criterion_09_trainability(self, trained_plain, trained_adr, corpus64, val16):
+    def test_criterion_09_trainability(self, trained_plain, trained_adr, reference_runs, val16):
         """Both variants halve their loss; histories replay bit-exactly."""
-        plain_model, plain_state, plain_time = trained_plain
-        adr_model, adr_state, adr_time = trained_adr
+        plain_model, plain_history, plain_time = trained_plain
+        adr_model, adr_history, adr_time = trained_adr
 
         ratios = {}
-        for name, state in (("plain", plain_state), ("adr", adr_state)):
-            ratios[name] = state.loss_history[-1] / state.loss_history[0]
+        for name, history in (("plain", plain_history), ("adr", adr_history)):
+            ratios[name] = history[-1] / history[0]
 
-        t0 = perf_counter()
-        replays = {}
-        for name, flags in (("plain", (False, False)), ("adr", (True, True))):
-            fresh = ToyEnhancer(Rng(MODEL_SEED), adr_blocks=flags)
-            state = train(fresh, corpus64, steps=TRAIN_STEPS, seed=TRAIN_SEED)
-            replays[name] = state.loss_history
-        replay_time = perf_counter() - t0
+        # fresh models from the same seeds, trained again in other processes
+        replays = {name: reference_runs(f"{name}_replay") for name in ("plain", "adr")}
+        replay_time = sum(seconds for _, _, seconds in replays.values())
         reproducible = (
-            replays["plain"] == plain_state.loss_history
-            and replays["adr"] == adr_state.loss_history
+            replays["plain"][1] == plain_history
+            and replays["adr"][1] == adr_history
         )
 
         adr_psnr = evaluate(adr_model, val16)

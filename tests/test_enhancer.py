@@ -296,7 +296,7 @@ def step_tape_length(**kw):
 
 
 class TestObserver:
-    """``observe(path, tensor)`` sees each stage's input and each ADR block's Q/K/V stack."""
+    """``observe(key, tensor)`` sees each resume point's value and each ADR block's Q/K/V stack."""
 
     @pytest.mark.parametrize("adr_blocks", [(False, False), (True, False), (False, True),
                                             (True, True)])
@@ -306,20 +306,39 @@ class TestObserver:
         paths = []
         model.forward(fresh_input(31), lambda path, _: paths.append(path))
         want = []
-        for path, _ in model.stages:
-            want.append(path)
-            want += [key for key in model.reallocation_blocks() if key.startswith(path + ".")]
+        for point in model.resume_points():
+            want.append(point)
+            want += [key for key in model.reallocation_blocks() if key == point + ".adr"]
         assert paths == want
         assert [p for p in paths if p.endswith(".adr")] == list(model.reallocation_blocks())
-        assert len(paths) == len(model.stages) + sum(adr_blocks)
+        # the six stage inputs, the latent block's core output, each decoder
+        # block's attention input and core output, and one stack per ADR block
+        assert len(paths) == len(model.stages) + 5 + sum(adr_blocks)
 
     def test_resume_observes_from_its_start_stage(self):
         model = ToyEnhancer(Rng(32), adr_blocks=(True, True))
         seen = {}
         model.forward(fresh_input(33), seen.__setitem__)
         paths = []
-        model.resume(seen["decoder.block2"], 4, lambda path, _: paths.append(path))
-        assert paths == ["decoder.block2", "decoder.block2.attn.adr", "head"]
+        model.resume(seen, "decoder.block2", lambda path, _: paths.append(path))
+        assert paths == ["decoder.block2", "decoder.block2.attn", "decoder.block2.attn.adr",
+                         "decoder.block2.attn.out", "head"]
+
+    @pytest.mark.parametrize("point,want", [
+        ("latent.attn.out", ["latent.attn.out", "decoder.block1"]),
+        ("decoder.block1.attn", ["decoder.block1.attn", "decoder.block1.attn.adr",
+                                 "decoder.block1.attn.out", "decoder.block2"]),
+        ("decoder.block2.attn.out", ["decoder.block2.attn.out", "head"]),
+    ])
+    def test_resume_observes_from_an_inner_point(self, point, want):
+        """An inner point is observed first, with the value ``seen`` holds for it."""
+        model = ToyEnhancer(Rng(32), adr_blocks=(True, True))
+        seen = {}
+        model.forward(fresh_input(33), seen.__setitem__)
+        watched = {}
+        model.resume(seen, point, watched.__setitem__)
+        assert list(watched)[:len(want)] == want
+        assert watched[point] is seen[point]
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
     def test_observer_leaves_output_bytes_unchanged(self, frozen):
@@ -330,7 +349,31 @@ class TestObserver:
         seen = {}
         watched = model.forward(x, seen.__setitem__).data
         assert watched.tobytes() == model.forward(x).data.tobytes()
-        assert len(seen) == len(model.stages) + 2
+        # every resume point (the six stages and five inner points) and two ADR stacks
+        assert len(seen) == len(model.resume_points()) + 2 == len(model.stages) + 5 + 2
+
+
+# every point ToyEnhancer.resume starts at, in forward order, for any recipe
+RESUME_POINTS = [
+    "encoder.stage1",
+    "encoder.stage2",
+    "latent.attn",
+    "latent.attn.out",
+    "decoder.block1",
+    "decoder.block1.attn",
+    "decoder.block1.attn.out",
+    "decoder.block2",
+    "decoder.block2.attn",
+    "decoder.block2.attn.out",
+    "head",
+]
+
+RESUME_RECIPES = {
+    "plain": {},
+    "adr": {"adr_blocks": (True, True)},
+    "dynconv": {"dyn_candidates": 3},
+    "adr_dynconv": {"adr_blocks": (True, True), "dyn_candidates": 3},
+}
 
 
 class TestStages:
@@ -345,24 +388,72 @@ class TestStages:
             "head",
         ]
 
+    @pytest.mark.parametrize("kw", RESUME_RECIPES.values(), ids=RESUME_RECIPES.keys())
+    def test_resume_points_own_every_parameter_once(self, kw):
+        """Each parameter belongs to the last point its name extends: a decoder
+        block's Q/K/V projections, temperature and reallocation block to its
+        attention input, its out projection to the core output."""
+        model = ToyEnhancer(Rng(24), **kw)
+        points = model.resume_points()
+        assert list(points) == RESUME_POINTS
+        owned = [name for names in points.values() for name in names]
+        assert sorted(owned) == sorted(name for name, _ in model.named_parameters())
+        for point, names in points.items():
+            for name in names:
+                assert name.startswith(point + "."), (point, name)
+        assert points["latent.attn"] == [name for name, _ in model.named_parameters()
+                                         if name.startswith("latent.attn.")
+                                         and not name.startswith("latent.attn.out.")]
+        for block in ("decoder.block1", "decoder.block2"):
+            assert all(".conv." in n or ".dynconv." in n for n in points[block])
+            assert f"{block}.attn.tau" in points[f"{block}.attn"]
+            assert points[f"{block}.attn.out"] == [f"{block}.attn.out.kernel",
+                                                   f"{block}.attn.out.bias"]
+        adr = {name for name, _ in model.named_parameters() if ".adr." in name}
+        assert adr <= set(points["decoder.block1.attn"]) | set(points["decoder.block2.attn"])
+
     def test_resume_from_every_stage_equals_forward(self):
-        """Stage k resumed on the input a forward recorded for it gives that output."""
+        """Each stage resumed on the input a forward recorded for it gives that output."""
         model = ToyEnhancer(Rng(25), adr_blocks=(True, True))
         model.freeze()
         x = fresh_input(26, 16, 16)
         seen = {}
         want = model.forward(x, seen.__setitem__).data
         assert seen["encoder.stage1"] is x
-        for k, (path, _) in enumerate(model.stages):
-            assert np.array_equal(model.resume(seen[path], k).data, want)
+        for path, _ in model.stages:
+            assert np.array_equal(model.resume(seen, path).data, want)
+
+    @pytest.mark.parametrize("kw", RESUME_RECIPES.values(), ids=RESUME_RECIPES.keys())
+    def test_resume_from_every_point_equals_forward(self, kw):
+        """Every resume point, inner ones included, gives the forward's bytes,
+        trainable and frozen."""
+        model = ToyEnhancer(Rng(25), **kw)
+        train(model, make_corpus(27, 1, 8, 8), steps=2, seed=28)
+        x = fresh_input(26, 16, 16)
+        for frozen in (False, True):
+            if frozen:
+                model.freeze()
+            seen = {}
+            want = model.forward(x, seen.__setitem__).data.tobytes()
+            for point in RESUME_POINTS:
+                assert model.resume(seen, point).data.tobytes() == want, (frozen, point)
 
     @pytest.mark.parametrize("start", [-1, 6, 99, True, False, 2.0])
     def test_resume_refuses_a_start_outside_the_stages(self, start):
-        """Only an int index into the six stages resumes; past the end no longer
-        returns the clamped input, and -1 no longer runs the head alone."""
+        """Only a resume point's name resumes; a stage index no longer does."""
         model = ToyEnhancer(Rng(25))
-        with pytest.raises(ContractError, match="resume start"):
-            model.resume(fresh_input(26), start)
+        with pytest.raises(ContractError, match="resume point"):
+            model.resume({"encoder.stage1": fresh_input(26)}, start)
+
+    @pytest.mark.parametrize("point", ["encoder", "decoder.block1.conv", "decoder.block1.attn.adr",
+                                       "decoder.block1.attn.qkv", "latent.attn.qkv", "head.out",
+                                       "encoder.stage1.out", "decoder.block3", ""])
+    def test_resume_refuses_a_name_that_is_no_point(self, point):
+        model = ToyEnhancer(Rng(25), adr_blocks=(True, True))
+        seen = {}
+        model.forward(fresh_input(26), seen.__setitem__)
+        with pytest.raises(ContractError, match="resume point"):
+            model.resume(seen, point)
 
     def test_training_step_tape_length(self):
         """The benchmark's 32x32 ADR model records 55 tape entries per step:
@@ -608,16 +699,18 @@ class TestArena:
             ], name
 
     @pytest.mark.parametrize("kw,build_bound", [
-        ({"adr_blocks": (True, True)}, 1.5),
-        ({"dyn_candidates": 8}, 1.9),
+        ({"adr_blocks": (True, True)}, 1.35),
+        ({"dyn_candidates": 8}, 1.25),
     ], ids=["adr", "dynconv_k8"])
     def test_build_and_load_peaks(self, tmp_path, kw, build_bound):
-        """At widths (64, 128) a build peaks at the arena plus the largest
-        parameter's fresh draw, and a load at the arena plus its finiteness
-        mask.  Measured with NumPy 2.4.6: builds at 1.37x (ADR) and 1.74x
-        (dynconv K=8, whose candidate bank is 54% of the arena) the arena's
-        bytes, loads at 1.13x; building every stage and then concatenating
-        took 2.0x, and loading through such a build 3.0x."""
+        """At widths (64, 128) a build peaks at the arena plus one chunk of the
+        uniform fill's temporaries (each parameter is drawn straight into its
+        view), and a load at the arena plus its finiteness mask.  Measured
+        with NumPy 2.4.6: builds at 1.31x (ADR) and 1.19x (dynconv K=8) the
+        arena's bytes, loads at 1.13x.  Drawing each parameter into a fresh
+        array and copying it into its view took 1.44x and 1.74x (the K=8
+        candidate bank is 54% of the arena); building every stage and then
+        concatenating took 2.0x, and loading through such a build 3.0x."""
         tracemalloc.start()
         try:
             model = ToyEnhancer(Rng(76), widths=(64, 128), **kw)

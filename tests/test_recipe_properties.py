@@ -1,13 +1,14 @@
 """Property test: every ToyEnhancer recipe is refused by name or works end to end.
 
 Hypothesis draws ``widths``, ``adr_blocks``, ``adr_dims`` (D_e >= 2, D_k up
-to 11), ``dyn_candidates`` and the image size.  A recipe is either refused
-with a ``ConfigurationError`` naming the argument at fault, or it trains for
-3 steps, resumes from every stage's recorded input to the forward's output,
-re-saves byte-identically, and scores ``dmr`` terms equal to a whole forward
-of each ``reset_layer`` copy.  Odd kernel and embedding sizes also drive the
-fused generator through shapes the fixed tests do not.  Needs Hypothesis;
-the module is skipped where it is not installed.
+to 11), ``dyn_candidates`` and the image size; a plain, an ADR, a dynconv
+and an ADR + dynconv recipe always run.  A recipe is either refused with a
+``ConfigurationError`` naming the argument at fault, or it trains for 3
+steps, resumes from every resume point's recorded value to the forward's
+output, re-saves byte-identically, and scores ``dmr`` terms equal to a
+whole forward of each ``reset_layer`` copy.  Odd kernel and embedding sizes
+also drive the fused generator through shapes the fixed tests do not.
+Needs Hypothesis; the module is skipped where it is not installed.
 """
 
 import tempfile
@@ -46,8 +47,18 @@ def save_bytes(model, root: Path, name: str) -> bytes:
     return (root / f"{name}.json").read_bytes() + (root / f"{name}.bin").read_bytes()
 
 
+def fixed(adr: bool, dyn_candidates: int) -> tuple:
+    kw = {"widths": (3, 4), "adr_blocks": (adr, adr), "adr_dims": (2, 3, 3),
+          "dyn_candidates": dyn_candidates}
+    return kw, 8, 12
+
+
 @hypothesis.settings(max_examples=20, deadline=None)
 @hypothesis.given(case=recipes())
+@hypothesis.example(case=fixed(False, 0))
+@hypothesis.example(case=fixed(True, 0))
+@hypothesis.example(case=fixed(False, 2))
+@hypothesis.example(case=fixed(True, 2))
 def test_recipe_is_refused_by_name_or_works(case):
     kw, h, w = case
     try:
@@ -62,8 +73,8 @@ def test_recipe_is_refused_by_name_or_works(case):
     lows = [p.low for p in pairs]
     seen = {}
     want = model.forward(lows[0], seen.__setitem__).data
-    for k, (path, _) in enumerate(model.stages):
-        assert np.array_equal(model.resume(seen[path], k).data, want), k
+    for point in model.resume_points():
+        assert np.array_equal(model.resume(seen, point).data, want), point
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -40,7 +40,7 @@ def fresh_frozen_model():
     return model
 
 
-# bias leaves whose resets resume at the first stage (0) and the last (5)
+# bias leaves whose resets resume at the first point and the last
 BIAS_PATHS = ["encoder.stage1.conv.bias", "head.bias"]
 
 
@@ -358,50 +358,51 @@ class TestProbeSweep:
             assert table[kind] == sum(vals) / len(vals)
 
 
-# first stage of the forward that owns parameters under each path prefix
-STAGE_OF_PREFIX = {
-    "encoder.stage1": 0,
-    "encoder.stage2": 1,
-    "latent": 2,
-    "decoder": 3,
-    "decoder.block1": 3,
-    "decoder.block2": 4,
-    "head": 5,
+# the resume point of each default selector of an ADR (+ dynconv) model:
+# 7 of the 13 resume inside a stage, at an attention block's input or at
+# its core output
+RESUME_POINT_OF = {
+    "encoder.stage1.conv": "encoder.stage1",
+    "encoder.stage2.conv": "encoder.stage2",
+    "latent.attn.qkv": "latent.attn",
+    "latent.attn.out": "latent.attn.out",
+    "decoder.block1.conv": "decoder.block1",
+    "decoder.block1.dynconv": "decoder.block1",
+    "decoder.block1.attn.qkv": "decoder.block1.attn",
+    "decoder.block1.attn.out": "decoder.block1.attn.out",
+    "decoder.block1.attn.adr": "decoder.block1.attn",
+    "decoder.block2.conv": "decoder.block2",
+    "decoder.block2.dynconv": "decoder.block2",
+    "decoder.block2.attn.qkv": "decoder.block2.attn",
+    "decoder.block2.attn.out": "decoder.block2.attn.out",
+    "decoder.block2.attn.adr": "decoder.block2.attn",
+    "head": "head",
 }
 
 
-def expected_stage(path):
-    return max(
-        (len(prefix), k)
-        for prefix, k in STAGE_OF_PREFIX.items()
-        if path == prefix or path.startswith(prefix + ".")
-    )[1]
-
-
 class TestResume:
-    """Reset forwards resume at the first stage the reset touches, exactly."""
+    """Reset forwards resume at the earliest point that owns a reset parameter, exactly."""
 
     @pytest.fixture
-    def resume_starts(self, monkeypatch):
-        """Start stages of every resumed (not observed) ToyEnhancer forward."""
-        starts = []
+    def resume_points(self, monkeypatch):
+        """Points of every resumed ToyEnhancer forward, in call order."""
+        points = []
         resume = ToyEnhancer.resume
 
-        def spy(self, y, start, observe=None):
-            if observe is None:
-                starts.append(start)
-            return resume(self, y, start, observe)
+        def spy(self, seen, point, observe=None):
+            points.append(point)
+            return resume(self, seen, point, observe)
 
         monkeypatch.setattr(ToyEnhancer, "resume", spy)
-        yield starts
+        yield points
         monkeypatch.undo()
 
-    def check_against_direct_resets(self, model, sels, starts):
+    def check_against_direct_resets(self, model, sels, points, want_points):
         lows, refs = images(111, 2), images(112, 2)
-        starts.clear()
+        points.clear()
         report = dmr(model, sels, lows, 7)
         rows = probe_sweep(model, sels, lows, refs, [8])
-        assert starts == [expected_stage(sel.path) for sel in sels for _ in lows] * 2
+        assert points == [point for point in want_points for _ in lows] * 2
         for i, sel in enumerate(sels):
             reset_for_dmr = reset_layer(model, sel, Rng(child_seed(7, i)))
             reset_for_probe = reset_layer(model, sel, Rng(child_seed(8, i)))
@@ -412,20 +413,35 @@ class TestResume:
 
     @pytest.mark.parametrize("dyn_candidates", [0, 3], ids=["adr", "adr_dynconv"])
     def test_every_default_selector_matches_a_direct_reset(self, dyn_candidates,
-                                                           resume_starts):
-        """Edge stages included: encoder.stage1.conv (stage 0) and head (the last)."""
+                                                           resume_points):
+        """Edge points included: encoder.stage1 (the first) and head (the last)."""
         model = ToyEnhancer(Rng(110), adr_blocks=(True, True), dyn_candidates=dyn_candidates)
         train(model, make_corpus(113, 2, 8, 8), steps=10, seed=114)
         model.freeze()
         sels = default_selectors(model)
-        assert {sel.path for sel in sels} >= {"encoder.stage1.conv", "head"}
-        self.check_against_direct_resets(model, sels, resume_starts)
+        assert len(sels) == 13
+        want = [RESUME_POINT_OF[sel.path] for sel in sels]
+        assert sum(point not in dict(model.stages) for point in want) == 7
+        self.check_against_direct_resets(model, sels, resume_points, want)
 
-    def test_selector_spanning_two_stages_resumes_at_the_first(self, resume_starts):
+    def test_selector_spanning_two_stages_resumes_at_the_first(self, resume_points):
         model, _ = trained_model(adr=True)
         sel = LayerSelector("decoder", "static")
-        assert expected_stage(sel.path) == 3
-        self.check_against_direct_resets(model, [sel], resume_starts)
+        self.check_against_direct_resets(model, [sel], resume_points, ["decoder.block1"])
+
+    @pytest.mark.parametrize("path,point", [
+        ("decoder.block1.attn", "decoder.block1.attn"),
+        ("decoder.block2.attn.tau", "decoder.block2.attn"),
+        ("latent.attn.tau", "latent.attn"),
+        ("latent.attn", "latent.attn"),
+        ("decoder.block2.attn.adr.gen2", "decoder.block2.attn"),
+        ("decoder.block1.attn.out.bias", "decoder.block1.attn.out"),
+    ])
+    def test_selector_inside_a_block_resumes_at_its_earliest_point(self, path, point,
+                                                                    resume_points):
+        model, _ = trained_model(adr=True)
+        sel = LayerSelector(path, "attention")
+        self.check_against_direct_resets(model, [sel], resume_points, [point])
 
 
 class TestSelectors:
