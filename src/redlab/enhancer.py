@@ -1,8 +1,8 @@
 """Toy U-shaped enhancement network hosting the reallocation mechanisms.
 
 Two downsampling encoder stages, a channel-attention latent block, two
-upsampling decoder stages (each ending in a channel-attention block that can
-carry an :class:`~redlab.adr.AdrBlock`), and a 3-channel head clamped to
+upsampling decoder stages (each followed by a channel-attention block that
+can carry an :class:`~redlab.adr.AdrBlock`), and a 3-channel head clamped to
 [0, 1].  Decoder 3x3 convolutions can be swapped for candidate-mixing
 dynamic convolutions, giving the static-vs-dynamic probe target.
 
@@ -44,9 +44,6 @@ Observer = Callable[[str, Tensor], object]
 class Conv2dLayer:
     """Same-padded convolution with bias, kernel from :func:`~redlab.tensor.init_uniform`."""
 
-    # resume points inside a stage, as suffixes of its path (see ToyEnhancer.resume)
-    inner_points = ()
-
     def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int, d_k: int):
         self.kernel = T.parameter(rng, (c_out, c_in, d_k, d_k))
         self.bias = T.parameter(rng, (c_out,), T.init_zero)
@@ -62,14 +59,13 @@ class ChannelAttentionBlock:
     """Residual channel attention over 1x1-projected Q/K/V.
 
     The optional reallocation block rewrites Q/K/V between projection and
-    attention.  A forward can resume at the attention core's output
-    (``.out``), which the out projection reads.  Row normalization carries a
+    attention.  As a stage of :class:`ToyEnhancer` it holds the one resume
+    point inside a stage: the attention core's output (``.out``), which the
+    out projection reads (see :meth:`resume`).  Row normalization carries a
     1e-24 additive guard inside the square root so an all-zero feature map
     stays finite (relative effect on any non-degenerate row is ~1e-24, far
     below every stated tolerance).
     """
-
-    inner_points = (".out",)
 
     def __init__(self, rng: Rng | T.Planner, d: int, adr_dims: tuple | None = None):
         self.q_conv = Conv2dLayer(rng, d, d, 1)
@@ -174,8 +170,6 @@ def _normalized_rows_vjp(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.n
 
 
 class EncoderStage:
-    inner_points = ()
-
     def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int):
         self.conv = Conv2dLayer(rng, c_in, c_out, 3)
 
@@ -187,50 +181,20 @@ class EncoderStage:
 
 
 class DecoderStage:
-    """Upsampling, a 3x3 (or dynamic) convolution and ReLU, then channel attention.
+    """Upsampling, then a 3x3 (or dynamic) convolution and ReLU."""
 
-    A forward can resume at the attention block's input (``.attn``), which
-    its Q/K/V projections, temperature and reallocation block read, and at
-    the block's own ``.attn.out`` point.
-    """
-
-    inner_points = (".attn", ".attn.out")
-
-    def __init__(
-        self,
-        rng: Rng | T.Planner,
-        c_in: int,
-        c_out: int,
-        adr_dims: tuple | None,
-        dyn_candidates: int,
-    ):
+    def __init__(self, rng: Rng | T.Planner, c_in: int, c_out: int, dyn_candidates: int):
         if dyn_candidates:
             self.conv = DynamicConv(rng, c_in, c_out, dyn_candidates)
         else:
             self.conv = Conv2dLayer(rng, c_in, c_out, 3)
-        self.attn = ChannelAttentionBlock(rng, c_out, adr_dims)
 
-    def forward(self, x: Tensor, observe: Observer | None, path: str) -> Tensor:
-        f = T.relu(self.conv.forward(T.upsample2x(x)))
-        return self._attend(f, observe, f"{path}.attn")
-
-    def resume(self, seen: dict, point: str, observe: Observer | None, path: str) -> Tensor:
-        """The stage's output from one of its inner points."""
-        attn = f"{path}.attn"
-        if point == attn:
-            return self._attend(seen[attn], observe, attn)
-        return self.attn.resume(seen, point, observe, attn)
-
-    def _attend(self, f: Tensor, observe: Observer | None, attn: str) -> Tensor:
-        if observe is not None:
-            observe(attn, f)
-        return self.attn.forward(f, observe, attn)
+    def forward(self, x: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
+        return T.relu(self.conv.forward(T.upsample2x(x)))
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         sub = "dynconv" if isinstance(self.conv, DynamicConv) else "conv"
-        out = self.conv.named_parameters(f"{prefix}.{sub}")
-        out += self.attn.named_parameters(f"{prefix}.attn")
-        return out
+        return self.conv.named_parameters(f"{prefix}.{sub}")
 
 
 def _carve(flat: np.ndarray, shapes: list) -> list:
@@ -339,26 +303,21 @@ class ToyEnhancer:
                 f"adr_dims D_m must be below 3 * widths[0] = {3 * w1}, got {d_m}"
             )
         planner = T.Planner()
-        self.enc1 = EncoderStage(planner, 3, w1)
-        self.enc2 = EncoderStage(planner, w1, w2)
-        self.latent = ChannelAttentionBlock(planner, w2, None)
-        self.dec1 = DecoderStage(
-            planner, w2, w1, self.adr_dims if self.adr_blocks[0] else None, self.dyn_candidates
-        )
-        self.dec2 = DecoderStage(
-            planner, w1, w1, self.adr_dims if self.adr_blocks[1] else None, self.dyn_candidates
-        )
-        self.head = Conv2dLayer(planner, w1, 3, 3)
+        adr1, adr2 = (self.adr_dims if on else None for on in self.adr_blocks)
         # (path, stage) for every stage, in forward order: the one place these
-        # parameter paths are spelled out.  Each stage maps its input alone
-        # (plus the optional observer) to the next stage's input.
+        # parameter paths are spelled out, and the one place the stages live.
+        # Each stage maps its input alone (plus the optional observer) to the
+        # next stage's input; each decoder block's attention is a stage of its
+        # own, after the block's convolution.
         self.stages = (
-            ("encoder.stage1", self.enc1),
-            ("encoder.stage2", self.enc2),
-            ("latent.attn", self.latent),
-            ("decoder.block1", self.dec1),
-            ("decoder.block2", self.dec2),
-            ("head", self.head),
+            ("encoder.stage1", EncoderStage(planner, 3, w1)),
+            ("encoder.stage2", EncoderStage(planner, w1, w2)),
+            ("latent.attn", ChannelAttentionBlock(planner, w2, None)),
+            ("decoder.block1", DecoderStage(planner, w2, w1, self.dyn_candidates)),
+            ("decoder.block1.attn", ChannelAttentionBlock(planner, w1, adr1)),
+            ("decoder.block2", DecoderStage(planner, w1, w1, self.dyn_candidates)),
+            ("decoder.block2.attn", ChannelAttentionBlock(planner, w1, adr2)),
+            ("head", Conv2dLayer(planner, w1, 3, 3)),
         )
         self.frozen = False
         named = self.named_parameters()
@@ -392,23 +351,22 @@ class ToyEnhancer:
         forward showed its observer in ``seen``.
 
         ``observe(key, tensor)``, if given, is called in forward order with
-        each stage's path and input; inside each decoder stage with
-        ``<path>.attn`` and its attention block's input; inside each
-        attention block that carries reallocation with ``<block path>.adr``
-        (a key of :meth:`reallocation_blocks`) and the Q/K/V stack its
-        generators condition on; and inside each attention block with
-        ``<block path>.out`` and the attention core's output.  Every key but
-        the ``.adr`` ones is a resume point (see :meth:`resume_points`).
-        ``resume(seen, point)`` equals that forward's output as long as no
-        parameter a forward reads before ``point`` changed in between; it
-        reads ``seen[point]``, and an ``.out`` point also reads its block's
-        input at the block path.  Anything else raises :class:`ContractError`.
+        each stage's path and input (a decoder block's ``<path>.attn`` being
+        the input of its attention stage); inside each attention stage that
+        carries reallocation with ``<path>.adr`` (a key of
+        :meth:`reallocation_blocks`) and the Q/K/V stack its generators
+        condition on; and inside each attention stage with ``<path>.out`` and
+        the attention core's output.  Every key but the ``.adr`` ones is a
+        resume point (see :meth:`resume_points`).  ``resume(seen, point)``
+        equals that forward's output as long as no parameter a forward reads
+        before ``point`` changed in between; it reads ``seen[point]``, and an
+        ``.out`` point also reads its stage's input at the stage path.
+        Anything else raises :class:`ContractError`.
         """
         for k, (path, stage) in enumerate(self.stages):
             if point == path:
                 return self._run(seen[point], k, observe)
-            if isinstance(point, str) and point.startswith(path) \
-                    and point[len(path):] in stage.inner_points:
+            if point == f"{path}.out" and isinstance(stage, ChannelAttentionBlock):
                 return self._run(stage.resume(seen, point, observe, path), k + 1, observe)
         raise ContractError(f"resume point must be one of {list(self.resume_points())}, "
                             f"got {point!r}")
@@ -425,17 +383,17 @@ class ToyEnhancer:
         """Every point :meth:`resume` starts at, in forward order, mapped to
         the names of the parameters a forward first reads after it.
 
-        The points are the stage paths, each decoder stage's ``<path>.attn``
-        and each attention block's ``<block path>.out``.  Each is a prefix
-        of the parameters it owns: a parameter belongs to the last point its
-        name extends, so a decoder block's Q/K/V projections, temperature
-        and reallocation block belong to its ``.attn`` point.
+        The points are the stage paths and, inside each attention stage,
+        ``<path>.out``.  Each is a prefix of the parameters it owns: a
+        parameter belongs to the last point its name extends, so an
+        attention stage's Q/K/V projections, temperature and reallocation
+        block belong to its path, and its out projection to ``.out``.
         """
         points = {}
         for path, stage in self.stages:
             points[path] = []
-            for inner in stage.inner_points:
-                points[path + inner] = []
+            if isinstance(stage, ChannelAttentionBlock):
+                points[f"{path}.out"] = []
         for name, _ in self.named_parameters():
             owner = [point for point in points if name.startswith(point + ".")][-1]
             points[owner].append(name)
@@ -453,9 +411,9 @@ class ToyEnhancer:
         Only the decoder blocks' attention can carry one; the latent block never does.
         """
         return {
-            f"{path}.attn.adr": stage.attn.adr
+            f"{path}.adr": stage.adr
             for path, stage in self.stages
-            if isinstance(stage, DecoderStage) and stage.attn.adr is not None
+            if isinstance(stage, ChannelAttentionBlock) and stage.adr is not None
         }
 
     def freeze(self) -> None:

@@ -371,6 +371,28 @@ class TestDegradeScore:
         assert doc["degradation_scores"] == {}
         assert doc["candidate_similarity"] == {}
 
+    def test_mixed_recipe_scores_its_one_block_and_both_banks(self, tmp_path):
+        """Reallocation on the second decoder block alone, which no config
+        builds: the scores name that block's generators, and both decoder
+        blocks' candidate banks are compared."""
+        save_model(ToyEnhancer(Rng(3), adr_blocks=(False, True), dyn_candidates=3),
+                   str(tmp_path / "model"))
+        data = gen_corpus(tmp_path)
+        out = str(tmp_path / "scores.json")
+        assert run(["degrade-score", "--ckpt", str(tmp_path / "model"), "--data", data,
+                    "--out", out]) == 0
+        doc = json.load(open(out))
+        assert list(doc["degradation_scores"]) == [
+            "decoder.block2.attn.adr.gen1",
+            "decoder.block2.attn.adr.gen2",
+        ]
+        assert list(doc["candidate_similarity"]) == [
+            "decoder.block1.dynconv",
+            "decoder.block2.dynconv",
+        ]
+        for matrix in doc["candidate_similarity"].values():
+            assert np.asarray(matrix).shape == (3, 3)
+
     def test_empty_corpus_exits_two_without_output(self, tmp_path, capsys):
         """A corpus with no pairs is malformed input, not an empty report.
 

@@ -107,7 +107,7 @@ class TestBuildModel:
     def test_adr_build_wires_requested_dimensions(self):
         cfg = RunConfig(seed=2, adr_enabled=True, adr_d_m=2, adr_d_e=8, adr_d_k=1)
         model = build_model(cfg)
-        block = model.dec1.attn.adr
+        block = model.reallocation_blocks()["decoder.block1.attn.adr"]
         assert block is not None
         # gen1 emits a [D_m, 3*width, k, k] kernel from D_e-wide embeddings
         assert block.gen1.embeddings.data.shape[1] == 8
@@ -115,7 +115,7 @@ class TestBuildModel:
 
     def test_dynconv_build_sets_candidate_count(self):
         model = build_model(RunConfig(seed=3, dyn_enabled=True, dyn_k=3))
-        assert model.dec1.conv.candidates.data.shape[0] == 3
+        assert dict(model.stages)["decoder.block1"].conv.candidates.data.shape[0] == 3
 
     def test_same_config_builds_identical_models(self):
         cfg = RunConfig(seed=4, adr_enabled=True)

@@ -48,12 +48,10 @@ def scene_pair(low, clean):
 
 
 def zero_adr_decoders(model):
-    for stage in (model.dec1, model.dec2):
-        adr = stage.attn.adr
-        if adr is not None:
-            for gen in (adr.gen1, adr.gen2):
-                gen.decode_mlp.w2.data[:] = 0.0
-                gen.decode_mlp.b2.data[:] = 0.0
+    for adr in model.reallocation_blocks().values():
+        for gen in (adr.gen1, adr.gen2):
+            gen.decode_mlp.w2.data[:] = 0.0
+            gen.decode_mlp.b2.data[:] = 0.0
 
 
 class TestAttentionBlock:
@@ -228,7 +226,7 @@ class TestForward:
         model = ToyEnhancer(Rng(14))
         for _, t in model.named_parameters():
             t.data[...] = 0.0
-        model.head.bias.data[:] = [0.3, -0.2, 1.7]
+        dict(model.stages)["head"].bias.data[:] = [0.3, -0.2, 1.7]
         out = model.forward(fresh_input(15)).data
         want = np.broadcast_to(
             np.array([0.3, 0.0, 1.0])[:, None, None], (3, 8, 8)
@@ -311,9 +309,9 @@ class TestObserver:
             want += [key for key in model.reallocation_blocks() if key == point + ".adr"]
         assert paths == want
         assert [p for p in paths if p.endswith(".adr")] == list(model.reallocation_blocks())
-        # the six stage inputs, the latent block's core output, each decoder
-        # block's attention input and core output, and one stack per ADR block
-        assert len(paths) == len(model.stages) + 5 + sum(adr_blocks)
+        # the eight stage inputs, each attention stage's core output, and one
+        # stack per ADR block
+        assert len(paths) == len(model.stages) + 3 + sum(adr_blocks)
 
     def test_resume_observes_from_its_start_stage(self):
         model = ToyEnhancer(Rng(32), adr_blocks=(True, True))
@@ -349,8 +347,8 @@ class TestObserver:
         seen = {}
         watched = model.forward(x, seen.__setitem__).data
         assert watched.tobytes() == model.forward(x).data.tobytes()
-        # every resume point (the six stages and five inner points) and two ADR stacks
-        assert len(seen) == len(model.resume_points()) + 2 == len(model.stages) + 5 + 2
+        # every resume point (the eight stages and three core outputs) and two ADR stacks
+        assert len(seen) == len(model.resume_points()) + 2 == len(model.stages) + 3 + 2
 
 
 # every point ToyEnhancer.resume starts at, in forward order, for any recipe
@@ -384,9 +382,35 @@ class TestStages:
             "encoder.stage2",
             "latent.attn",
             "decoder.block1",
+            "decoder.block1.attn",
             "decoder.block2",
+            "decoder.block2.attn",
             "head",
         ]
+
+    @pytest.mark.parametrize("kw", [*RESUME_RECIPES.values(), {"adr_blocks": (True, False)},
+                                    {"adr_blocks": (False, True)}],
+                             ids=[*RESUME_RECIPES.keys(), "adr_block1", "adr_block2"])
+    def test_table_says_what_the_forward_runs(self, kw):
+        """The resume points are the stage paths, each attention stage's
+        followed by its ``.out``; the reallocation blocks are those of the
+        attention stages built with one; each stage's parameters carry its path."""
+        model = ToyEnhancer(Rng(24), **kw)
+        want = []
+        for path, stage in model.stages:
+            want += [path, f"{path}.out"] if isinstance(stage, ChannelAttentionBlock) else [path]
+        assert list(model.resume_points()) == want
+        built = [f"decoder.block{i}.attn"
+                 for i, on in enumerate(kw.get("adr_blocks", (False, False)), 1) if on]
+        stages = dict(model.stages)
+        assert {path: stages[path] for path in built} == {
+            path: stage for path, stage in model.stages
+            if isinstance(stage, ChannelAttentionBlock) and stage.adr is not None
+        }
+        assert model.reallocation_blocks() == {f"{path}.adr": stages[path].adr for path in built}
+        for path, stage in model.stages:
+            for name, _ in stage.named_parameters(path):
+                assert name.startswith(path + "."), (path, name)
 
     @pytest.mark.parametrize("kw", RESUME_RECIPES.values(), ids=RESUME_RECIPES.keys())
     def test_resume_points_own_every_parameter_once(self, kw):
@@ -539,7 +563,7 @@ class TestTraining:
     def test_non_finite_loss_raises_with_step(self):
         """A poisoned parameter surfaces as a divergence at step 0."""
         model = ToyEnhancer(Rng(40))
-        model.head.bias.data[0] = np.nan
+        dict(model.stages)["head"].bias.data[0] = np.nan
         pairs = make_corpus(41, 1, 8, 8)
         with pytest.raises(DivergenceError) as info:
             train(model, pairs, steps=3, seed=42)
@@ -782,7 +806,8 @@ class TestArena:
     def test_parameter_off_the_arena_rejected(self):
         """A rebound parameter would be skipped by the flat update, so train refuses."""
         model = ToyEnhancer(Rng(71))
-        model.head.bias.data = model.head.bias.data.copy()
+        head = dict(model.stages)["head"]
+        head.bias.data = head.bias.data.copy()
         with pytest.raises(ContractError, match="head.bias"):
             train(model, make_corpus(72, 1, 8, 8), steps=1, seed=73)
 

@@ -359,8 +359,7 @@ class TestProbeSweep:
 
 
 # the resume point of each default selector of an ADR (+ dynconv) model:
-# 7 of the 13 resume inside a stage, at an attention block's input or at
-# its core output
+# 3 of the 13 resume inside a stage, at an attention stage's core output
 RESUME_POINT_OF = {
     "encoder.stage1.conv": "encoder.stage1",
     "encoder.stage2.conv": "encoder.stage2",
@@ -421,7 +420,7 @@ class TestResume:
         sels = default_selectors(model)
         assert len(sels) == 13
         want = [RESUME_POINT_OF[sel.path] for sel in sels]
-        assert sum(point not in dict(model.stages) for point in want) == 7
+        assert sum(point not in dict(model.stages) for point in want) == 3
         self.check_against_direct_resets(model, sels, resume_points, want)
 
     def test_selector_spanning_two_stages_resumes_at_the_first(self, resume_points):
