@@ -159,7 +159,7 @@ def _open(path: str) -> tuple:
     with open(manifest_path, "rb") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
+        except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
             raise ContractError(f"manifest {manifest_path!r} is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ContractError(f"manifest {manifest_path!r} is not a JSON object")

@@ -147,11 +147,11 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     """Parse and validate a config file; any JSON problem fails fast."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}")
     return RunConfig.from_dict(doc)
 

@@ -12,6 +12,10 @@ it in the closed form s = W - 2<n, W>n costs O(D_e) per row instead of the
 O(D_e^2) a materialized matrix would, with exactly equal results.  Distinct
 unit rows therefore give distinct orthonormal bases, and the generated kernel
 elements respond to the input through the weight vector alone.
+
+Generation runs as fused NumPy code.  The taped chain it replaced
+(``normalize_embeddings`` -> ``specific_embedding``) and the materialized
+reflector (``build_basis``) are its test oracles, in ``tests/composed.py``.
 """
 
 from __future__ import annotations
@@ -29,19 +33,6 @@ from .rng import Rng
 from .tensor import MlpParams, Tensor
 
 
-def normalize_embeddings(e: Tensor) -> Tensor:
-    """Unit-normalize each row of [N, D_e]; differentiable through the division.
-
-    A row norm below 1e-8 signals a collapsed embedding and raises rather
-    than being epsilon-guarded away.
-    """
-    if e.data.ndim != 2:
-        raise DimensionError("embeddings must be [N, D_e]")
-    norms = T.sqrt(T.sum_last(T.square(e)))
-    _check_norms(norms.data)
-    return T.div(e, norms)
-
-
 def _check_norms(norms: np.ndarray) -> None:
     if np.any(norms < 1e-8):
         raise DegenerateEmbeddingError(f"embedding row norm {norms.min():.3e} below 1e-8")
@@ -50,10 +41,11 @@ def _check_norms(norms: np.ndarray) -> None:
 def _unit_rows(e: np.ndarray, out: np.ndarray | None = None) -> tuple:
     """(rows of [N, D_e] ``e`` over their norms, the [N, 1] norms), untaped.
 
-    Runs the NumPy operations of :func:`normalize_embeddings` in its order,
-    so the rows equal its values bit for bit, and refuses a collapsed row
-    as it does.  The rows are written into ``out`` when given (``e`` itself
-    included).
+    Runs the NumPy operations of the taped ``normalize_embeddings``
+    (``tests/composed.py``) in its order, so the rows equal its values bit
+    for bit, and refuses a collapsed row through the same
+    :func:`_check_norms`.  The rows are written into ``out`` when given
+    (``e`` itself included).
     """
     if e.ndim != 2:
         raise DimensionError("embeddings must be [N, D_e]")
@@ -67,20 +59,6 @@ def _init_embeddings(rng: Rng, out: np.ndarray) -> None:
     """Init rule of generator embeddings: rows uniform in [-1, 1), unit-normalized in place."""
     rng.fill_uniform(out.shape, -1.0, 1.0, out)
     _unit_rows(out, out)
-
-
-def build_basis(n_i: Tensor) -> Tensor:
-    """Materialize the Householder reflector I - 2 n n^T for one unit row.
-
-    Only for inspection and oracle tests; generation never builds this.
-    """
-    v = n_i.data
-    if v.ndim != 1:
-        raise DimensionError("basis direction must be a 1-D unit vector")
-    norm = float(np.sqrt(v @ v))
-    if abs(norm - 1.0) > 1e-10:
-        raise ContractError(f"basis direction must be unit-norm, got {norm!r}")
-    return Tensor(np.eye(v.shape[0]) - 2.0 * np.outer(v, v))
 
 
 def compute_weights(f_in: Tensor, mlp: MlpParams) -> Tensor:
@@ -131,22 +109,6 @@ def _check_conditioning(x: np.ndarray, mlp: MlpParams) -> None:
             f"conditioning input has {x.shape[0]} channels, "
             f"weight MLP expects {mlp.w1.data.shape[1]}"
         )
-
-
-def specific_embedding(n_p: Tensor, w: Tensor) -> Tensor:
-    """Apply each row's Householder reflector to the shared weight vector.
-
-    Closed form s_i = W - 2 <n_i, W> n_i, vectorized over rows: [N, D_e].
-    """
-    if n_p.data.ndim != 2 or w.data.ndim != 1:
-        raise DimensionError("expected [N, D_e] rows and a [D_e] weight vector")
-    if n_p.data.shape[1] != w.data.shape[0]:
-        raise DimensionError(
-            f"rows have width {n_p.data.shape[1]}, weights have {w.data.shape[0]}"
-        )
-    wr = T.reshape(w, (1, w.data.shape[0]))
-    dots = T.sum_last(T.mul(n_p, wr))            # [N, 1] row-wise <n_i, W>
-    return T.sub(wr, T.mul(T.mul(dots, 2.0), n_p))
 
 
 class PogGenerator:
@@ -200,16 +162,16 @@ class PogGenerator:
 def generate(gen: PogGenerator, f_in: Tensor) -> Tensor:
     """Full pipeline: normalize, weight, reflect, decode, reshape to kernel.
 
-    One taped operation.  Its forward runs the NumPy operations of the chain
-    ``normalize_embeddings`` (skipped when frozen) -> the weight head of
-    ``compute_weights`` -> ``specific_embedding`` -> the decode MLP applied
-    to each row in the same order, and its VJP evaluates each of their VJPs
-    in reverse tape order, summing the two uses of the normalized rows and
-    of the weight row as ``backward`` would.  So kernels and gradients equal
-    that chain's (``composed_generate`` in ``tests/composed.py``) bit for
-    bit.  [N, D_e]
-    intermediates are written in place (``out=``) where their inputs are
-    spent, which changes no value and keeps fewer of them alive.
+    One taped operation.  Its forward runs the NumPy operations of the
+    chain ``composed_generate`` in ``tests/composed.py`` in the same order:
+    row normalization (skipped when frozen) -> the weight head of
+    ``compute_weights`` -> the closed-form reflection -> the decode MLP
+    applied to each row.  Its VJP evaluates each of their VJPs in reverse
+    tape order, summing the two uses of the normalized rows and of the
+    weight row as ``backward`` would.  So kernels and gradients equal that
+    chain's bit for bit.  [N, D_e] intermediates are written in place
+    (``out=``) where their inputs are spent, which changes no value and
+    keeps fewer of them alive.
     """
     if gen._cached_norm is not None:
         e = None

@@ -65,12 +65,12 @@ class ProbeResult:
 
 @dataclass
 class DmrReport:
-    """Every per-(selector, image) log term plus the aggregate."""
+    """Every per-(selector, image) log term plus the aggregate; no term exceeds ``cap``."""
 
     terms: np.ndarray
     dmr: float
-    cap: float
     seed: int
+    cap = DEFAULT_CAP_DB  # a class constant, not a field
 
 
 def psnr(a, b, i_max: float = 1.0, cap: float = DEFAULT_CAP_DB) -> float:
@@ -165,7 +165,7 @@ def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
         outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, points)
         for j, ((out, _), probed) in enumerate(zip(base, outs)):
             terms[i, j] = psnr(out, probed)
-    return DmrReport(terms=terms, dmr=float(terms.mean()), cap=DEFAULT_CAP_DB, seed=seed)
+    return DmrReport(terms=terms, dmr=float(terms.mean()), seed=seed)
 
 
 def probe_sweep(

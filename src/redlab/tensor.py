@@ -209,51 +209,6 @@ def sub(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data * b.data)
-
-    def vjp(g, needs):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if needs[0] else None,
-            _unbroadcast(g * a.data, b.data.shape) if needs[1] else None,
-        )
-
-    return _record(out, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _wrap(a.data / b.data)
-
-    def vjp(g, needs):
-        return (
-            _unbroadcast(g / b.data, a.data.shape) if needs[0] else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if needs[1] else None,
-        )
-
-    return _record(out, (a, b), vjp)
-
-
-def square(x: Tensor) -> Tensor:
-    out = _wrap(x.data * x.data)
-
-    def vjp(g, needs):
-        return (2.0 * x.data * g,)
-
-    return _record(out, (x,), vjp)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    y = np.sqrt(x.data)
-    out = _wrap(y)
-
-    def vjp(g, needs):
-        return (g * 0.5 / y,)
-
-    return _record(out, (x,), vjp)
-
-
 def absolute(x: Tensor) -> Tensor:
     out = _wrap(np.abs(x.data))
 
@@ -288,16 +243,6 @@ def mean_all(x: Tensor) -> Tensor:
 
     def vjp(g, needs):
         return (np.broadcast_to(g / n, x.data.shape).copy(),)
-
-    return _record(out, (x,), vjp)
-
-
-def sum_last(x: Tensor) -> Tensor:
-    """Sum over the final axis, keeping it as size 1."""
-    out = _wrap(np.sum(x.data, axis=-1, keepdims=True))
-
-    def vjp(g, needs):
-        return (np.broadcast_to(g, x.data.shape).copy(),)
 
     return _record(out, (x,), vjp)
 

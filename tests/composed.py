@@ -3,11 +3,16 @@
 ``pog.compute_weights``, ``pog.generate``, ``tensor.conv2d`` with a bias and
 ``enhancer.attention`` are each one tape record that replaced a chain of
 one-record primitives.  The chains live here, with the primitives that only
-they use (``transpose2d``, ``global_avg_pool`` and both forms of ``mlp2``),
-and :func:`oracle_bytes` runs a fused operation or its chain so that tests
-can compare the two byte for byte; :func:`replay_bytes` does the same for a
-whole training run and ``dmr``.  ``sum_all`` and ``mse``, the losses tests
-build on the engine, live here too: the package itself uses neither.
+they use (``mul``, ``div``, ``square``, ``sqrt``, ``sum_last``,
+``transpose2d``, ``global_avg_pool`` and both forms of ``mlp2``), and
+:func:`oracle_bytes` runs a fused operation or its chain so that tests can
+compare the two byte for byte; :func:`replay_bytes` does the same for a
+whole training run and ``dmr``.  ``pog.generate``'s whole chain is here:
+:func:`normalize_embeddings` -> :func:`composed_weights` ->
+:func:`specific_embedding` -> ``mlp2``, in :func:`composed_generate`, and
+:func:`build_basis` materializes the reflector its closed form applies.
+``sum_all`` and ``mse``, the losses tests build on the engine, live here
+too: the package itself uses neither.
 """
 
 import numpy as np
@@ -16,20 +21,21 @@ from redlab import pog
 from redlab import tensor as T
 from redlab.datagen import make_corpus
 from redlab.enhancer import ToyEnhancer, train
-from redlab.errors import DimensionError
+from redlab.errors import ContractError, DimensionError
 from redlab.redundancy import default_selectors, dmr
 from redlab.rng import Rng
 from redlab.tensor import (
     MlpParams,
     Tensor,
+    _as_tensor,
     _record,
+    _unbroadcast,
     _wrap,
     add,
     matmul,
     mean_all,
     relu,
     reshape,
-    square,
     sub,
 )
 from tape_helpers import grads, step_grads
@@ -37,6 +43,61 @@ from tape_helpers import grads, step_grads
 
 def sum_all(x: Tensor) -> Tensor:
     out = _wrap(np.asarray(np.sum(x.data)))
+
+    def vjp(g, needs):
+        return (np.broadcast_to(g, x.data.shape).copy(),)
+
+    return _record(out, (x,), vjp)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = _wrap(a.data * b.data)
+
+    def vjp(g, needs):
+        return (
+            _unbroadcast(g * b.data, a.data.shape) if needs[0] else None,
+            _unbroadcast(g * a.data, b.data.shape) if needs[1] else None,
+        )
+
+    return _record(out, (a, b), vjp)
+
+
+def div(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = _wrap(a.data / b.data)
+
+    def vjp(g, needs):
+        return (
+            _unbroadcast(g / b.data, a.data.shape) if needs[0] else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if needs[1] else None,
+        )
+
+    return _record(out, (a, b), vjp)
+
+
+def square(x: Tensor) -> Tensor:
+    out = _wrap(x.data * x.data)
+
+    def vjp(g, needs):
+        return (2.0 * x.data * g,)
+
+    return _record(out, (x,), vjp)
+
+
+def sqrt(x: Tensor) -> Tensor:
+    y = np.sqrt(x.data)
+    out = _wrap(y)
+
+    def vjp(g, needs):
+        return (g * 0.5 / y,)
+
+    return _record(out, (x,), vjp)
+
+
+def sum_last(x: Tensor) -> Tensor:
+    """Sum over the final axis, keeping it as size 1."""
+    out = _wrap(np.sum(x.data, axis=-1, keepdims=True))
 
     def vjp(g, needs):
         return (np.broadcast_to(g, x.data.shape).copy(),)
@@ -101,6 +162,49 @@ def mlp2(x: Tensor, params: MlpParams) -> Tensor:
     raise DimensionError("mlp2 input must be 1-D or 2-D")
 
 
+def normalize_embeddings(e: Tensor) -> Tensor:
+    """Unit-normalize each row of [N, D_e]; differentiable through the division.
+
+    A row norm below 1e-8 signals a collapsed embedding and raises rather
+    than being epsilon-guarded away.
+    """
+    if e.data.ndim != 2:
+        raise DimensionError("embeddings must be [N, D_e]")
+    norms = sqrt(sum_last(square(e)))
+    pog._check_norms(norms.data)
+    return div(e, norms)
+
+
+def build_basis(n_i: Tensor) -> Tensor:
+    """Materialize the Householder reflector I - 2 n n^T for one unit row.
+
+    Only for inspection and oracle tests; generation never builds this.
+    """
+    v = n_i.data
+    if v.ndim != 1:
+        raise DimensionError("basis direction must be a 1-D unit vector")
+    norm = float(np.sqrt(v @ v))
+    if abs(norm - 1.0) > 1e-10:
+        raise ContractError(f"basis direction must be unit-norm, got {norm!r}")
+    return Tensor(np.eye(v.shape[0]) - 2.0 * np.outer(v, v))
+
+
+def specific_embedding(n_p: Tensor, w: Tensor) -> Tensor:
+    """Apply each row's Householder reflector to the shared weight vector.
+
+    Closed form s_i = W - 2 <n_i, W> n_i, vectorized over rows: [N, D_e].
+    """
+    if n_p.data.ndim != 2 or w.data.ndim != 1:
+        raise DimensionError("expected [N, D_e] rows and a [D_e] weight vector")
+    if n_p.data.shape[1] != w.data.shape[0]:
+        raise DimensionError(
+            f"rows have width {n_p.data.shape[1]}, weights have {w.data.shape[0]}"
+        )
+    wr = T.reshape(w, (1, w.data.shape[0]))
+    dots = sum_last(mul(n_p, wr))            # [N, 1] row-wise <n_i, W>
+    return T.sub(wr, mul(mul(dots, 2.0), n_p))
+
+
 def composed_weights(f_in, mlp):
     """The weight head as the 11-record chain pool -> 1-D ``mlp2`` -> softmax:
     the byte oracle for the single-record ``pog.compute_weights``."""
@@ -113,9 +217,9 @@ def composed_generate(gen, f_in):
     weights come from :func:`composed_weights`, not from the fused head."""
     n_p = gen._cached_norm
     if n_p is None:
-        n_p = pog.normalize_embeddings(gen.embeddings)
+        n_p = normalize_embeddings(gen.embeddings)
     w = composed_weights(f_in, gen.weight_mlp)
-    s = pog.specific_embedding(n_p, w)
+    s = specific_embedding(n_p, w)
     c_in, c_out, d_k = gen.target_shape
     return T.reshape(mlp2(s, gen.decode_mlp), (c_out, c_in, d_k, d_k))
 
@@ -127,9 +231,9 @@ def composed_attention(q, k, v, tau):
     qm = T.reshape(q, (d, hh * ww))
     km = T.reshape(k, (d, hh * ww))
     vm = T.reshape(v, (d, hh * ww))
-    qh = T.div(qm, T.sqrt(T.add(T.sum_last(T.square(qm)), 1e-24)))
-    kh = T.div(km, T.sqrt(T.add(T.sum_last(T.square(km)), 1e-24)))
-    a = T.softmax(T.mul(T.matmul(qh, transpose2d(kh)), tau))
+    qh = div(qm, sqrt(T.add(sum_last(square(qm)), 1e-24)))
+    kh = div(km, sqrt(T.add(sum_last(square(km)), 1e-24)))
+    a = T.softmax(mul(T.matmul(qh, transpose2d(kh)), tau))
     return T.reshape(T.matmul(a, vm), (d, hh, ww))
 
 
@@ -158,7 +262,7 @@ def oracle_bytes(op, inputs, cotangent):
     tape = T.Tape()
     with tape:
         out = op(*inputs)
-        loss = sum_all(T.mul(out, Tensor(cotangent)))
+        loss = sum_all(mul(out, Tensor(cotangent)))
     return [out.data.tobytes()] + [g.tobytes() for g in grads(tape, loss, inputs)], len(tape)
 
 

@@ -22,17 +22,14 @@ from redlab.dynconv import DynamicConv, candidate_similarity
 from redlab.enhancer import ToyEnhancer, evaluate, train
 from redlab.pog import (
     PogGenerator,
-    build_basis,
     compute_weights,
     degradation_score,
     generate,
-    normalize_embeddings,
-    specific_embedding,
 )
 from redlab.redundancy import LayerSelector, default_selectors, dmr, probe_sweep, psnr
 from redlab.rng import Rng
 from redlab.tensor import Tensor, finite_diff_check
-from composed import mse
+from composed import build_basis, mse, normalize_embeddings, specific_embedding
 
 VAL_SEED = 43        # 16 held-out pairs for probing and evaluation
 

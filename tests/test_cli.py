@@ -254,6 +254,21 @@ class TestTrain:
         assert run(["train", "--config", str(bad), "--data", data,
                     "--out", str(tmp_path / "model")]) == 2
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{\x00", b"[" * 100_000],
+                             ids=["undecodable", "nested_too_deep"])
+    def test_unparsable_config_exits_two(self, tmp_path, capsys, raw):
+        """Bytes no UTF codec reads as JSON, and nesting deeper than the parser
+        recurses, are malformed config like any other."""
+        data = gen_corpus(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert run(["train", "--config", str(bad), "--data", data,
+                    "--out", str(tmp_path / "model")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not valid JSON" in err
+        assert "Traceback" not in err
+        assert not any(name.startswith("model") for name in os.listdir(tmp_path))
+
 
 class TestProbe:
     def test_rows_equal_library_sweep(self, tmp_path):
@@ -510,6 +525,10 @@ BAD_PROBE_INPUTS = [
      lambda p: p.write_text(p.read_text()[:40]), "is not JSON"),
     ("undecodable_manifest", "model.json",
      lambda p: p.write_bytes(b"\xff\xfe{\x00"), "is not JSON"),
+    ("nested_too_deep_manifest", "model.json",
+     lambda p: p.write_bytes(b"[" * 100_000), "is not JSON"),
+    ("nested_too_deep_corpus_manifest", "data/corpus.json",
+     lambda p: p.write_bytes(b"[" * 100_000), "is not JSON"),
     ("manifest_not_object", "model.json",
      _rewrite_json(lambda doc: [doc]), "is not a JSON object"),
     ("manifest_without_tensors", "model.json",

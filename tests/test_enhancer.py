@@ -31,6 +31,7 @@ from redlab.tensor import Tensor
 from composed import (
     composed_attention,
     composed_conv_forward,
+    mul,
     oracle_bytes,
     replay_bytes,
     sum_all,
@@ -147,7 +148,7 @@ class TestAttentionOracle:
         g = Tensor(rng.fill_uniform((3, 2, 4), -1.0, 1.0))
 
         def f(ps):
-            return sum_all(T.mul(attention(*ps), g))
+            return sum_all(mul(attention(*ps), g))
 
         assert T.finite_diff_check(f, params) < 1e-6
 

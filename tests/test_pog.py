@@ -16,12 +16,17 @@ from redlab.errors import (
 from redlab.rng import Rng
 from redlab.tensor import Tensor
 from composed import (
+    build_basis,
     composed_generate,
     composed_weights,
     mlp2,
     mse,
+    mul,
+    normalize_embeddings,
     oracle_bytes,
     replay_bytes,
+    specific_embedding,
+    square,
     sum_all,
 )
 from tape_helpers import grads
@@ -39,19 +44,19 @@ def make_gen(seed, d_c=3, d_e=4, target=(2, 2, 1)):
 class TestNormalizeEmbeddings:
     def test_hand_case(self):
         """(3,4) normalizes to (0.6, 0.8)."""
-        out = pog.normalize_embeddings(Tensor([[3.0, 4.0]]))
+        out = normalize_embeddings(Tensor([[3.0, 4.0]]))
         assert np.max(np.abs(out.data - [[0.6, 0.8]])) < 1e-15
 
     def test_unit_row_unchanged(self):
         row = np.array([[0.0, 1.0, 0.0]])
-        out = pog.normalize_embeddings(Tensor(row))
+        out = normalize_embeddings(Tensor(row))
         assert np.max(np.abs(out.data - row)) < 1e-15
 
     def test_random_rows_become_unit(self):
         """Every normalized row has norm 1 within 1e-12."""
         for seed in range(20):
             e = Rng(seed).fill_uniform((6, 8), -2.0, 2.0)
-            out = pog.normalize_embeddings(Tensor(e)).data
+            out = normalize_embeddings(Tensor(e)).data
             norms = np.sqrt((out * out).sum(axis=1))
             assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -59,14 +64,14 @@ class TestNormalizeEmbeddings:
         e = np.ones((3, 4))
         e[1] = 1e-9
         with pytest.raises(DegenerateEmbeddingError):
-            pog.normalize_embeddings(Tensor(e))
+            normalize_embeddings(Tensor(e))
 
     def test_differentiable(self):
         e = Tensor(Rng(3).fill_uniform((4, 5), 0.5, 1.5), requires_grad=True)
         tgt = Tensor(Rng(4).fill_uniform((4, 5), -1.0, 1.0))
 
         def f(params):
-            return mse(pog.normalize_embeddings(params[0]), tgt)
+            return mse(normalize_embeddings(params[0]), tgt)
 
         assert T.finite_diff_check(f, [e]) < 1e-6
 
@@ -74,18 +79,18 @@ class TestNormalizeEmbeddings:
 class TestBuildBasis:
     def test_axis_vector(self):
         """n = e1 reflects the first axis only."""
-        b = pog.build_basis(Tensor([1.0, 0.0])).data
+        b = build_basis(Tensor([1.0, 0.0])).data
         assert np.array_equal(b, [[-1.0, 0.0], [0.0, 1.0]])
 
     def test_diagonal_vector(self):
-        b = pog.build_basis(Tensor([2 ** -0.5, 2 ** -0.5])).data
+        b = build_basis(Tensor([2 ** -0.5, 2 ** -0.5])).data
         assert np.max(np.abs(b - [[0.0, -1.0], [-1.0, 0.0]])) < 1e-15
 
     def test_random_basis_properties(self):
         """Symmetric, orthogonal, involutory, determinant -1."""
         for seed in range(20):
             n = random_unit(Rng(seed), 16)
-            b = pog.build_basis(Tensor(n)).data
+            b = build_basis(Tensor(n)).data
             eye = np.eye(16)
             assert np.max(np.abs(b - b.T)) < 1e-12
             assert np.max(np.abs(b.T @ b - eye)) < 1e-10
@@ -94,7 +99,7 @@ class TestBuildBasis:
 
     def test_non_unit_rejected(self):
         with pytest.raises(ContractError):
-            pog.build_basis(Tensor([1.0, 1.0]))
+            build_basis(Tensor([1.0, 1.0]))
 
 
 class TestComputeWeights:
@@ -133,11 +138,11 @@ class TestComputeWeights:
 class TestSpecificEmbedding:
     def test_one_hot_selects_column(self):
         """One-hot W with n = e1 picks the first reflector column."""
-        s = pog.specific_embedding(Tensor([[1.0, 0.0]]), Tensor([1.0, 0.0]))
+        s = specific_embedding(Tensor([[1.0, 0.0]]), Tensor([1.0, 0.0]))
         assert np.array_equal(s.data, [[-1.0, 0.0]])
 
     def test_half_half_hand_case(self):
-        s = pog.specific_embedding(Tensor([[1.0, 0.0]]), Tensor([0.5, 0.5]))
+        s = specific_embedding(Tensor([[1.0, 0.0]]), Tensor([0.5, 0.5]))
         assert np.max(np.abs(s.data - [[-0.5, 0.5]])) < 1e-15
 
     def test_closed_form_equals_materialized(self):
@@ -148,7 +153,7 @@ class TestSpecificEmbedding:
             rows = np.stack([random_unit(rng, d_e) for _ in range(5)])
             w = rng.fill_uniform((d_e,), 0.0, 1.0)
             w = w / w.sum()
-            got = pog.specific_embedding(Tensor(rows), Tensor(w)).data
+            got = specific_embedding(Tensor(rows), Tensor(w)).data
             for i in range(5):
                 b = np.eye(d_e) - 2.0 * np.outer(rows[i], rows[i])
                 want = np.zeros(d_e)
@@ -163,7 +168,7 @@ class TestSpecificEmbedding:
             rows = np.stack([random_unit(rng, 8) for _ in range(12)])
             w = rng.fill_uniform((8,), 0.0, 1.0)
             w = w / w.sum()
-            s = pog.specific_embedding(Tensor(rows), Tensor(w)).data
+            s = specific_embedding(Tensor(rows), Tensor(w)).data
             wn = np.sqrt(w @ w)
             for i in range(12):
                 assert abs(np.sqrt(s[i] @ s[i]) - wn) < 1e-10
@@ -190,12 +195,33 @@ class TestGenerate:
         x = Tensor(Rng(12).fill_uniform((3, 4, 4), 0.0, 1.0))
         got = gen.generate(x).data
 
-        n_p = pog.normalize_embeddings(gen.embeddings)
+        n_p = normalize_embeddings(gen.embeddings)
         w = pog.compute_weights(x, gen.weight_mlp)
-        s = pog.specific_embedding(n_p, w)
+        s = specific_embedding(n_p, w)
         decoded = mlp2(s, gen.decode_mlp)
         want = decoded.data.reshape(2, 2, 1, 1)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    def test_kernel_decodes_the_materialized_basis_sums(self, frozen):
+        """The package's kernel is the decode MLP of the rows sum_j w_j B_i[:, j],
+        each B_i the materialized reflector of unit row i, to within 1e-12."""
+        shapes = [(1, 2, 1), (2, 1, 3), (2, 2, 1), (1, 1, 3)]
+        for seed in range(8):
+            d_e, target, d_c = [2, 4, 8, 16][seed % 4], shapes[seed % 4], 3 + seed % 3
+            gen = pog.PogGenerator(Rng(seed), d_c, d_e, target)
+            if frozen:
+                gen.freeze()
+            x = Tensor(Rng(seed + 500).fill_uniform((d_c, 4, 4), 0.0, 1.0))
+            got = pog.generate(gen, x).data
+            n_p = normalize_embeddings(gen.embeddings).data
+            w = pog.compute_weights(x, gen.weight_mlp).data
+            rows = np.stack([sum(w[j] * build_basis(Tensor(n)).data[:, j] for j in range(d_e))
+                             for n in n_p])
+            dm = gen.decode_mlp
+            hidden = np.maximum(rows @ dm.w1.data.T + dm.b1.data, 0.0)
+            want = (hidden @ dm.w2.data.T + dm.b2.data).reshape(got.shape)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_gradients_through_pipeline(self):
         """Embeddings and both MLPs all receive correct gradients."""
@@ -218,7 +244,7 @@ class TestGenerate:
         gen.freeze()
         tape = T.Tape()
         with tape:
-            loss = T.mean_all(T.square(gen.generate(x)))
+            loss = T.mean_all(square(gen.generate(x)))
         mlps = [t for _, t in gen.named_parameters() if t is not gen.embeddings]
         assert gen.embeddings.node_id not in tape._tracked
         assert gen.weight_mlp.w1.node_id in tape._tracked
@@ -344,7 +370,7 @@ class TestWeightHeadOracle:
         g = Tensor(Rng(4).fill_uniform((4,), -1.0, 1.0))
 
         def f(ps):
-            return sum_all(T.mul(fused_weights(*ps), g))
+            return sum_all(mul(fused_weights(*ps), g))
 
         assert T.finite_diff_check(f, inputs) < 1e-6
 

@@ -14,7 +14,6 @@ from redlab.checkpoint import load_model, save_model
 from redlab.datagen import make_corpus
 from redlab.enhancer import ToyEnhancer, train
 from redlab.errors import ConfigurationError, ContractError, DimensionError, SelectorError
-from redlab.pog import normalize_embeddings
 from redlab.redundancy import (
     LayerSelector,
     default_selectors,
@@ -30,6 +29,7 @@ from redlab.redundancy import (
 )
 from redlab.rng import Rng, child_seed
 from redlab.tensor import Tensor
+from composed import normalize_embeddings
 
 
 def fresh_frozen_model():

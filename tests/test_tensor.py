@@ -13,12 +13,17 @@ from redlab.errors import ContractError, DimensionError
 from redlab.rng import Rng
 from composed import (
     composed_conv2d,
+    div,
     global_avg_pool,
     mlp2,
     mse,
+    mul,
     oracle_bytes,
     replay_bytes,
+    sqrt,
+    square,
     sum_all,
+    sum_last,
     transpose2d,
 )
 from tape_helpers import grads
@@ -84,7 +89,7 @@ class TestConv2d:
             k = T.Tensor(rng.fill_uniform((3, 2, 3, 3), -0.5, 0.5), requires_grad=True)
 
             def f(params):
-                return T.mean_all(T.square(T.conv2d(params[0], params[1])))
+                return T.mean_all(square(T.conv2d(params[0], params[1])))
 
             assert T.finite_diff_check(f, [x, k]) < 1e-6
 
@@ -125,7 +130,7 @@ class TestSoftmax:
             w = Rng(seed + 50).fill_uniform((5,), 0.1, 1.0)
 
             def f(params):
-                return sum_all(T.mul(T.softmax(params[0]), T.Tensor(w)))
+                return sum_all(mul(T.softmax(params[0]), T.Tensor(w)))
 
             assert T.finite_diff_check(f, [v]) < 1e-6
 
@@ -136,11 +141,11 @@ class TestElementwise:
         rng = Rng(8)
         a = T.Tensor(rng.fill_uniform((4, 1), -1.0, 1.0), requires_grad=True)
         b = T.Tensor(rng.fill_uniform((4, 6), -1.0, 1.0), requires_grad=True)
-        out = T.mul(T.add(a, b), b)
+        out = mul(T.add(a, b), b)
         assert np.allclose(out.data, (a.data + b.data) * b.data)
 
         def f(params):
-            return T.mean_all(T.square(T.mul(T.add(params[0], params[1]), params[1])))
+            return T.mean_all(square(mul(T.add(params[0], params[1]), params[1])))
 
         assert T.finite_diff_check(f, [a, b]) < 1e-6
         tape = T.Tape()
@@ -157,7 +162,7 @@ class TestElementwise:
             b = T.Tensor(rng.fill_uniform((3, 4), 0.5, 2.0), requires_grad=True)
 
             def f(params):
-                return T.mean_all(T.div(T.sqrt(params[0]), params[1]))
+                return T.mean_all(div(sqrt(params[0]), params[1]))
 
             assert T.finite_diff_check(f, [a, b]) < 1e-6
 
@@ -211,7 +216,7 @@ class TestMatmulAndPool:
         b = T.Tensor(rng.fill_uniform((4, 2), -1.0, 1.0), requires_grad=True)
 
         def f(params):
-            return T.mean_all(T.square(T.matmul(params[0], params[1])))
+            return T.mean_all(square(T.matmul(params[0], params[1])))
 
         assert T.finite_diff_check(f, [a, b]) < 1e-6
 
@@ -242,12 +247,12 @@ class TestResampling:
         x = T.Tensor(Rng(4).fill_uniform((2, 4, 4), -1.0, 1.0), requires_grad=True)
 
         def f(params):
-            return T.mean_all(T.square(T.upsample2x(params[0])))
+            return T.mean_all(square(T.upsample2x(params[0])))
 
         assert T.finite_diff_check(f, [x]) < 1e-6
 
         def g(params):
-            return T.mean_all(T.square(T.downsample2x_mean(params[0])))
+            return T.mean_all(square(T.downsample2x_mean(params[0])))
 
         assert T.finite_diff_check(g, [x]) < 1e-6
 
@@ -274,7 +279,7 @@ class TestConcatSplit:
         def f(params):
             cat = T.concat_channels([params[0], params[1]])
             pieces = T.split_channels(cat, [2, 1])
-            return T.mean_all(T.square(pieces[0]))
+            return T.mean_all(square(pieces[0]))
 
         assert T.finite_diff_check(f, [a, b]) < 1e-6
 
@@ -305,7 +310,7 @@ class TestMlp:
 
         def f(params):
             m = T.MlpParams(*params)
-            return T.mean_all(T.square(mlp2(x, m)))
+            return T.mean_all(square(mlp2(x, m)))
 
         assert T.finite_diff_check(f, [t for _, t in p.named("")]) < 1e-6
 
@@ -394,7 +399,7 @@ class TestHandValues:
         x = T.Tensor(np.array(3.0), requires_grad=True)
         tape = T.Tape()
         with tape:
-            loss = T.square(x)
+            loss = square(x)
         (gx,) = grads(tape, loss, [x])
         assert np.allclose(gx, 6.0)
 
@@ -403,7 +408,7 @@ class TestHandValues:
         x = T.Tensor(Rng(14).fill_uniform((6,), -2.0, 2.0), requires_grad=True)
 
         def f(params):
-            return sum_all(T.square(params[0]))
+            return sum_all(square(params[0]))
 
         assert T.finite_diff_check(f, [x]) < 1e-8
 
@@ -427,15 +432,15 @@ class TestEveryOpGradient:
                 pooled = global_avg_pool(up)
                 gates = T.softmax(mlp2(pooled, mlp))
                 col = T.matmul(transpose2d(wmat), T.reshape(gates, (4, 1)))
-                mixed = T.mul(up, T.reshape(col, (4, 1, 1)))
-                norm = T.sqrt(T.add(T.sum_last(T.square(T.reshape(pooled, (1, 4)))), 1.0))
-                scaled = T.div(mixed, T.reshape(norm, (1, 1, 1)))
+                mixed = mul(up, T.reshape(col, (4, 1, 1)))
+                norm = sqrt(T.add(sum_last(square(T.reshape(pooled, (1, 4)))), 1.0))
+                scaled = div(mixed, T.reshape(norm, (1, 1, 1)))
                 clipped = T.clamp01(T.sub(scaled, 0.01))
                 parts = T.split_channels(clipped, [2, 2])
                 cat = T.concat_channels([parts[1], parts[0]])
                 l1 = mse(T.slice_channels(cat, 0, 2), tgt)
                 l2 = T.mean_all(T.absolute(T.sub(pooled, 0.51)))
-                return T.add(l1, T.mul(l2, 0.1))
+                return T.add(l1, mul(l2, 0.1))
 
             params = [k] + [t for _, t in m.named("")] + [wm]
             err = T.finite_diff_check(f, params, sample=12, rng=Rng(seed))
@@ -448,7 +453,7 @@ class TestTapeSemantics:
         x = T.Tensor(np.array([2.0]), requires_grad=True)
         tape = T.Tape()
         with tape:
-            loss = sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
         (gx,) = grads(tape, loss, [x])
         assert np.allclose(gx, 4.0)
 
@@ -458,8 +463,8 @@ class TestTapeSemantics:
         b = T.Tensor(np.ones(3), requires_grad=True)
         tape = T.Tape()
         with tape:
-            _ = T.square(a)
-            loss = sum_all(T.square(b))
+            _ = square(a)
+            loss = sum_all(square(b))
         ga, _ = grads(tape, loss, [a, b])
         assert np.array_equal(ga, np.zeros(3))
 
@@ -467,10 +472,10 @@ class TestTapeSemantics:
         """Ops before a tape is entered and after it exits are not recorded."""
         x = T.Tensor(np.ones(4), requires_grad=True)
         tape = T.Tape()
-        _ = T.square(x)
+        _ = square(x)
         with tape:
             pass
-        _ = T.square(x)
+        _ = square(x)
         assert len(tape) == 0 and tape._tracked == set()
 
     def test_nested_tapes_rejected(self):
@@ -483,7 +488,7 @@ class TestTapeSemantics:
         x = T.Tensor(np.ones(3), requires_grad=True)
         tape = T.Tape()
         with tape:
-            y = T.square(x)
+            y = square(x)
         with pytest.raises(ContractError):
             T.backward(tape, y, [(x, np.empty(3))])
 
@@ -500,9 +505,9 @@ class TestTapeSemantics:
         c = T.Tensor(np.array([[1.0, 2.0], [-0.0, -4.0]]))
         tape = T.Tape()
         with tape:
-            _ = T.square(unused)
-            y = T.add(T.mul(a, T.reshape(b, (2, 2))), a)
-            loss = sum_all(T.mul(y, c))
+            _ = square(unused)
+            y = T.add(mul(a, T.reshape(b, (2, 2))), a)
+            loss = sum_all(mul(y, c))
         flat = np.full(10, np.nan)
         views = [flat[:4].reshape(2, 2), flat[4:8], flat[8:]]
         T.backward(tape, loss, list(zip((a, b, unused), views)))
@@ -521,7 +526,7 @@ class TestTapeSemantics:
         c = T.Tensor(np.ones(2))
         tape = T.Tape()
         with tape:
-            _ = sum_all(T.mul(T.mul(a, b), T.add(c, a)))
+            _ = sum_all(mul(mul(a, b), T.add(c, a)))
         assert tape._tracked == {a.node_id, b.node_id}
 
     def test_destinations_must_cover_every_tracked_leaf(self):
@@ -529,7 +534,7 @@ class TestTapeSemantics:
         b = T.Tensor(np.ones(2), requires_grad=True)
         tape = T.Tape()
         with tape:
-            loss = sum_all(T.mul(a, b))
+            loss = sum_all(mul(a, b))
         dst = np.full(2, np.nan)
         with pytest.raises(ContractError, match="every tracked tensor"):
             T.backward(tape, loss, [(a, dst)])
@@ -575,7 +580,7 @@ class TestFiniteDiffCheck:
         w = T.Tensor(np.full(2, 3.0), requires_grad=True)
 
         def f(params):
-            return sum_all(T.mul(params[0], w))
+            return sum_all(mul(params[0], w))
 
         with pytest.raises(ContractError, match="every tracked tensor"):
             T.finite_diff_check(f, [x])
@@ -600,7 +605,7 @@ class TestFiniteDiffCheck:
         x = T.Tensor(rng.fill_uniform((10, 10), -1.0, 1.0), requires_grad=True)
 
         def f(params):
-            return T.mean_all(T.square(params[0]))
+            return T.mean_all(square(params[0]))
 
         a = T.finite_diff_check(f, [x], sample=10, rng=Rng(0))
         b = T.finite_diff_check(f, [x], sample=10, rng=Rng(0))
@@ -687,7 +692,7 @@ def vjp_of(op, x, g, leaves=()):
     tape = T.Tape()
     with tape:
         y = op(xt)
-        loss = sum_all(T.mul(y, T.Tensor(g)))
+        loss = sum_all(mul(y, T.Tensor(g)))
     return (y.data, *grads(tape, loss, [xt, *leaves]))
 
 
@@ -796,6 +801,6 @@ class TestConvBiasOracle:
         bias = T.Tensor(rng.fill_uniform((3,), -0.5, 0.5), requires_grad=True)
 
         def f(params):
-            return T.mean_all(T.square(T.conv2d(*params)))
+            return T.mean_all(square(T.conv2d(*params)))
 
         assert T.finite_diff_check(f, [x, kernel, bias]) < 1e-6
