@@ -30,7 +30,7 @@ from .checkpoint import (
 from .config import ADR_AXES, build_model, load_config
 from .datagen import load_pairs, make_corpus, save_pairs
 from .dynconv import DynamicConv, candidate_similarity
-from .enhancer import evaluate, train
+from .enhancer import evaluate, train, training_loss
 from .errors import ConfigurationError, DivergenceError, RedlabError
 from .pog import degradation_score
 from .redundancy import (
@@ -213,14 +213,10 @@ def _cmd_gradcheck(args) -> int:
     model = build_model(cfg)
     pairs = make_corpus(cfg.seed, 4, 8, 8)
     train(model, pairs, steps=GRADCHECK_WARMUP_STEPS, seed=cfg.seed, lr=1e-3)
-    pair = pairs[0]
     params = [t for _, t in model.named_parameters()]
-
-    def f(_):
-        return T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
-
     err = T.finite_diff_check(
-        f, params, eps=GRADCHECK_EPS, sample=args.samples, rng=Rng(0)
+        lambda _: training_loss(model, pairs[0]), params, eps=GRADCHECK_EPS,
+        sample=args.samples, rng=Rng(0),
     )
     print(
         f"gradcheck: max rel err {err:.3e} over {args.samples} coordinates "

@@ -17,7 +17,6 @@ schedule, so runs are bit-reproducible.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .adr import AdrBlock, reallocate
+from .checkpoint import _RECIPE_KEYS
 from .config import check_bool, check_int, check_list
 from .dynconv import DynamicConv
 from .errors import ConfigurationError, ContractError, DimensionError, DivergenceError
@@ -197,17 +197,6 @@ class DecoderStage:
         return self.conv.named_parameters(f"{prefix}.{sub}")
 
 
-def _carve(flat: np.ndarray, shapes: list) -> list:
-    """Views of ``flat`` with the given shapes, laid end to end from offset 0."""
-    views = []
-    offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    return views
-
-
 # float64 values one NumPy array can hold: its byte count must fit in an intp
 _MAX_VALUES = np.iinfo(np.intp).max // 8
 # the recipe argument that sizes a parameter, by the first part of its name
@@ -249,7 +238,7 @@ def plan_size(plan: list, stop: int = _MAX_VALUES) -> int:
 def _draw(rng: Rng, plan: list) -> np.ndarray:
     """A new arena holding each planned parameter's initial values, drawn in plan order."""
     arena = np.empty(plan_size(plan))
-    for (_, _, init), view in zip(plan, _carve(arena, [shape for _, shape, _ in plan])):
+    for (_, _, init), view in zip(plan, T._carve(arena, [shape for _, shape, _ in plan])):
         init(rng, view)
     return arena
 
@@ -264,7 +253,7 @@ class ToyEnhancer:
     Every parameter's ``data`` is a view into ``arena``, one contiguous
     float64 buffer laid out in ``named_parameters`` order, which is also the
     order of a checkpoint's blob.  Write parameters in place; a copy of the
-    model copies the arena once and gives its tensors views of the copy.
+    model is built over a copy of the arena (see :meth:`rebuild`).
 
     Construction takes two passes.  The first builds the stages on a
     :class:`~redlab.tensor.Planner` and lists every parameter as (name, shape,
@@ -272,9 +261,10 @@ class ToyEnhancer:
     allocated.  The second allocates the arena once, after
     :func:`plan_size` has refused a plan NumPy cannot index, and draws each
     parameter into its view from ``rng``, in plan order, so a seed pins
-    every initial weight.  :func:`~redlab.checkpoint.load_model` passes in
-    place of ``rng`` a function that takes the plan and returns the filled
-    arena, and then nothing is drawn.
+    every initial weight.  In place of ``rng``, a function that takes the
+    plan and returns the filled arena gives every value, and then only that
+    function draws: :func:`~redlab.checkpoint.load_model` reads the arena
+    from a blob, and :meth:`rebuild` fills it for copies and reset probes.
     """
 
     def __init__(
@@ -323,19 +313,19 @@ class ToyEnhancer:
         named = self.named_parameters()
         plan = [(name, *planner.rules[id(t)]) for name, t in named]
         self.arena = rng(plan) if callable(rng) else _draw(rng, plan)
-        for (_, t), view in zip(named, _carve(self.arena, [shape for _, shape, _ in plan])):
+        for (_, t), view in zip(named, T._carve(self.arena, [shape for _, shape, _ in plan])):
             t.data = view
 
+    def rebuild(self, fill: Callable[[list], np.ndarray]) -> ToyEnhancer:
+        """A model of this one's recipe whose arena is ``fill(plan)``, frozen
+        from its own values if this one is frozen."""
+        twin = ToyEnhancer(fill, **{key: getattr(self, key) for key in _RECIPE_KEYS})
+        if self.frozen:
+            twin.freeze()
+        return twin
+
     def __deepcopy__(self, memo):
-        arena = self.arena.copy()
-        memo[id(self.arena)] = arena
-        named = self.named_parameters()
-        for (_, t), view in zip(named, _carve(arena, [t.data.shape for _, t in named])):
-            memo[id(t)] = Tensor(view, requires_grad=t.requires_grad)
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
-        return clone
+        return self.rebuild(lambda plan: self.arena.copy())
 
     def forward(self, x: Tensor, observe: Observer | None = None) -> Tensor:
         """The enhanced image; ``observe``, if given, watches the forward (see :meth:`resume`)."""
@@ -436,6 +426,12 @@ class TrainState:
     loss_history: list = field(default_factory=list)
 
 
+def training_loss(model, pair) -> Tensor:
+    """The loss :func:`train` minimises: the mean absolute error of the
+    forward of ``pair.low`` against ``pair.clean``."""
+    return T.mean_all(T.absolute(T.sub(model.forward(pair.low), pair.clean)))
+
+
 def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     """Adam on batch-1 mean-absolute error, deterministic per seed.
 
@@ -469,7 +465,7 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     m, v, g = np.zeros_like(arena), np.zeros_like(arena), np.empty_like(arena)
     a, b = np.empty_like(arena), np.empty_like(arena)
     # backward writes each parameter's gradient straight into its view of g
-    grad_views = list(zip((p for _, p in named), _carve(g, [p.data.shape for _, p in named])))
+    grad_views = list(zip((p for _, p in named), T._carve(g, [p.data.shape for _, p in named])))
     state = TrainState(m=m, v=v)
     rng = Rng(child_seed(seed, 0))
     order: list = []
@@ -481,8 +477,7 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
         tape = T.Tape()
         with tape, np.errstate(over="raise", invalid="raise", divide="raise"):
             try:
-                out = model.forward(pair.low)
-                loss = T.mean_all(T.absolute(T.sub(out, pair.clean)))
+                loss = training_loss(model, pair)
             except (ContractError, FloatingPointError) as exc:
                 # Only a non-finite value fails here: softmax refuses one, NumPy
                 # raises on overflow.  From a finite input, the parameters

@@ -151,7 +151,7 @@ class PogGenerator:
         """Cache normalized embeddings as a constant; idempotent.
 
         Call again after externally mutating ``embeddings`` to refresh the
-        cache (layer-reset probing does this).
+        cache.
         """
         self._cached_norm = Tensor(_unit_rows(self.embeddings.data)[0])
 

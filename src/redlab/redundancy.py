@@ -1,13 +1,14 @@
 """Layer-reset probing and the redundancy metric.
 
-The protocol: freeze a trained model, deep-copy it, redraw one named
-parameter group from the fresh-initialization distribution, and measure how
-much the outputs move.  Outputs that barely move — a high capped log-MSE
-term — expose parameters the network was not really using.  The aggregate
-over (selector, image) pairs is the redundancy metric; the fraction of
-images that actually *improve* under a reset is the POI.
+The protocol: freeze a trained model, rebuild it over a copy of its
+parameters with one named parameter group redrawn from the
+fresh-initialization distribution, and measure how much the outputs move.
+Outputs that barely move — a high capped log-MSE term — expose parameters
+the network was not really using.  The aggregate over (selector, image)
+pairs is the redundancy metric; the fraction of images that actually
+*improve* under a reset is the POI.
 
-The probed model is never mutated: every reset operates on a deep copy.
+The probed model is never mutated: every reset builds a model of its own.
 
 ``dmr`` and ``probe_sweep`` run one base forward per image and keep the
 value at every resume point of the model (``ToyEnhancer.resume_points``):
@@ -19,7 +20,6 @@ The kept values are held for one call, about 287 KB per 32x32 image.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +27,11 @@ import numpy as np
 from .checkpoint import csv_text, write_files
 from .errors import ConfigurationError, ContractError, DimensionError, SelectorError
 from .rng import Rng, child_seed
-from .tensor import Tensor, init_uniform
+from .tensor import Tensor, _carve, init_uniform, init_zero
 
 KINDS = ("static", "dynamic", "attention", "feedforward")
 
 DEFAULT_CAP_DB = 100.0
-
-# leaf names that reset to zero instead of being redrawn
-_BIAS_LEAVES = {"bias", "b1", "b2"}
 
 
 @dataclass(frozen=True)
@@ -103,26 +100,30 @@ def resolve(model, path: str) -> list:
 def reset_layer(model, selector: LayerSelector, rng: Rng):
     """Fresh-random copy of one parameter group; the original is untouched.
 
-    Bias leaves zero out; every other tensor is redrawn in place by
+    The copy is the model rebuilt (:meth:`~redlab.enhancer.ToyEnhancer.rebuild`)
+    over a copy of its arena in which the group is reset by the plan's rules:
+    each parameter whose construction rule is :func:`~redlab.tensor.init_zero`
+    goes to zero, and every other one is redrawn by
     :func:`~redlab.tensor.init_uniform`, the init rule construction draws
     kernels, candidate banks and MLP weights by.  Two leaves differ from
     their construction: generator embeddings redraw unnormalised within
     +-sqrt(1/D_e), which after row normalisation has the direction
     distribution of construction's +-1 draw, and ``tau`` redraws within +-1
     where construction sets 1.0.
-    Tensors redraw in named_parameters order from the one stream, so a seed
-    pins the whole reset.  A frozen copy is frozen again afterwards, which
-    re-derives its generator caches.
+    Parameters reset in plan (named_parameters) order from the one stream, so
+    a seed pins the whole reset.  A frozen model's copy is frozen once, from
+    its final values, which derives its generator caches.
     """
-    probe = copy.deepcopy(model)
-    for name, t in resolve(probe, selector.path):
-        if name.rsplit(".", 1)[-1] in _BIAS_LEAVES:
-            t.data[...] = 0.0
-        else:
-            init_uniform(rng, t.data)
-    if probe.frozen:
-        probe.freeze()
-    return probe
+    names = {name for name, _ in resolve(model, selector.path)}
+
+    def fill(plan: list) -> np.ndarray:
+        arena = model.arena.copy()
+        for (name, _, init), view in zip(plan, _carve(arena, [shape for _, shape, _ in plan])):
+            if name in names:
+                (init_zero if init is init_zero else init_uniform)(rng, view)
+        return arena
+
+    return model.rebuild(fill)
 
 
 def _base_pass(model, x: Tensor, points: dict) -> tuple:
@@ -138,7 +139,7 @@ def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list, points:
     Each forward resumes at the earliest of the model's resume ``points``
     that owns a reset parameter, from the values kept in ``base`` (see
     :func:`_base_pass`): a forward reads no reset parameter before that
-    point, and ``freeze`` re-derives the frozen caches it skips unchanged.
+    point, and ``freeze`` derives the frozen caches it skips unchanged.
     """
     probe = reset_layer(model, selector, rng)
     names = {name for name, _ in resolve(probe, selector.path)}

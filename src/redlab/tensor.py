@@ -557,6 +557,17 @@ class Planner:
         self.rules = {}  # id(tensor) -> (shape, init rule)
 
 
+def _carve(flat: np.ndarray, shapes: list) -> list:
+    """Views of ``flat`` with the given shapes, laid end to end from offset 0."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 def parameter(rng: Rng | Planner, shape: tuple, init=init_uniform) -> Tensor:
     """A trainable tensor of ``shape`` holding ``init(rng, data)``'s values.
 

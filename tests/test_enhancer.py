@@ -32,6 +32,7 @@ from composed import (
     composed_attention,
     composed_conv_forward,
     mul,
+    normalize_embeddings,
     oracle_bytes,
     replay_bytes,
     sum_all,
@@ -825,6 +826,48 @@ class TestArena:
         assert_on_arena(probe)
         assert probe.arena.tobytes() != before
         assert model.arena.tobytes() == before
+
+
+class TestCopyOracle:
+    """``copy.deepcopy`` rebuilds a model through its constructor over a copy
+    of its arena, and freezes the copy from that arena if the model is frozen."""
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("name", CONSTRUCTION_GOLDENS)
+    def test_copy_draws_nothing(self, name, frozen, monkeypatch):
+        model = ToyEnhancer(Rng(77), **CONSTRUCTION_GOLDENS[name][0])
+        if frozen:
+            model.freeze()
+        x = fresh_input(78)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a copy drew random numbers")
+
+        monkeypatch.setattr(Rng, "fill_uniform", refuse)
+        monkeypatch.setattr(Rng, "fill_normal", refuse)
+        twin = copy.deepcopy(model)
+        assert twin.frozen is frozen
+        assert twin.arena.tobytes() == model.arena.tobytes()
+        assert twin.forward(x).data.tobytes() == model.forward(x).data.tobytes()
+
+    def test_copy_of_a_stale_frozen_model_derives_its_own_caches(self):
+        """Embeddings written after ``freeze`` leave the model's caches stale
+        until it refreezes; its copy derives fresh caches from its arena."""
+        model = ToyEnhancer(Rng(79), adr_blocks=(True, True))
+        model.freeze()
+        gens = [g for adr in model.reallocation_blocks().values() for g in (adr.gen1, adr.gen2)]
+        stale = [g._cached_norm.data.copy() for g in gens]
+        for g in gens:
+            g.embeddings.data[...] = np.roll(g.embeddings.data, 1, axis=1)
+        twin = copy.deepcopy(model)
+        for adr, k in zip(twin.reallocation_blocks().values(), (0, 2)):
+            for g, old in zip((adr.gen1, adr.gen2), stale[k:k + 2]):
+                want = normalize_embeddings(g.embeddings).data
+                assert g._cached_norm.data.tobytes() == want.tobytes()
+                assert not np.array_equal(g._cached_norm.data, old)
+        x = fresh_input(80)
+        model.freeze()
+        assert twin.forward(x).data.tobytes() == model.forward(x).data.tobytes()
 
 
 # block constructors and their named parameters, for the plan-vs-eager oracle

@@ -5,6 +5,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from redlab.checkpoint import load_model, save_model
 from redlab.datagen import make_corpus
-from redlab.enhancer import ToyEnhancer, train
+from redlab.enhancer import ToyEnhancer, plan_size, train
 from redlab.errors import ConfigurationError, ContractError, DimensionError, SelectorError
 from redlab.redundancy import (
     LayerSelector,
@@ -28,7 +29,7 @@ from redlab.redundancy import (
     write_probe_csv,
 )
 from redlab.rng import Rng, child_seed
-from redlab.tensor import Tensor
+from redlab.tensor import Tensor, init_zero
 from composed import normalize_embeddings
 
 
@@ -177,6 +178,79 @@ class TestResetLayer:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             LayerSelector("head", "conv")
+
+
+# the four recipes the reset oracles run over
+RECIPES = {
+    "plain": {},
+    "adr": {"adr_blocks": (True, True)},
+    "dynconv": {"dyn_candidates": 3},
+    "adr_dynconv": {"adr_blocks": (True, True), "dyn_candidates": 3},
+}
+
+
+def init_rules(kw):
+    """{parameter name: construction rule} from the plan ToyEnhancer(fill, **kw) fills."""
+    rules = {}
+
+    def zeros(plan):
+        rules.update((name, init) for name, _, init in plan)
+        return np.zeros(plan_size(plan))
+
+    ToyEnhancer(zeros, **kw)
+    return rules
+
+
+class TestResetOracle:
+    """A reset probe is its model rebuilt over a copy of the arena in which
+    the selected parameters are reset by their plan rule."""
+
+    @pytest.mark.parametrize("name", RECIPES)
+    def test_reset_draws_only_the_redrawn_values(self, name, monkeypatch):
+        """Each default selector's reset draws, in plan order, exactly the
+        values of its parameters whose rule is not ``init_zero``."""
+        model = ToyEnhancer(Rng(130), **RECIPES[name])
+        model.freeze()
+        rules = init_rules(RECIPES[name])
+        drawn = []
+        fill_uniform = Rng.fill_uniform
+
+        def counted(self, shape, lo, hi, out=None):
+            drawn.append(math.prod(shape))
+            return fill_uniform(self, shape, lo, hi, out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reset drew normals")
+
+        monkeypatch.setattr(Rng, "fill_uniform", counted)
+        monkeypatch.setattr(Rng, "fill_normal", refuse)
+        for i, sel in enumerate(default_selectors(model)):
+            drawn.clear()
+            reset_layer(model, sel, Rng(child_seed(131, i)))
+            want = [t.data.size for n, t in resolve(model, sel.path) if rules[n] is not init_zero]
+            assert drawn == want, sel.path
+
+    @pytest.mark.parametrize("name", RECIPES)
+    def test_reset_zeroes_exactly_the_init_zero_parameters(self, name):
+        """Over every parameter of a trained model, a reset leaves the
+        unselected ones as they were, zeroes the selected ones whose rule is
+        ``init_zero`` and redraws the rest."""
+        model = ToyEnhancer(Rng(132), **RECIPES[name])
+        train(model, make_corpus(133, 2, 8, 8), steps=3, seed=134)
+        model.freeze()
+        rules = init_rules(RECIPES[name])
+        before = {n: t.data.copy() for n, t in model.named_parameters()}
+        for i, path in enumerate(["encoder", "latent", "decoder", "head"]):
+            group = {n for n, _ in resolve(model, path)}
+            assert any(np.any(before[n] != 0.0) for n in group if rules[n] is init_zero), path
+            probe = reset_layer(model, LayerSelector(path, "static"), Rng(child_seed(135, i)))
+            for n, t in probe.named_parameters():
+                if n not in group:
+                    assert t.data.tobytes() == before[n].tobytes(), n
+                elif rules[n] is init_zero:
+                    assert np.all(t.data == 0.0), n
+                else:
+                    assert np.all(t.data != 0.0) and not np.array_equal(t.data, before[n]), n
 
 
 class TestDmr:
