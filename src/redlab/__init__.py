@@ -8,6 +8,8 @@ reset-probing and redundancy metrics (`redundancy`), synthetic paired data
 (`datagen`), bit-exact persistence (`checkpoint`), and a CLI (`cli`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .adr import AdrBlock, reallocate
 from .checkpoint import load_model, load_tensors, save_model, save_tensors
 from .config import RunConfig, build_model, load_config
@@ -44,55 +46,6 @@ from .tensor import Tape, Tensor, backward, finite_diff_check
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdrBlock",
-    "ConfigurationError",
-    "ContractError",
-    "DegenerateCandidateError",
-    "DegenerateEmbeddingError",
-    "DimensionError",
-    "DivergenceError",
-    "DmrReport",
-    "DynamicConv",
-    "LayerSelector",
-    "PogGenerator",
-    "ProbeResult",
-    "RedlabError",
-    "Rng",
-    "RunConfig",
-    "ScenePair",
-    "SelectorError",
-    "Tape",
-    "Tensor",
-    "ToyEnhancer",
-    "backward",
-    "build_model",
-    "candidate_similarity",
-    "child_seed",
-    "default_selectors",
-    "degradation_score",
-    "degrade",
-    "dmr",
-    "dmr_summary",
-    "evaluate",
-    "finite_diff_check",
-    "load_config",
-    "load_model",
-    "load_pairs",
-    "load_tensors",
-    "make_corpus",
-    "make_pair",
-    "make_scene",
-    "mean_delta_by_kind",
-    "parse_selector",
-    "probe_sweep",
-    "psnr",
-    "reallocate",
-    "reset_layer",
-    "save_model",
-    "save_pairs",
-    "save_tensors",
-    "splitmix64",
-    "train",
-    "write_probe_csv",
-]
+# every public name the imports above bind, submodules excepted
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -104,9 +104,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_probe(args) -> int:
+def _load_probed(args) -> tuple:
+    """The frozen model and the corpus that ``probe``, ``dmr`` and
+    ``degrade-score`` read.  A checkpoint ``train`` wrote is frozen already;
+    freezing is idempotent, so an unfrozen one gets the same report."""
     model = load_model(args.ckpt)
-    pairs = load_pairs(args.data)
+    model.freeze()
+    return model, load_pairs(args.data)
+
+
+def _cmd_probe(args) -> int:
+    model, pairs = _load_probed(args)
     selectors = _parse_selectors(args.selectors, model)
     seeds = _parse_seeds(args.seeds)
     lows = [p.low for p in pairs]
@@ -118,8 +126,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_dmr(args) -> int:
-    model = load_model(args.ckpt)
-    pairs = load_pairs(args.data)
+    model, pairs = _load_probed(args)
     selectors = _parse_selectors(args.selectors, model)
     images = [p.low for p in pairs]
     report = dmr(model, selectors, images, args.seed)
@@ -130,8 +137,7 @@ def _cmd_dmr(args) -> int:
 
 
 def _cmd_degrade_score(args) -> int:
-    model = load_model(args.ckpt)
-    pairs = load_pairs(args.data)
+    model, pairs = _load_probed(args)
     lows = [p.low for p in pairs[:8]]
     adr_blocks = model.reallocation_blocks()
     taps: dict = {}
@@ -191,14 +197,17 @@ def _cmd_ablate(args) -> int:
             "ablation sweeps reallocation dimensions; set adr.enabled in the config"
         )
     axes = _parse_grid(args.grid)
+    names = list(axes)
+    combos = list(itertools.product(*(axes[name] for name in names)))
+    run_cfgs = [cfg.replace_adr(**dict(zip(names, combo))) for combo in combos]
+    for run_cfg in run_cfgs:
+        build_model(run_cfg)  # refuse a bad grid point before training any
     if args.data:
         pairs = load_pairs(args.data)
     else:
         pairs = make_corpus(cfg.seed, 16, 16, 16)
-    names = list(axes)
     rows = []
-    for combo in itertools.product(*(axes[name] for name in names)):
-        run_cfg = cfg.replace_adr(**dict(zip(names, combo)))
+    for combo, run_cfg in zip(combos, run_cfgs):
         model = build_model(run_cfg)
         state = train(model, pairs, steps=run_cfg.steps, seed=run_cfg.seed, lr=run_cfg.lr)
         psnr_db = evaluate(model, pairs)

@@ -341,6 +341,43 @@ class TestDmr:
         assert not os.path.exists(out)
 
 
+PROBING = {
+    "probe": ["--selectors", "auto", "--seeds", "0,1", "--out", "probe.csv"],
+    "dmr": ["--selectors", "auto", "--seed", "3", "--out", "dmr.json"],
+    "degrade-score": ["--out", "degrade.json"],
+}
+
+
+class TestProbedCheckpoint:
+    @pytest.fixture(scope="class")
+    def twins(self, tmp_path_factory):
+        """An unfrozen trained ADR+dynconv checkpoint, its frozen twin and a corpus."""
+        root = tmp_path_factory.mktemp("twins")
+        data = gen_corpus(root)
+        model = ToyEnhancer(Rng(2), widths=(4, 8), adr_blocks=(True, True),
+                            adr_dims=(2, 8, 3), dyn_candidates=3)
+        enhancer.train(model, load_pairs(data), steps=20, seed=2)
+        save_model(model, str(root / "unfrozen"))
+        model.freeze()
+        save_model(model, str(root / "frozen"))
+        return root, data
+
+    @pytest.mark.parametrize("command", list(PROBING))
+    def test_unfrozen_checkpoint_reports_like_its_frozen_twin(self, twins, tmp_path,
+                                                              command):
+        """The probing commands freeze what they load, so the frozen flag a
+        checkpoint was saved with does not change their output."""
+        root, data = twins
+        *flags, name = PROBING[command]
+        outputs = []
+        for twin in ("unfrozen", "frozen"):
+            out = tmp_path / twin / name
+            assert run([command, "--ckpt", str(root / twin), "--data", data,
+                        *flags, str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestDegradeScore:
     def test_reports_generator_scores_and_similarity(self, tmp_path):
         cfg = write_config(
@@ -453,6 +490,34 @@ class TestAblate:
                         "--data", data, "--out", out]) == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+    def test_without_data_trains_on_the_synthesized_corpus(self, tmp_path):
+        """No --data: 16 pairs of 16x16 from the config's seed, as gen-data makes them."""
+        cfg = write_config(tmp_path, steps=3, seed=5, adr={"enabled": True})
+        data = gen_corpus(tmp_path, seed=5, count=16, size="16x16")
+        outs = [tmp_path / "synth.csv", tmp_path / "given.csv"]
+        assert run(["ablate", "--config", cfg, "--grid", "D_m=1,2",
+                    "--out", str(outs[0])]) == 0
+        assert run(["ablate", "--config", cfg, "--grid", "D_m=1,2",
+                    "--data", data, "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("D_m=1,2,12", "D_m must be below 3 * widths[0] = 12, got 12"),
+        ("D_k=1,3,4", "D_k must be odd, got 4"),
+    ], ids=["D_m", "D_k"])
+    def test_bad_last_grid_point_exits_two_before_training(self, tmp_path, capsys,
+                                                           monkeypatch, grid, message):
+        """Every grid point is built before the first one trains."""
+        cfg = write_config(tmp_path, steps=3, widths=[4, 8],
+                           adr={"enabled": True, "D_m": 2, "D_e": 8})
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(a))
+        out = tmp_path / "ablate.csv"
+        assert run(["ablate", "--config", cfg, "--grid", grid, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert trained == []
+        assert not out.exists()
 
     def test_requires_reallocation_enabled(self, tmp_path):
         cfg = write_config(tmp_path, steps=3)

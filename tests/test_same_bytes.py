@@ -22,7 +22,8 @@ def test_two_runs_give_the_same_bytes_and_compare_finds_a_change(tmp_path, capsy
     logs = sorted(p.name for p in (a / "log").iterdir())
     assert logs == ["00-corpus-gen-data.json"] + [
         f"{k:02d}-adr_dynconv-{c}.json" for k, c in enumerate(
-            ["train", "probe", "dmr", "degrade-score", "gradcheck", "ablate"], 1)]
+            ["train", "probe", "dmr", "dmr-selectors", "degrade-score", "gradcheck",
+             "ablate"], 1)]
     train = json.loads((a / "log" / logs[1]).read_text())
     assert train["exit"] == 0 and train["stdout"].startswith("trained 30 steps")
     for name in ("model.bin", "model.json", "model.loss.csv", "probe.csv", "dmr.json",

@@ -12,9 +12,10 @@ this one interpreter with stdout and stderr captured.  In the new or empty
 directory OUT it runs ``gen-data`` (4 pairs, 16x16, seed 5) and then, for
 plain, ADR (D_m 2, D_e 8), dynconv K=3 and ADR+dynconv K=3 configs (widths
 4, 8, seed 2, 30 steps): ``train``, ``probe`` (auto, seeds 0,1), ``dmr``
-(auto, seed 3), ``degrade-score``, ``gradcheck`` (20 samples) and ``ablate``
-over ``D_m=1,2``.  Every command runs inside OUT with relative paths, so no
-output or message names where OUT is.  OUT keeps every output file, and
+(seed 3, auto and then four explicit selectors), ``degrade-score``,
+``gradcheck`` (20 samples) and ``ablate`` over ``D_m=1,2``.  Every command
+runs inside OUT with relative paths, so no output or message names where
+OUT is.  OUT keeps every output file, and
 ``log/NN-<config>-<command>.json`` keeps each command's argv, exit code,
 stdout and stderr.  The run ends by printing the SHA-256 of every file in
 OUT, by path.
@@ -41,6 +42,9 @@ CONFIGS = {
     "adr_dynconv": {"adr": _ADR, "dynconv": _DYNCONV},
 }
 _BASE = {"steps": 30, "seed": 2, "widths": [4, 8]}
+# explicit dmr selectors: two bare paths (kind static), a prefix of two stages
+# with its kind, and a path with another kind
+_SELECTORS = "decoder.block1.attn.qkv,head,encoder:static,latent.attn.out:attention"
 # the source tree this script sits in
 _TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,6 +62,8 @@ def _commands(size: int, configs: dict) -> list:
                                "--out", f"{name}/probe.csv"]),
             (f"{name}-dmr", ["dmr", *model, "--selectors", "auto", "--seed", "3",
                              "--out", f"{name}/dmr.json"]),
+            (f"{name}-dmr-selectors", ["dmr", *model, "--selectors", _SELECTORS, "--seed", "3",
+                                       "--out", f"{name}/dmr-selectors.json"]),
             (f"{name}-degrade-score", ["degrade-score", *model, "--out", f"{name}/degrade.json"]),
             (f"{name}-gradcheck", ["gradcheck", "--config", cfg, "--samples", "20"]),
             (f"{name}-ablate", ["ablate", "--config", cfg, "--grid", "D_m=1,2",
