@@ -37,6 +37,7 @@ from .redundancy import (
     default_selectors,
     dmr,
     dmr_summary,
+    observed_pass,
     parse_selector,
     probe_sweep,
     write_probe_csv,
@@ -72,11 +73,12 @@ def _parse_selectors(text: str, model) -> list:
     return [parse_selector(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_seeds(text: str) -> list:
+def _parse_ints(text: str, message: str) -> list:
+    """The comma-separated integers in ``text``; else ``message`` names the flag."""
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigurationError(f"--seeds must be comma-separated integers, got {text!r}")
+        raise ConfigurationError(f"{message}, got {text!r}")
 
 
 def _cmd_gen_data(args) -> int:
@@ -116,7 +118,7 @@ def _load_probed(args) -> tuple:
 def _cmd_probe(args) -> int:
     model, pairs = _load_probed(args)
     selectors = _parse_selectors(args.selectors, model)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_ints(args.seeds, "--seeds must be comma-separated integers")
     lows = [p.low for p in pairs]
     refs = [p.clean for p in pairs]
     rows = probe_sweep(model, selectors, lows, refs, seeds)
@@ -140,15 +142,11 @@ def _cmd_degrade_score(args) -> int:
     model, pairs = _load_probed(args)
     lows = [p.low for p in pairs[:8]]
     adr_blocks = model.reallocation_blocks()
-    taps: dict = {}
-    for low in lows:
-        seen: dict = {}
-        model.forward(low, seen.__setitem__)
-        for path in adr_blocks:
-            taps.setdefault(path, []).append(seen[path])
+    # the generators' inputs, from dmr's observed pass; a model without a block runs none
+    kept = [observed_pass(model, low, adr_blocks)[1] for low in lows] if adr_blocks else []
     scores = {}
-    for path, inputs in taps.items():
-        adr = adr_blocks[path]
+    for path, adr in adr_blocks.items():
+        inputs = [seen[path] for seen in kept]
         scores[f"{path}.gen1"] = degradation_score(adr.gen1, inputs)
         scores[f"{path}.gen2"] = degradation_score(adr.gen2, inputs)
     similarity = {}
@@ -179,10 +177,7 @@ def _parse_grid(entries: list) -> dict:
             raise ConfigurationError(f"unknown ablation axis {key!r}")
         if key in axes:
             raise ConfigurationError(f"duplicate ablation axis {key!r}")
-        try:
-            axes[key] = [int(v) for v in values.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigurationError(f"grid values must be integers, got {values!r}")
+        axes[key] = _parse_ints(values, "grid values must be integers")
         if not axes[key]:
             raise ConfigurationError(f"grid axis {key!r} has no values")
     if not axes:

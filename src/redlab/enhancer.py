@@ -80,10 +80,7 @@ class ChannelAttentionBlock:
             self.adr = None
 
     def forward(self, f: Tensor, observe: Observer | None = None, path: str = "") -> Tensor:
-        d = self.q_conv.kernel.data.shape[1]
-        if f.data.shape[0] != d:
-            raise DimensionError(f"attention block expects {d} channels, got {f.data.shape[0]}")
-        q = self.q_conv.forward(f)
+        q = self.q_conv.forward(f)  # conv2d refuses a wrong channel count
         k = self.k_conv.forward(f)
         v = self.v_conv.forward(f)
         if self.adr is not None:

@@ -28,6 +28,8 @@ class DegenerateCandidateError(RedlabError, ValueError):
 class SelectorError(RedlabError, KeyError):
     """A layer selector path resolves to no parameters."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 class DivergenceError(RedlabError, RuntimeError):
     """Training produced a non-finite loss.

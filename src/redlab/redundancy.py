@@ -126,24 +126,32 @@ def reset_layer(model, selector: LayerSelector, rng: Rng):
     return model.rebuild(fill)
 
 
-def _base_pass(model, x: Tensor, points: dict) -> tuple:
-    """(output, value at every resume point) of one forward of the unreset model."""
+def observed_pass(model, x: Tensor, keys) -> tuple:
+    """(output, {key: value the forward observed there}) of one forward of
+    ``model``, keeping only ``keys`` (resume points, ``.adr`` inputs)."""
     seen: dict = {}
     out = model.forward(x, seen.__setitem__)
-    return out, {point: seen[point] for point in points}
+    return out, {key: seen[key] for key in keys}
 
 
-def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list, points: dict) -> list:
+def _reset_point(model, selector: LayerSelector, points: dict) -> str:
+    """The earliest of the resume ``points`` that owns a parameter the
+    selector resets; a selector that matches nothing raises here, so
+    ``dmr`` and ``probe_sweep`` refuse it before their first forward."""
+    names = {name for name, _ in resolve(model, selector.path)}
+    return next(point for point, owned in points.items() if names.intersection(owned))
+
+
+def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list, point: str) -> list:
     """Per-image outputs of ``reset_layer(model, selector, rng)``.
 
-    Each forward resumes at the earliest of the model's resume ``points``
-    that owns a reset parameter, from the values kept in ``base`` (see
-    :func:`_base_pass`): a forward reads no reset parameter before that
-    point, and ``freeze`` derives the frozen caches it skips unchanged.
+    Each forward resumes at ``point``, the earliest resume point that owns a
+    reset parameter (see :func:`_reset_point`), from the values kept in
+    ``base`` (see :func:`observed_pass`): a forward reads no reset parameter
+    before that point, and ``freeze`` derives the frozen caches it skips
+    unchanged.
     """
     probe = reset_layer(model, selector, rng)
-    names = {name for name, _ in resolve(probe, selector.path)}
-    point = next(point for point, owned in points.items() if names.intersection(owned))
     return [probe.resume(kept, point) for _, kept in base]
 
 
@@ -160,10 +168,11 @@ def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
     if not model.frozen:
         raise ContractError("dmr probes a frozen model; call freeze() first")
     points = model.resume_points()
-    base = [_base_pass(model, x, points) for x in images]
+    starts = [_reset_point(model, sel, points) for sel in selectors]
+    base = [observed_pass(model, x, points) for x in images]
     terms = np.empty((len(selectors), len(images)))
-    for i, sel in enumerate(selectors):
-        outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, points)
+    for i, (sel, start) in enumerate(zip(selectors, starts)):
+        outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, start)
         for j, ((out, _), probed) in enumerate(zip(base, outs)):
             terms[i, j] = psnr(out, probed)
     return DmrReport(terms=terms, dmr=float(terms.mean()), seed=seed)
@@ -178,12 +187,13 @@ def probe_sweep(
     if len(low_images) != len(ref_images) or not low_images:
         raise ContractError("probe_sweep needs nonempty paired image lists")
     points = model.resume_points()
-    base = [_base_pass(model, x, points) for x in low_images]
+    starts = [_reset_point(model, sel, points) for sel in selectors]
+    base = [observed_pass(model, x, points) for x in low_images]
     before = [psnr(out, ref) for (out, _), ref in zip(base, ref_images)]
     rows = []
     for seed in seeds:
-        for i, sel in enumerate(selectors):
-            outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, points)
+        for i, (sel, start) in enumerate(zip(selectors, starts)):
+            outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, start)
             after = [psnr(out, ref) for out, ref in zip(outs, ref_images)]
             wins = sum(1 for b, a in zip(before, after) if a > b)
             rows.append(
@@ -229,12 +239,9 @@ def default_selectors(model) -> list:
             kind = "attention"
         elif name.endswith(".tau"):
             continue
-        elif ".attn.out." in name:
-            path = name.rsplit(".", 1)[0]
-            kind = "attention"
         else:
-            path = name.rsplit(".", 1)[0] if "." in name else name
-            kind = "static"
+            path = name.rsplit(".", 1)[0]
+            kind = "attention" if ".attn.out." in name else "static"
         if path not in seen:
             seen[path] = LayerSelector(path, kind)
     return list(seen.values())

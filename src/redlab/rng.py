@@ -202,6 +202,13 @@ class Rng:
             u = self._lane_u64(n)
         return (u >> 11).astype(np.float64) * (2.0 ** -53)
 
+    def _fill(self, out: np.ndarray, draw) -> np.ndarray:
+        """``out`` filled in row-major order, ``draw(m)`` giving the next m values."""
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _FILL_CHUNK):
+            flat[start : start + _FILL_CHUNK] = draw(min(flat.size - start, _FILL_CHUNK))
+        return out
+
     def _scalar_u64(self, n: int) -> list:
         """The next n draws of the recurrence, run on local variables."""
         mask = _MASK64
@@ -279,11 +286,7 @@ class Rng:
             out = np.empty(shape, dtype=np.float64)  # refuses a bad shape before any draw
         elif out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-        flat = out.reshape(-1)
-        for start in range(0, flat.size, _FILL_CHUNK):
-            m = min(flat.size - start, _FILL_CHUNK)
-            flat[start : start + m] = lo + (hi - lo) * self._doubles(m)
-        return out
+        return self._fill(out, lambda m: lo + (hi - lo) * self._doubles(m))
 
     def normal(self, sigma: float = 1.0) -> float:
         """One N(0, sigma^2) draw via Box-Muller (two uniforms per draw)."""
@@ -293,15 +296,13 @@ class Rng:
 
     def fill_normal(self, shape, sigma: float = 1.0) -> np.ndarray:
         """Row-major array of ``normal(sigma)`` draws, as repeated calls give."""
-        out = np.empty(shape, dtype=np.float64)
-        flat = out.reshape(-1)
-        for start in range(0, flat.size, _FILL_CHUNK):
-            m = min(flat.size - start, _FILL_CHUNK)
+        def draw(m: int) -> np.ndarray:
             d = self._doubles(2 * m)
             log_u1 = _log(1.0 - d[0::2])
             cos_u2 = np.cos(2.0 * math.pi * d[1::2])
-            flat[start : start + m] = sigma * np.sqrt(-2.0 * log_u1) * cos_u2
-        return out
+            return sigma * np.sqrt(-2.0 * log_u1) * cos_u2
+
+        return self._fill(np.empty(shape, dtype=np.float64), draw)
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias, for 1 <= n <= 2**64."""

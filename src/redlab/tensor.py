@@ -549,7 +549,7 @@ class Planner:
     """Stands in for the Rng while an owner plans its parameters.
 
     :func:`parameter` records each tensor here with its shape and init rule,
-    and leaves it unbound: nothing is allocated.  The owner then points every
+    and leaves its ``data`` None: nothing is allocated.  The owner then points every
     tensor at its view of one buffer (see :class:`~redlab.enhancer.ToyEnhancer`).
     """
 
@@ -574,9 +574,8 @@ def parameter(rng: Rng | Planner, shape: tuple, init=init_uniform) -> Tensor:
     Given a :class:`Planner` in place of the Rng, the tensor is only recorded in it.
     """
     if isinstance(rng, Planner):
-        t = Tensor.__new__(Tensor)
+        t = _wrap(None)
         t.requires_grad = True
-        t.node_id = next(_NODE_COUNTER)
         rng.rules[id(t)] = (shape, init)
         return t
     data = np.empty(shape)

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from redlab import checkpoint, cli, enhancer
-from redlab.checkpoint import load_model, save_model
+from redlab.checkpoint import json_text, load_model, save_model
 from redlab.cli import run
 from redlab.datagen import ScenePair, load_pairs, make_corpus, save_pairs
+from redlab.dynconv import DynamicConv, candidate_similarity
 from redlab.redundancy import (
     LayerSelector,
     default_selectors,
@@ -87,6 +88,13 @@ def open_on_full_disk(real_open, name):
         fh = real_open(path, *args, **kwargs)
         return FullDisk(fh) if os.path.basename(str(path)).startswith(name) else fh
     return opener
+
+
+def untrained_ckpt(tmp_path, **recipe):
+    """A small untrained checkpoint of the given recipe, saved unfrozen."""
+    out = str(tmp_path / "model")
+    save_model(ToyEnhancer(Rng(3), widths=(4, 8), **recipe), out)
+    return out
 
 
 def snapshot(root):
@@ -315,6 +323,16 @@ class TestProbe:
                     "--selectors", "auto", "--seeds", "0",
                     "--out", str(tmp_path / "p.csv")]) == 2
 
+    def test_non_integer_seeds_exit_two_with_the_flag_named(self, tmp_path, capsys):
+        data = gen_corpus(tmp_path)
+        out = tmp_path / "p.csv"
+        assert run(["probe", "--ckpt", untrained_ckpt(tmp_path), "--data", data,
+                    "--selectors", "auto", "--seeds", "1,x", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seeds must be comma-separated integers, got '1,x'\n"
+        )
+        assert not out.exists()
+
 
 class TestDmr:
     def test_summary_matches_library_report(self, tmp_path):
@@ -339,6 +357,20 @@ class TestDmr:
         assert run(["dmr", "--ckpt", ckpt, "--data", data,
                     "--selectors", "", "--seed", "3", "--out", out]) == 2
         assert not os.path.exists(out)
+
+    def test_unmatched_selector_prints_its_message_bare(self, tmp_path, capsys):
+        """SelectorError is a KeyError, whose str() quotes the message; the
+        CLI prints it like every other error, without quotes or traceback."""
+        data = gen_corpus(tmp_path)
+        ckpt = untrained_ckpt(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "dmr.json"
+        assert run(["dmr", "--ckpt", ckpt, "--data", data,
+                    "--selectors", "nope", "--seed", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: selector 'nope' matches no parameters\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 PROBING = {
@@ -445,6 +477,37 @@ class TestDegradeScore:
         for matrix in doc["candidate_similarity"].values():
             assert np.asarray(matrix).shape == (3, 3)
 
+    @pytest.mark.parametrize("recipe", [{}, {"dyn_candidates": 3}], ids=["plain", "dynconv"])
+    def test_model_without_reallocation_runs_no_forward(self, tmp_path, forward_calls,
+                                                        recipe):
+        """No generator to score, so no image goes through the model; the
+        report holds the candidate banks' similarity alone."""
+        ckpt = untrained_ckpt(tmp_path, **recipe)
+        data = gen_corpus(tmp_path)
+        out = tmp_path / "scores.json"
+        assert run(["degrade-score", "--ckpt", ckpt, "--data", data,
+                    "--out", str(out)]) == 0
+        assert forward_calls == []
+        model = load_model(ckpt)
+        similarity = {
+            f"{path}.dynconv": [list(map(float, row)) for row in candidate_similarity(stage.conv)]
+            for path, stage in model.stages if isinstance(getattr(stage, "conv", None), DynamicConv)
+        }
+        assert len(similarity) == (2 if recipe else 0)
+        assert out.read_text() == json_text({
+            "degradation_scores": {}, "candidate_similarity": similarity, "images_used": 4,
+        })
+
+    def test_reallocation_model_runs_one_forward_per_image(self, tmp_path, forward_calls):
+        """Generator inputs come from one observed forward per image used."""
+        ckpt = untrained_ckpt(tmp_path, adr_blocks=(True, True), adr_dims=(2, 8, 3))
+        data = gen_corpus(tmp_path, count=10)
+        out = tmp_path / "scores.json"
+        assert run(["degrade-score", "--ckpt", ckpt, "--data", data,
+                    "--out", str(out)]) == 0
+        assert len(forward_calls) == 8
+        assert json.loads(out.read_text())["images_used"] == 8
+
     def test_empty_corpus_exits_two_without_output(self, tmp_path, capsys):
         """A corpus with no pairs is malformed input, not an empty report.
 
@@ -528,6 +591,14 @@ class TestAblate:
         cfg = write_config(tmp_path, steps=3, adr={"enabled": True})
         assert run(["ablate", "--config", cfg, "--grid", "lr=0.1",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_non_integer_grid_values_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, steps=3, adr={"enabled": True})
+        out = tmp_path / "x.csv"
+        assert run(["ablate", "--config", cfg, "--grid", "D_m=1,x",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: grid values must be integers, got '1,x'\n"
+        assert not out.exists()
 
 
 class TestGradcheck:

@@ -332,6 +332,26 @@ class TestDmr:
             dmr(thawed, default_selectors(thawed)[:1], images(17, 1), 0)
 
 
+class TestUnmatchedSelector:
+    """A selector that matches nothing is refused before the first forward,
+    whatever selectors come before it."""
+
+    SELECTORS = [LayerSelector("head", "static"), LayerSelector("nope", "static")]
+
+    def test_dmr_refuses_before_any_forward(self, forward_calls):
+        model = fresh_frozen_model()
+        with pytest.raises(SelectorError, match="selector 'nope' matches no parameters"):
+            dmr(model, self.SELECTORS, images(18, 2), 0)
+        assert forward_calls == []
+
+    def test_probe_sweep_refuses_before_any_forward(self, forward_calls):
+        model = fresh_frozen_model()
+        imgs = images(19, 2)
+        with pytest.raises(SelectorError, match="selector 'nope' matches no parameters"):
+            probe_sweep(model, self.SELECTORS, imgs, imgs, [0, 1])
+        assert forward_calls == []
+
+
 class TestPoi:
     @pytest.mark.parametrize("path", BIAS_PATHS)
     def test_no_op_reset_scores_zero(self, path):
