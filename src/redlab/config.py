@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
 from .rng import Rng
 
-# reallocation dimensions an ablation grid may sweep
-ADR_AXES = ("D_m", "D_e", "D_k")
+# reallocation dimensions an ablation grid may sweep, each with its minimum
+ADR_AXES = {"D_m": 1, "D_e": 2, "D_k": 1}
+# the keys each nested object of the document may hold
+_SECTION_KEYS = {"adr": {"enabled", *ADR_AXES}, "dynconv": {"enabled", "K"}}
 
 
 def _require_keys(doc: dict, allowed: set, where: str) -> None:
@@ -57,7 +59,10 @@ def check_list(value, n: int, name: str) -> list:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated model/training settings; the single source for builds."""
+    """Validated model/training settings; the single source for builds.
+
+    The constructor checks every value, so a config is checked however it is
+    made: by hand, by :meth:`from_dict` or by :meth:`replace_adr`."""
 
     steps: int = 2000
     lr: float = 1e-3
@@ -70,56 +75,43 @@ class RunConfig:
     dyn_enabled: bool = False
     dyn_k: int = 4
 
-    @staticmethod
-    def from_dict(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigurationError(f"config must be a JSON object, got {type(doc).__name__}")
-        _require_keys(doc, {"steps", "lr", "seed", "widths", "adr", "dynconv"}, "config")
-
-        steps = check_int(doc.get("steps", 2000), 1, "config.steps")
-        seed = check_int(doc.get("seed", 0), 0, "config.seed")
-
-        lr = doc.get("lr", 1e-3)
+    def __post_init__(self):
+        check_int(self.steps, 1, "config.steps")
+        check_int(self.seed, 0, "config.seed")
+        lr = self.lr
         if isinstance(lr, bool) or not isinstance(lr, (int, float)):
             raise ConfigurationError(f"config.lr must be a number, got {lr!r}")
         # NaN fails every comparison; an int past the float range would overflow float()
         if not 0 <= lr <= sys.float_info.max:
             raise ConfigurationError(f"config.lr must be finite and >= 0, got {lr}")
-
-        widths = check_list(doc.get("widths", [8, 16]), 2, "config.widths")
+        widths = check_list(self.widths, 2, "config.widths")
         for w in widths:
             check_int(w, 1, "config.widths")
+        check_bool(self.adr_enabled, "config.adr.enabled")
+        for axis, minimum in ADR_AXES.items():
+            check_int(getattr(self, f"adr_{axis.lower()}"), minimum, f"config.adr.{axis}")
+        if self.adr_d_k % 2 == 0:
+            raise ConfigurationError(f"config.adr.D_k must be odd, got {self.adr_d_k}")
+        check_bool(self.dyn_enabled, "config.dynconv.enabled")
+        check_int(self.dyn_k, 1, "config.dynconv.K")
+        object.__setattr__(self, "lr", float(lr))
+        object.__setattr__(self, "widths", tuple(widths))
 
-        adr = doc.get("adr", {})
-        if not isinstance(adr, dict):
-            raise ConfigurationError(f"config.adr must be an object, got {adr!r}")
-        _require_keys(adr, {"enabled", *ADR_AXES}, "config.adr")
-        adr_enabled = check_bool(adr.get("enabled", False), "config.adr.enabled")
-        adr_d_m = check_int(adr.get("D_m", 4), 1, "config.adr.D_m")
-        adr_d_e = check_int(adr.get("D_e", 16), 2, "config.adr.D_e")
-        adr_d_k = check_int(adr.get("D_k", 3), 1, "config.adr.D_k")
-        if adr_d_k % 2 == 0:
-            raise ConfigurationError(f"config.adr.D_k must be odd, got {adr_d_k}")
-
-        dyn = doc.get("dynconv", {})
-        if not isinstance(dyn, dict):
-            raise ConfigurationError(f"config.dynconv must be an object, got {dyn!r}")
-        _require_keys(dyn, {"enabled", "K"}, "config.dynconv")
-        dyn_enabled = check_bool(dyn.get("enabled", False), "config.dynconv.enabled")
-        dyn_k = check_int(dyn.get("K", 4), 1, "config.dynconv.K")
-
-        return RunConfig(
-            steps=steps,
-            lr=float(lr),
-            seed=seed,
-            widths=tuple(widths),
-            adr_enabled=adr_enabled,
-            adr_d_m=adr_d_m,
-            adr_d_e=adr_d_e,
-            adr_d_k=adr_d_k,
-            dyn_enabled=dyn_enabled,
-            dyn_k=dyn_k,
-        )
+    @staticmethod
+    def from_dict(doc: dict) -> "RunConfig":
+        """The config a JSON document describes: its shape is checked here,
+        its values by the constructor."""
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(doc).__name__}")
+        _require_keys(doc, {"steps", "lr", "seed", "widths", "adr", "dynconv"}, "config")
+        values = {key: doc[key] for key in ("steps", "lr", "seed", "widths") if key in doc}
+        for section, prefix in (("adr", "adr"), ("dynconv", "dyn")):
+            sub = doc.get(section, {})
+            if not isinstance(sub, dict):
+                raise ConfigurationError(f"config.{section} must be an object, got {sub!r}")
+            _require_keys(sub, _SECTION_KEYS[section], f"config.{section}")
+            values.update({f"{prefix}_{key.lower()}": v for key, v in sub.items()})
+        return RunConfig(**values)
 
     def to_dict(self) -> dict:
         return {
@@ -136,12 +128,11 @@ class RunConfig:
             "dynconv": {"enabled": self.dyn_enabled, "K": self.dyn_k},
         }
 
-    def replace_adr(self, **axes) -> "RunConfig":
-        """A copy with some of D_m/D_e/D_k overridden (ablation grids); an axis
-        outside :data:`ADR_AXES` is refused as an unknown ``config.adr`` key."""
-        doc = self.to_dict()
-        doc["adr"].update(axes)
-        return RunConfig.from_dict(doc)
+    def replace_adr(self, **keys) -> "RunConfig":
+        """A copy with some ``config.adr`` keys overridden (ablation grids set
+        D_m/D_e/D_k); a key outside ``config.adr`` is refused as unknown."""
+        _require_keys(keys, _SECTION_KEYS["adr"], "config.adr")
+        return replace(self, **{f"adr_{key.lower()}": v for key, v in keys.items()})
 
 
 def load_config(path: str) -> RunConfig:

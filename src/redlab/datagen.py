@@ -66,8 +66,10 @@ def apply_degradation(
     clean: Tensor, gamma: float, s: float, sigma: float, noise_rng: Rng
 ) -> Tensor:
     """low = clamp(clean^gamma * s + N(0, sigma^2)), the noise drawn from ``noise_rng``."""
-    arr = np.power(clean.data, gamma) * s + noise_rng.fill_normal(clean.data.shape, sigma)
-    return Tensor(np.clip(arr, 0.0, 1.0))
+    # the noise is drawn before the power product is made, so the fill's chunk
+    # temporaries do not sit below a live 3*H*W array on the heap
+    noise = noise_rng.fill_normal(clean.data.shape, sigma)
+    return Tensor(np.clip(np.power(clean.data, gamma) * s + noise, 0.0, 1.0))
 
 
 def degrade(clean: Tensor, rng: Rng) -> tuple:

@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .adr import AdrBlock, reallocate
 from .checkpoint import _RECIPE_KEYS
-from .config import check_bool, check_int, check_list
+from .config import ADR_AXES, check_bool, check_int, check_list
 from .dynconv import DynamicConv
 from .errors import ConfigurationError, ContractError, DimensionError, DivergenceError
 from .redundancy import psnr
@@ -277,8 +277,10 @@ class ToyEnhancer:
         adr_dims = check_list(adr_dims, 3, "adr_dims")
         self.widths = tuple(check_int(w, 1, "widths") for w in widths)
         self.adr_blocks = tuple(check_bool(b, "adr_blocks") for b in adr_blocks)
-        # D_m, D_e, D_k, with the minimums RunConfig gives them
-        self.adr_dims = tuple(check_int(v, low, "adr_dims") for v, low in zip(adr_dims, (1, 2, 1)))
+        # D_m, D_e, D_k, each at least its ADR_AXES minimum, as in RunConfig
+        self.adr_dims = tuple(
+            check_int(v, low, "adr_dims") for v, low in zip(adr_dims, ADR_AXES.values())
+        )
         self.dyn_candidates = check_int(dyn_candidates, 0, "dyn_candidates")
         w1, w2 = self.widths
         d_m, _, d_k = self.adr_dims

@@ -2,6 +2,7 @@
 unknown or ill-typed keys, and seed-pinned model builds."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,27 +46,27 @@ class TestSchema:
             RunConfig.from_dict({"dynconv": {"k": 4}})
 
     def test_type_violations_rejected(self):
-        for doc in [
-            {"steps": 0},
-            {"steps": True},
-            {"steps": "many"},
-            {"lr": -0.1},
-            {"lr": "fast"},
-            {"lr": float("nan")},
-            {"lr": float("inf")},
-            {"lr": 10 ** 400},
-            {"seed": -1},
-            {"widths": [8]},
-            {"widths": [8, 0]},
-            {"widths": "wide"},
-            {"adr": []},
-            {"adr": {"enabled": 1}},
-            {"adr": {"D_k": 2}},
-            {"adr": {"D_e": 1}},
-            {"dynconv": {"K": 0}},
-            [1, 2],
+        for doc, message in [
+            ({"steps": 0}, "config.steps must be >= 1, got 0"),
+            ({"steps": True}, "config.steps must be an integer, got True"),
+            ({"steps": "many"}, "config.steps must be an integer, got 'many'"),
+            ({"lr": -0.1}, "config.lr must be finite and >= 0, got -0.1"),
+            ({"lr": "fast"}, "config.lr must be a number, got 'fast'"),
+            ({"lr": float("nan")}, "config.lr must be finite and >= 0, got nan"),
+            ({"lr": float("inf")}, "config.lr must be finite and >= 0, got inf"),
+            ({"lr": 10 ** 400}, f"config.lr must be finite and >= 0, got {10 ** 400}"),
+            ({"seed": -1}, "config.seed must be >= 0, got -1"),
+            ({"widths": [8]}, "config.widths must be a list of 2 items, got [8]"),
+            ({"widths": [8, 0]}, "config.widths must be >= 1, got 0"),
+            ({"widths": "wide"}, "config.widths must be a list of 2 items, got 'wide'"),
+            ({"adr": []}, "config.adr must be an object, got []"),
+            ({"adr": {"enabled": 1}}, "config.adr.enabled must be a boolean, got 1"),
+            ({"adr": {"D_k": 2}}, "config.adr.D_k must be odd, got 2"),
+            ({"adr": {"D_e": 1}}, "config.adr.D_e must be >= 2, got 1"),
+            ({"dynconv": {"K": 0}}, "config.dynconv.K must be >= 1, got 0"),
+            ([1, 2], "config must be a JSON object, got list"),
         ]:
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
                 RunConfig.from_dict(doc)
 
     def test_zero_lr_allowed(self):
@@ -77,6 +78,45 @@ class TestSchema:
         assert (swapped.adr_d_m, swapped.adr_d_e, swapped.adr_d_k) == (2, 8, 3)
         with pytest.raises(ConfigurationError):
             cfg.replace_adr(K=2)
+
+    def test_replace_adr_checks_values_and_keys(self):
+        cfg = RunConfig(adr_enabled=True)
+        with pytest.raises(ConfigurationError, match=r"^config\.adr\.D_k must be odd, got 4$"):
+            cfg.replace_adr(D_k=4)
+        with pytest.raises(ConfigurationError, match=r"^unknown config\.adr keys: \['K'\]$"):
+            cfg.replace_adr(K=2)
+        assert cfg.replace_adr(enabled=False) == RunConfig()
+
+    def test_shape_fault_reported_before_value_fault(self):
+        """The document's shape is checked whole before any value."""
+        with pytest.raises(ConfigurationError, match=r"^unknown config\.adr keys: \['D_x'\]$"):
+            RunConfig.from_dict({"steps": 0, "adr": {"D_x": 1}})
+
+
+class TestConstructor:
+    """A config made by its constructor passes the checks a document does."""
+
+    @pytest.mark.parametrize("fields, doc, message", [
+        ({"dyn_enabled": True, "dyn_k": 0}, {"dynconv": {"enabled": True, "K": 0}},
+         "config.dynconv.K must be >= 1, got 0"),
+        ({"lr": -1.0}, {"lr": -1.0}, "config.lr must be finite and >= 0, got -1.0"),
+        ({"lr": float("nan")}, {"lr": float("nan")}, "config.lr must be finite and >= 0, got nan"),
+        ({"seed": -1}, {"seed": -1}, "config.seed must be >= 0, got -1"),
+        ({"widths": (8,)}, {"widths": (8,)}, "config.widths must be a list of 2 items, got (8,)"),
+        ({"adr_d_k": 2}, {"adr": {"D_k": 2}}, "config.adr.D_k must be odd, got 2"),
+    ], ids=["dyn_k", "lr_negative", "lr_nan", "seed", "widths", "adr_d_k"])
+    def test_refuses_what_from_dict_refuses(self, fields, doc, message):
+        with pytest.raises(ConfigurationError) as from_doc:
+            RunConfig.from_dict(doc)
+        with pytest.raises(ConfigurationError) as made:
+            RunConfig(**fields)
+        assert str(made.value) == str(from_doc.value) == message
+
+    def test_values_are_normalised(self):
+        assert RunConfig(widths=[4, 8]) == RunConfig(widths=(4, 8))
+        assert RunConfig(widths=[4, 8]).widths == (4, 8)
+        lr = RunConfig(lr=0).lr
+        assert type(lr) is float and lr == 0.0
 
 
 class TestLoadConfig:

@@ -1,6 +1,8 @@
 """Synthetic paired data: ranges, determinism, distinctness, degradation
 physics, record replay, and disk round-trips."""
 
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -121,6 +123,18 @@ class TestMakeCorpus:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
             make_corpus(0, 0, 8, 8)
+
+    def test_corpus_golden(self):
+        """Regression pin for 16 pairs at 64x64: clean and low bytes plus
+        each pair's seed and degradation record."""
+        digest = hashlib.sha256()
+        for pair in make_corpus(14, 16, 64, 64):
+            digest.update(pair.clean.data.astype("<f8").tobytes())
+            digest.update(pair.low.data.astype("<f8").tobytes())
+            digest.update(json.dumps([pair.seed, pair.record], sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "00ff6a7ee141f5e89c4678caa4930ec4d2a64bd366f561ca761504add698efc6"
+        )
 
 
 class TestDiskRoundTrip:

@@ -23,7 +23,10 @@ def test_two_runs_give_the_same_bytes_and_compare_finds_a_change(tmp_path, capsy
     assert logs == ["00-corpus-gen-data.json"] + [
         f"{k:02d}-adr_dynconv-{c}.json" for k, c in enumerate(
             ["train", "probe", "dmr", "dmr-selectors", "degrade-score", "gradcheck",
-             "ablate"], 1)]
+             "ablate"], 1)] + [
+        f"{k:02d}-refused-{c}.json" for k, c in enumerate(
+            ["steps-train", "lr-train", "widths-train", "adr_d_k-train", "adr_key-train",
+             "dynconv_k-train", "grid-ablate"], 8)]
     train = json.loads((a / "log" / logs[1]).read_text())
     assert train["exit"] == 0 and train["stdout"].startswith("trained 30 steps")
     for name in ("model.bin", "model.json", "model.loss.csv", "probe.csv", "dmr.json",

@@ -13,7 +13,11 @@ directory OUT it runs ``gen-data`` (4 pairs, 16x16, seed 5) and then, for
 plain, ADR (D_m 2, D_e 8), dynconv K=3 and ADR+dynconv K=3 configs (widths
 4, 8, seed 2, 30 steps): ``train``, ``probe`` (auto, seeds 0,1), ``dmr``
 (seed 3, auto and then four explicit selectors), ``degrade-score``,
-``gradcheck`` (20 samples) and ``ablate`` over ``D_m=1,2``.  Every command
+``gradcheck`` (20 samples) and ``ablate`` over ``D_m=1,2``.  Last come
+commands that must be refused: ``train`` on six configs with one fault each
+(``steps`` 0, ``lr`` -1, ``widths`` [8], ``adr.D_k`` 4, an unknown ``adr``
+key, ``dynconv.K`` 0) and ``ablate`` over ``D_k=1,4`` on an ADR config, so
+their messages and exit codes are compared too.  Every command
 runs inside OUT with relative paths, so no output or message names where
 OUT is.  OUT keeps every output file, and
 ``log/NN-<config>-<command>.json`` keeps each command's argv, exit code,
@@ -42,6 +46,19 @@ CONFIGS = {
     "adr_dynconv": {"adr": _ADR, "dynconv": _DYNCONV},
 }
 _BASE = {"steps": 30, "seed": 2, "widths": [4, 8]}
+# commands that must be refused, each with a config of its own over _BASE:
+# train on a config with one fault, and an ablation grid with an even D_k
+_TRAIN = ["train", "--data", "corpus", "--out", "refused/model"]
+_REFUSED = {
+    "steps": ({"steps": 0}, _TRAIN),
+    "lr": ({"lr": -1}, _TRAIN),
+    "widths": ({"widths": [8]}, _TRAIN),
+    "adr_d_k": ({"adr": {**_ADR, "D_k": 4}}, _TRAIN),
+    "adr_key": ({"adr": {**_ADR, "D_x": 1}}, _TRAIN),
+    "dynconv_k": ({"dynconv": {**_DYNCONV, "K": 0}}, _TRAIN),
+    "grid": ({"adr": _ADR}, ["ablate", "--grid", "D_k=1,4", "--data", "corpus",
+                             "--out", "refused/ablate.csv"]),
+}
 # explicit dmr selectors: two bare paths (kind static), a prefix of two stages
 # with its kind, and a path with another kind
 _SELECTORS = "decoder.block1.attn.qkv,head,encoder:static,latent.attn.out:attention"
@@ -69,6 +86,9 @@ def _commands(size: int, configs: dict) -> list:
             (f"{name}-ablate", ["ablate", "--config", cfg, "--grid", "D_m=1,2",
                                 "--data", "corpus", "--out", f"{name}/ablate.csv"]),
         ]
+    for name, (_, argv) in _REFUSED.items():
+        out.append((f"refused-{name}-{argv[0]}",
+                    [*argv, "--config", f"refused-{name}.config.json"]))
     return out
 
 
@@ -93,7 +113,8 @@ def run(cli_run, out: str, size: int = 16, configs: dict = CONFIGS) -> None:
     os.chdir(out)
     try:
         os.mkdir("log")
-        for name, extra in configs.items():
+        refused = {f"refused-{name}": extra for name, (extra, _) in _REFUSED.items()}
+        for name, extra in {**configs, **refused}.items():
             with open(f"{name}.config.json", "w") as fh:
                 json.dump({**_BASE, **extra}, fh, indent=2, sort_keys=True)
         for k, (label, argv) in enumerate(_commands(size, configs)):
