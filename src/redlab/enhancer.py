@@ -460,9 +460,10 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
     for name, p in named:
         if p.data.base is not arena:
             raise ContractError(f"parameter {name} is not a view of the model's arena")
-    # Flat Adam buffers laid out like the arena.
-    m, v, g = np.zeros_like(arena), np.zeros_like(arena), np.empty_like(arena)
-    a, b = np.empty_like(arena), np.empty_like(arena)
+    # Flat Adam buffers laid out like the arena: the moments, the gradient
+    # (which holds the step once the second moment has read it) and one temporary.
+    m, v = np.zeros_like(arena), np.zeros_like(arena)
+    g, a = np.empty_like(arena), np.empty_like(arena)
     # backward writes each parameter's gradient straight into its view of g
     grad_views = list(zip((p for _, p in named), T._carve(g, [p.data.shape for _, p in named])))
     state = TrainState(m=m, v=v)
@@ -503,10 +504,10 @@ def train(model, pairs, steps: int, seed: int, lr: float = 1e-3) -> TrainState:
         np.divide(v, 1.0 - _ADAM_B2 ** t, out=a)
         np.sqrt(a, out=a)
         np.add(a, _ADAM_EPS, out=a)
-        np.divide(m, 1.0 - _ADAM_B1 ** t, out=b)
-        np.multiply(b, lr, out=b)
-        np.divide(b, a, out=b)
-        np.subtract(arena, b, out=arena)
+        np.divide(m, 1.0 - _ADAM_B1 ** t, out=g)
+        np.multiply(g, lr, out=g)
+        np.divide(g, a, out=g)
+        np.subtract(arena, g, out=arena)
         state.loss_history.append(value)
     return state
 

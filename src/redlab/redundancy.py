@@ -10,12 +10,14 @@ pairs is the redundancy metric; the fraction of images that actually
 
 The probed model is never mutated: every reset builds a model of its own.
 
-``dmr`` and ``probe_sweep`` run one base forward per image and keep the
-value at every resume point of the model (``ToyEnhancer.resume_points``):
+``dmr`` and ``probe_sweep`` run one base forward per image.  Each reset
+forward resumes at the earliest resume point (``ToyEnhancer.resume_points``:
 each stage's input, each decoder block's attention input and each attention
-core's output.  Each reset forward resumes at the earliest point that owns a
-reset parameter and matches a whole forward of the reset copy bit for bit.
-The kept values are held for one call, about 287 KB per 32x32 image.
+core's output) that owns a reset parameter, and matches a whole forward of
+the reset copy bit for bit.  The base forward keeps the value at each point
+the selectors resume at, plus the stage input of each attention core's
+output point, for one call: 64 KB per 32x32 image for ``head`` alone, about
+287 KB for the default selectors, which resume at every point.
 """
 
 from __future__ import annotations
@@ -155,6 +157,18 @@ def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list, point: 
     return [probe.resume(kept, point) for _, kept in base]
 
 
+def _base_passes(model, selectors: list, images: list) -> tuple:
+    """Each selector's resume point (see :func:`_reset_point`), and per image
+    the base forward's output and the values those points resume from: each
+    point's own, and an ``.out`` point's stage input (see
+    :meth:`~redlab.enhancer.ToyEnhancer.resume`)."""
+    points = model.resume_points()
+    starts = [_reset_point(model, sel, points) for sel in selectors]
+    reads = set(starts) | {start.removesuffix(".out") for start in starts}
+    keys = [point for point in points if point in reads]
+    return starts, [observed_pass(model, x, keys) for x in images]
+
+
 def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
     """Mean capped log-MSE between the frozen model and its per-layer resets.
 
@@ -167,9 +181,7 @@ def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
         raise ContractError("dmr needs at least one image")
     if not model.frozen:
         raise ContractError("dmr probes a frozen model; call freeze() first")
-    points = model.resume_points()
-    starts = [_reset_point(model, sel, points) for sel in selectors]
-    base = [observed_pass(model, x, points) for x in images]
+    starts, base = _base_passes(model, selectors, images)
     terms = np.empty((len(selectors), len(images)))
     for i, (sel, start) in enumerate(zip(selectors, starts)):
         outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, start)
@@ -186,9 +198,7 @@ def probe_sweep(
         raise ContractError("probe_sweep needs selectors and seeds")
     if len(low_images) != len(ref_images) or not low_images:
         raise ContractError("probe_sweep needs nonempty paired image lists")
-    points = model.resume_points()
-    starts = [_reset_point(model, sel, points) for sel in selectors]
-    base = [observed_pass(model, x, points) for x in low_images]
+    starts, base = _base_passes(model, selectors, low_images)
     before = [psnr(out, ref) for (out, _), ref in zip(base, ref_images)]
     rows = []
     for seed in seeds:

@@ -341,6 +341,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     An optional [C_out] ``bias`` is added per output channel in the same
     record.  Values and gradients equal those of the chain
     ``add(conv2d(x, kernel), reshape(bias, (C_out, 1, 1)))`` bit for bit.
+    The record keeps ``x``, not its patch matrix (9x the bytes for k = 3):
+    the VJP rebuilds the matrix, a plain copy, when it needs the kernel's
+    gradient, so the product reads the same operand.
     """
     if x.data.ndim != 3:
         raise DimensionError("conv2d input must be [C, H, W]")
@@ -356,9 +359,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             f"kernel expects {c_in} input channels, got {x.data.shape[0]}"
         )
     c, h, w = x.data.shape
-    cols = _im2col(x.data, kh)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
-    y = (kmat @ cols).reshape(c_out, h, w)
+    y = (kmat @ _im2col(x.data, kh)).reshape(c_out, h, w)
     if bias is not None:
         if bias.data.shape != (c_out,):
             raise DimensionError(f"conv2d bias must be [{c_out}], got {bias.data.shape}")
@@ -371,7 +373,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         if needs[0]:
             gx = _col2im(kmat.T @ gmat, c, h, w, kh)
         if needs[1]:
-            gk = (gmat @ cols.T).reshape(kernel.data.shape)
+            gk = (gmat @ _im2col(x.data, kh).T).reshape(kernel.data.shape)
         if bias is None:
             return (gx, gk)
         gb = _unbroadcast(g, (c_out, 1, 1)).reshape(c_out) if needs[2] else None

@@ -18,8 +18,11 @@ class TestSchema:
         assert cfg == RunConfig()
         assert cfg.steps == 2000
         assert cfg.lr == 1e-3
+        assert cfg.seed == 0
         assert cfg.widths == (8, 16)
         assert not cfg.adr_enabled and not cfg.dyn_enabled
+        # the defaults the module docstring's document shape states
+        assert (cfg.adr_d_m, cfg.adr_d_e, cfg.adr_d_k, cfg.dyn_k) == (4, 16, 3, 4)
 
     def test_full_document_round_trips(self):
         doc = {

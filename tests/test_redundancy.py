@@ -386,6 +386,14 @@ class TestPoi:
                 wins += 1
         assert got == wins / len(lows)
 
+    def test_empty_selectors_or_seeds_rejected(self):
+        """Either list empty, the other not, is refused: a sweep of nothing."""
+        model = fresh_frozen_model()
+        sel = LayerSelector("head.bias", "static")
+        for sels, seeds in (([], [0]), ([sel], [])):
+            with pytest.raises(ContractError, match="needs selectors and seeds"):
+                probe_sweep(model, sels, images(23, 1), images(24, 1), seeds)
+
     def test_length_mismatch_rejected(self):
         model = fresh_frozen_model()
         with pytest.raises(ContractError):
@@ -536,6 +544,41 @@ class TestResume:
         sel = LayerSelector(path, "attention")
         self.check_against_direct_resets(model, [sel], resume_points, [point])
 
+    @pytest.mark.parametrize("path,kept,nbytes", [
+        ("head", ["head"], 65_536),
+        ("latent.attn.out", ["latent.attn", "latent.attn.out"], 16_384),
+        ("decoder.block2.attn.out", ["decoder.block2.attn", "decoder.block2.attn.out"], 131_072),
+    ])
+    def test_base_keeps_only_the_points_it_resumes_from(self, path, kept, nbytes, monkeypatch):
+        """Per 32x32 image a sweep keeps its selectors' resume points and an
+        ``.out`` point's stage input, where keeping all 11 points takes
+        311,296 bytes (286,720 beside the input image, the first point); its
+        rows and terms equal those of a sweep whose default selectors make it
+        keep all 11."""
+        model, _ = trained_model(adr=True)
+        lows, refs = images(115, 2, 32, 32), images(116, 2, 32, 32)
+        sel = LayerSelector(path, "attention")
+        kept_by_resume = []
+        resume = ToyEnhancer.resume
+
+        def spy(self, seen, point, observe=None):
+            kept_by_resume.append(seen)
+            return resume(self, seen, point, observe)
+
+        monkeypatch.setattr(ToyEnhancer, "resume", spy)
+        rows = probe_sweep(model, [sel], lows, refs, [9])
+        report = dmr(model, [sel], lows, 9)
+        assert [list(seen) for seen in kept_by_resume] == [kept] * 4
+        assert all(sum(t.data.nbytes for t in seen.values()) == nbytes
+                   for seen in kept_by_resume)
+        kept_by_resume.clear()
+        every = [sel] + default_selectors(model)
+        every_rows = probe_sweep(model, every, lows, refs, [9])
+        assert [len(seen) for seen in kept_by_resume] == [11] * 2 * len(every)
+        assert sum(t.data.nbytes for t in kept_by_resume[0].values()) == 311_296
+        assert rows[0] == every_rows[0]
+        assert np.array_equal(report.terms[0], dmr(model, every, lows, 9).terms[0])
+
 
 class TestSelectors:
     def test_plain_model_groups(self):
@@ -577,6 +620,8 @@ class TestSelectors:
         sel = parse_selector("decoder.block1.attn.adr:dynamic")
         assert sel == LayerSelector("decoder.block1.attn.adr", "dynamic")
         assert parse_selector("head") == LayerSelector("head", "static")
+        # only the last colon separates the kind
+        assert parse_selector("a:b:attention") == LayerSelector("a:b", "attention")
         with pytest.raises(ConfigurationError):
             parse_selector("head:conv")
 
