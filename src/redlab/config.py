@@ -24,12 +24,13 @@ from .rng import Rng
 
 # reallocation dimensions an ablation grid may sweep, each with its minimum
 ADR_AXES = {"D_m": 1, "D_e": 2, "D_k": 1}
-# the keys each nested object of the document may hold
-_SECTION_KEYS = {"adr": {"enabled", *ADR_AXES}, "dynconv": {"enabled", "K"}}
+# each nested object of the document, in document order: the prefix of its
+# RunConfig fields and its keys, each the field f"{prefix}_{key.lower()}"
+_SECTIONS = {"adr": ("adr", ("enabled", *ADR_AXES)), "dynconv": ("dyn", ("enabled", "K"))}
 
 
-def _require_keys(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
+def _require_keys(doc: dict, allowed, where: str) -> None:
+    unknown = set(doc).difference(allowed)
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
 
@@ -103,35 +104,26 @@ class RunConfig:
         its values by the constructor."""
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config must be a JSON object, got {type(doc).__name__}")
-        _require_keys(doc, {"steps", "lr", "seed", "widths", "adr", "dynconv"}, "config")
+        _require_keys(doc, {"steps", "lr", "seed", "widths", *_SECTIONS}, "config")
         values = {key: doc[key] for key in ("steps", "lr", "seed", "widths") if key in doc}
-        for section, prefix in (("adr", "adr"), ("dynconv", "dyn")):
+        for section, (prefix, keys) in _SECTIONS.items():
             sub = doc.get(section, {})
             if not isinstance(sub, dict):
                 raise ConfigurationError(f"config.{section} must be an object, got {sub!r}")
-            _require_keys(sub, _SECTION_KEYS[section], f"config.{section}")
+            _require_keys(sub, keys, f"config.{section}")
             values.update({f"{prefix}_{key.lower()}": v for key, v in sub.items()})
         return RunConfig(**values)
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "lr": self.lr,
-            "seed": self.seed,
-            "widths": list(self.widths),
-            "adr": {
-                "enabled": self.adr_enabled,
-                "D_m": self.adr_d_m,
-                "D_e": self.adr_d_e,
-                "D_k": self.adr_d_k,
-            },
-            "dynconv": {"enabled": self.dyn_enabled, "K": self.dyn_k},
-        }
+        doc = {"steps": self.steps, "lr": self.lr, "seed": self.seed, "widths": list(self.widths)}
+        for section, (prefix, keys) in _SECTIONS.items():
+            doc[section] = {key: getattr(self, f"{prefix}_{key.lower()}") for key in keys}
+        return doc
 
     def replace_adr(self, **keys) -> "RunConfig":
         """A copy with some ``config.adr`` keys overridden (ablation grids set
         D_m/D_e/D_k); a key outside ``config.adr`` is refused as unknown."""
-        _require_keys(keys, _SECTION_KEYS["adr"], "config.adr")
+        _require_keys(keys, _SECTIONS["adr"][1], "config.adr")
         return replace(self, **{f"adr_{key.lower()}": v for key, v in keys.items()})
 
 

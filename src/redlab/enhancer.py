@@ -61,7 +61,8 @@ class ChannelAttentionBlock:
     The optional reallocation block rewrites Q/K/V between projection and
     attention.  As a stage of :class:`ToyEnhancer` it holds the one resume
     point inside a stage: the attention core's output (``.out``), which the
-    out projection reads (see :meth:`resume`).  Row normalization carries a
+    out projection reads (see :meth:`project`, which a forward and a
+    resume there both end in).  Row normalization carries a
     1e-24 additive guard inside the square root so an all-zero feature map
     stays finite (relative effect on any non-degenerate row is ~1e-24, far
     below every stated tolerance).
@@ -87,18 +88,15 @@ class ChannelAttentionBlock:
             if observe is not None:
                 observe(f"{path}.adr", T.concat_channels([q, k, v]))
             q, k, v = reallocate(self.adr, q, k, v)
-        a = attention(q, k, v, self.tau)
-        if observe is not None:
-            observe(f"{path}.out", a)
-        return T.add(self.out_conv.forward(a), f)
+        return self.project(attention(q, k, v, self.tau), f, observe, f"{path}.out")
 
-    def resume(self, seen: dict, point: str, observe: Observer | None, path: str) -> Tensor:
-        """The block's output from its ``.out`` point, ``seen`` holding the
-        core output there and the block input at ``path``."""
-        a = seen[point]
+    def project(self, a: Tensor, f: Tensor, observe: Observer | None, point: str) -> Tensor:
+        """The block's output from its attention core's output ``a`` and its
+        input ``f``: the out projection of ``a`` plus ``f``, after showing
+        ``a`` to ``observe`` at ``point``, the block's ``.out`` resume point."""
         if observe is not None:
             observe(point, a)
-        return T.add(self.out_conv.forward(a), seen[path])
+        return T.add(self.out_conv.forward(a), f)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         out = self.q_conv.named_parameters(f"{prefix}.qkv.q")
@@ -356,7 +354,8 @@ class ToyEnhancer:
             if point == path:
                 return self._run(seen[point], k, observe)
             if point == f"{path}.out" and isinstance(stage, ChannelAttentionBlock):
-                return self._run(stage.resume(seen, point, observe, path), k + 1, observe)
+                y = stage.project(seen[point], seen[path], observe, point)
+                return self._run(y, k + 1, observe)
         raise ContractError(f"resume point must be one of {list(self.resume_points())}, "
                             f"got {point!r}")
 

@@ -1,20 +1,24 @@
 """Layer-reset probing and the redundancy metric.
 
-The protocol: freeze a trained model, rebuild it over a copy of its
-parameters with one named parameter group redrawn from the
-fresh-initialization distribution, and measure how much the outputs move.
-Outputs that barely move — a high capped log-MSE term — expose parameters
-the network was not really using.  The aggregate over (selector, image)
-pairs is the redundancy metric; the fraction of images that actually
-*improve* under a reset is the POI.
+The protocol: rebuild a trained model over a copy of its parameters with
+one named parameter group redrawn from the fresh-initialization
+distribution, and measure how much the outputs move.  Outputs that barely
+move — a high capped log-MSE term — expose parameters the network was not
+really using.  The aggregate over (selector, image) pairs is the redundancy
+metric; the fraction of images that actually *improve* under a reset is the
+POI.
 
 The probed model is never mutated: every reset builds a model of its own.
+It may be frozen or not; an unfrozen model gives its frozen twin's bytes,
+and freezing only saves work.
 
-``dmr`` and ``probe_sweep`` run one base forward per image.  Each reset
-forward resumes at the earliest resume point (``ToyEnhancer.resume_points``:
-each stage's input, each decoder block's attention input and each attention
-core's output) that owns a reset parameter, and matches a whole forward of
-the reset copy bit for bit.  The base forward keeps the value at each point
+``dmr`` and ``probe_sweep`` are one sweep, :func:`_sweep`, scored two ways:
+``dmr`` against the base outputs, ``probe_sweep`` against reference images.
+The sweep runs one base forward per image.  Each reset forward resumes at
+the earliest resume point (``ToyEnhancer.resume_points``: each stage's
+input, each decoder block's attention input and each attention core's
+output) that owns a reset parameter, and matches a whole forward of the
+reset copy bit for bit.  The base forward keeps the value at each point
 the selectors resume at, plus the stage input of each attention core's
 output point, for one call: 64 KB per 32x32 image for ``head`` alone, about
 287 KB for the default selectors, which resume at every point.
@@ -144,78 +148,73 @@ def _reset_point(model, selector: LayerSelector, points: dict) -> str:
     return next(point for point, owned in points.items() if names.intersection(owned))
 
 
-def _reset_outputs(model, selector: LayerSelector, rng: Rng, base: list, point: str) -> list:
-    """Per-image outputs of ``reset_layer(model, selector, rng)``.
+def _sweep(model, selectors: list, images: list, seeds: list) -> tuple:
+    """The base forward's output per image, and a lazy iterator of (seed,
+    selector, per-image outputs of ``reset_layer(model, selector,
+    Rng(child_seed(seed, i)))``) for selector i, seed-major.
 
-    Each forward resumes at ``point``, the earliest resume point that owns a
-    reset parameter (see :func:`_reset_point`), from the values kept in
-    ``base`` (see :func:`observed_pass`): a forward reads no reset parameter
-    before that point, and ``freeze`` derives the frozen caches it skips
-    unchanged.
+    Every selector's resume point (see :func:`_reset_point`) is resolved
+    before the base forwards run.  Each base forward keeps only what a
+    reset forward reads (see :func:`observed_pass`): each point's own value,
+    and an ``.out`` point's stage input (see
+    :meth:`~redlab.enhancer.ToyEnhancer.resume`).  Each reset forward
+    resumes there: it reads no reset parameter before that point, and
+    ``freeze`` derives the frozen caches it skips unchanged.  The iterator
+    holds one probe at a time.
     """
-    probe = reset_layer(model, selector, rng)
-    return [probe.resume(kept, point) for _, kept in base]
-
-
-def _base_passes(model, selectors: list, images: list) -> tuple:
-    """Each selector's resume point (see :func:`_reset_point`), and per image
-    the base forward's output and the values those points resume from: each
-    point's own, and an ``.out`` point's stage input (see
-    :meth:`~redlab.enhancer.ToyEnhancer.resume`)."""
     points = model.resume_points()
     starts = [_reset_point(model, sel, points) for sel in selectors]
-    reads = set(starts) | {start.removesuffix(".out") for start in starts}
-    keys = [point for point in points if point in reads]
-    return starts, [observed_pass(model, x, keys) for x in images]
+    keys = [point for point in points if point in starts or f"{point}.out" in starts]
+    base = [observed_pass(model, x, keys) for x in images]
+
+    def probes():
+        for seed in seeds:
+            for i, (sel, start) in enumerate(zip(selectors, starts)):
+                probe = reset_layer(model, sel, Rng(child_seed(seed, i)))
+                yield seed, sel, [probe.resume(kept, start) for _, kept in base]
+                del probe  # freed before the next probe is built
+
+    return [out for out, _ in base], probes()
 
 
 def dmr(model, selectors: list, images: list, seed: int) -> DmrReport:
-    """Mean capped log-MSE between the frozen model and its per-layer resets.
+    """Mean capped log-MSE between the model and its per-layer resets.
 
     Selector i resets with the child stream splitmix64(seed XOR i).  Larger
-    values mean probed outputs barely moved — higher redundancy.
+    values mean probed outputs barely moved — higher redundancy.  A frozen
+    model and its unfrozen twin give the same terms; freezing saves work.
     """
     if not selectors:
         raise ContractError("dmr needs at least one selector")
     if not images:
         raise ContractError("dmr needs at least one image")
-    if not model.frozen:
-        raise ContractError("dmr probes a frozen model; call freeze() first")
-    starts, base = _base_passes(model, selectors, images)
-    terms = np.empty((len(selectors), len(images)))
-    for i, (sel, start) in enumerate(zip(selectors, starts)):
-        outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, start)
-        for j, ((out, _), probed) in enumerate(zip(base, outs)):
-            terms[i, j] = psnr(out, probed)
+    outs, probes = _sweep(model, selectors, images, [seed])
+    terms = np.array([[psnr(o, p) for o, p in zip(outs, reset)] for _, _, reset in probes])
     return DmrReport(terms=terms, dmr=float(terms.mean()), seed=seed)
 
 
-def probe_sweep(
-    model, selectors: list, low_images: list, ref_images: list, seeds: list
-) -> list:
-    """One ProbeResult per (selector, seed) over the paired image set."""
+def probe_sweep(model, selectors: list, low_images: list, ref_images: list, seeds: list) -> list:
+    """One ProbeResult per (selector, seed) over the paired image set, seed-major."""
     if not selectors or not seeds:
         raise ContractError("probe_sweep needs selectors and seeds")
     if len(low_images) != len(ref_images) or not low_images:
         raise ContractError("probe_sweep needs nonempty paired image lists")
-    starts, base = _base_passes(model, selectors, low_images)
-    before = [psnr(out, ref) for (out, _), ref in zip(base, ref_images)]
+    outs, probes = _sweep(model, selectors, low_images, seeds)
+    before = [psnr(out, ref) for out, ref in zip(outs, ref_images)]
     rows = []
-    for seed in seeds:
-        for i, (sel, start) in enumerate(zip(selectors, starts)):
-            outs = _reset_outputs(model, sel, Rng(child_seed(seed, i)), base, start)
-            after = [psnr(out, ref) for out, ref in zip(outs, ref_images)]
-            wins = sum(1 for b, a in zip(before, after) if a > b)
-            rows.append(
-                ProbeResult(
-                    selector=sel,
-                    seed=seed,
-                    before=list(before),
-                    after=after,
-                    delta_psnr_mean=float(np.mean(after) - np.mean(before)),
-                    poi=wins / len(low_images),
-                )
+    for seed, sel, reset in probes:
+        after = [psnr(out, ref) for out, ref in zip(reset, ref_images)]
+        wins = sum(1 for b, a in zip(before, after) if a > b)
+        rows.append(
+            ProbeResult(
+                selector=sel,
+                seed=seed,
+                before=list(before),
+                after=after,
+                delta_psnr_mean=float(np.mean(after) - np.mean(before)),
+                poi=wins / len(low_images),
             )
+        )
     return rows
 
 

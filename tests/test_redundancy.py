@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,15 +322,29 @@ class TestDmr:
         assert np.array_equal(ra.terms, rb.terms)
         assert ra.dmr == rb.dmr
 
+    def test_holds_one_probe_at_a_time(self):
+        """Each probe is freed before the next is built: where the arena
+        outweighs a forward's values (widths (32, 64), one 8x8 image), a
+        default-selector dmr peaks at 2.11x the arena's bytes (NumPy 2.4.6),
+        and at 3.39x when two probes overlap."""
+        model = ToyEnhancer(Rng(135), widths=(32, 64), adr_blocks=(True, True))
+        model.freeze()
+        sels, img = default_selectors(model), images(136, 1)
+        dmr(model, sels, img, 0)
+        tracemalloc.start()
+        try:
+            dmr(model, sels, img, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * model.arena.nbytes
+
     def test_contract_errors(self):
         model, _ = trained_model()
         with pytest.raises(ContractError):
             dmr(model, [], images(16, 1), 0)
         with pytest.raises(ContractError):
             dmr(model, default_selectors(model)[:1], [], 0)
-        thawed = ToyEnhancer(Rng(0))
-        with pytest.raises(ContractError):
-            dmr(thawed, default_selectors(thawed)[:1], images(17, 1), 0)
 
 
 class TestUnmatchedSelector:
@@ -458,6 +473,43 @@ class TestProbeSweep:
         for kind in table:
             vals = [r.delta_psnr_mean for r in rows if r.selector.kind == kind]
             assert table[kind] == sum(vals) / len(vals)
+
+
+class TestSweepOracle:
+    """``dmr`` and ``probe_sweep`` are one sweep scored two ways, on a frozen
+    model or an unfrozen one alike."""
+
+    @pytest.fixture(params=[(False, 0), (True, 0), (True, 3)],
+                    ids=["plain", "adr", "adr_dynconv"])
+    def unfrozen(self, request):
+        """A trained, unfrozen model (widths 4, 8; 20 steps)."""
+        adr, dyn_candidates = request.param
+        model = ToyEnhancer(Rng(130), widths=(4, 8), adr_blocks=(adr, adr),
+                            dyn_candidates=dyn_candidates)
+        train(model, make_corpus(131, 2, 8, 8), steps=20, seed=132)
+        return model
+
+    def test_unfrozen_dmr_equals_its_frozen_twin(self, unfrozen):
+        twin = copy.deepcopy(unfrozen)
+        twin.freeze()
+        sels = default_selectors(unfrozen)
+        lows = images(133, 2)
+        report = dmr(unfrozen, sels, lows, 4)
+        assert not unfrozen.frozen
+        assert report.terms.tobytes() == dmr(twin, sels, lows, 4).terms.tobytes()
+
+    def test_probe_sweep_against_base_outputs_scores_dmr_terms(self, unfrozen):
+        """With the base outputs as references, each row's ``after`` is the
+        matching ``dmr`` row: one stream and one resume point per selector."""
+        sels = default_selectors(unfrozen)
+        lows = images(134, 2)
+        outs = [unfrozen.forward(x) for x in lows]
+        rows = probe_sweep(unfrozen, sels, lows, outs, [6])
+        terms = dmr(unfrozen, sels, lows, 6).terms
+        assert [row.selector for row in rows] == sels
+        for i, row in enumerate(rows):
+            for j, after in enumerate(row.after):
+                assert after == terms[i, j]
 
 
 # the resume point of each default selector of an ADR (+ dynconv) model:
